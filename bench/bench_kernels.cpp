@@ -1,31 +1,14 @@
-// Kernel micro-benchmarks: old-vs-new hot paths, with a JSON perf record.
+// Cold-vs-warm flow benchmark, with a JSON perf record.
 //
-// Times the two kernels this library's campaigns hammer hardest, reference
-// implementation against event-driven/incremental rewrite, across the
-// ISCAS-85 and ITC'99 suites:
-//
-//  * DetectMask sweeps — FaultSimulator::DetectMaskFull (linear
-//    re-simulation of the topological suffix) vs DetectMask (levelized
-//    event-driven fanout-cone propagation).
-//  * DIP-round constraint encoding — StructuralEncoder::EncodeNetlist under
-//    constant inputs (full netlist walk, twice per round like the SAT
-//    attack's two key hypotheses) vs IncrementalDipEncoder (one constant
-//    simulation + two key-cone walks).
-//  * Multi-word fault sweeps — W independent one-word event sweeps
-//    (LoadRandomPatterns + DetectMask) vs one W-word sweep
-//    (LoadPatternsWide + DetectMasks) over the same stimulus.
-//  * Wide-DIP rounds — RunSatAttack at dips_per_round 1 vs 4 on the
-//    EPIC-locked circuit; records wall time and the mean/max DipOracle
-//    batch width (capped at sat_max_gates — larger circuits log a skip).
-//  * Cold-vs-warm flow — full RunSecureFlow vs artifact deserialize +
-//    replayed analysis (store/artifact_io), with round-trip and replay
-//    equivalence cross-checks; plus serial-vs-parallel RunSta timing on
-//    the resulting layout (bit-identical TimingReport asserted).
-//
-// Every timed pair is also cross-checked (masks / output literals must be
-// bit-identical) and mismatch counts land in the record. The JSON record
+// Times a full RunSecureFlow against the warm path a store-backed campaign
+// takes instead — artifact decode (store/artifact_io) plus the replayed
+// analysis tail (core::ReplayFlowFromArtifacts) — across the ISCAS-85 and
+// ITC'99 suites. Every circuit is also cross-checked: the replayed flow
+// must be indistinguishable from the computed one (re-encoded artifact
+// bytes, net arrivals, cost figures, layout fingerprint, sink stubs), and
+// mismatch counts land in the record and fail the run. The JSON record
 // goes to stdout (and to $BENCH_KERNELS_JSON when set) so CI and future
-// PRs can track the perf trajectory.
+// changes can track the perf trajectory.
 //
 // Unlike the table harnesses this binary does not use google-benchmark, so
 // it builds everywhere; `--smoke` (or BENCH_KERNELS_SMOKE=1) shrinks the
@@ -39,20 +22,12 @@
 #include <string>
 #include <vector>
 
-#include "atpg/fault.hpp"
-#include "atpg/fault_sim.hpp"
-#include "attack/sat_attack.hpp"
 #include "circuits/suites.hpp"
 #include "core/flow.hpp"
-#include "lock/epic.hpp"
 #include "obs/metrics.hpp"
-#include "phys/timing.hpp"
-#include "sat/solver.hpp"
-#include "sat/tseitin.hpp"
 #include "store/artifact_io.hpp"
 #include "store/result_store.hpp"
 #include "util/env.hpp"
-#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace splitlock::bench {
@@ -67,368 +42,102 @@ double Now() {
 struct KernelRecord {
   std::string name;
   size_t gates = 0;
-  size_t faults = 0;
-  size_t words = 0;
-  double detect_full_s = 0;
-  double detect_event_s = 0;
-  size_t detect_mismatches = 0;
-  size_t dip_rounds = 0;
-  size_t key_bits = 0;
-  size_t cone_gates = 0;
-  double dip_full_s = 0;
-  double dip_incremental_s = 0;
-  size_t dip_mismatches = 0;
-  size_t wide_width = 0;
-  double sweep_narrow_s = 0;  // wide_width separate one-word event sweeps
-  double sweep_wide_s = 0;    // one wide_width-word DetectMasks sweep
-  size_t wide_mismatches = 0;
-  bool sat_ran = false;
-  bool sat_single_finished = false;
-  bool sat_multi_finished = false;
-  double sat_single_s = 0;       // RunSatAttack, dips_per_round = 1
-  double sat_multi_s = 0;        // RunSatAttack, dips_per_round = 4
-  size_t sat_dips_single = 0;
-  size_t sat_dips_multi = 0;
-  double dip_batch_mean = 0;     // mean DipOracle batch of the multi run
-  size_t dip_batch_max = 0;
-  size_t sat_mismatches = 0;     // key-equivalence cross-check failures
   bool flow_ran = false;
   double flow_cold_s = 0;        // full RunSecureFlow
   double flow_warm_s = 0;        // artifact decode + replayed analysis
   size_t artifact_bytes = 0;     // EncodeFlowArtifact payload size
   size_t flow_mismatches = 0;    // round-trip / replay equivalence failures
-  size_t sta_reps = 0;
-  double sta_serial_s = 0;       // RunStaSerial over sta_reps
-  double sta_parallel_s = 0;     // RunSta (levelized parallel) over sta_reps
-  size_t sta_mismatches = 0;     // serial-vs-parallel TimingReport divergence
 
-  double DetectSpeedup() const {
-    return detect_event_s > 0 ? detect_full_s / detect_event_s : 0;
-  }
-  double DipSpeedup() const {
-    return dip_incremental_s > 0 ? dip_full_s / dip_incremental_s : 0;
-  }
-  double WideSpeedup() const {
-    return sweep_wide_s > 0 ? sweep_narrow_s / sweep_wide_s : 0;
-  }
   double FlowWarmSpeedup() const {
     return flow_warm_s > 0 ? flow_cold_s / flow_warm_s : 0;
-  }
-  double StaSpeedup() const {
-    return sta_parallel_s > 0 ? sta_serial_s / sta_parallel_s : 0;
   }
 };
 
 struct BenchConfig {
   bool smoke = false;
-  size_t max_faults = 2048;
-  size_t words = 4;
-  size_t dip_rounds = 6;
-  size_t key_bits = 32;
-  size_t wide_width = atpg::kMaxSweepWords;
-  size_t wide_groups = 4;       // timed wide-sweep repetitions
-  size_t sat_max_gates = 4000;  // wide-DIP attack runs only below this
-  size_t sat_max_dips = 64;
-  // Cumulative master-solver conflict ceiling per attack. SAT-hard
-  // instances (c6288's multiplier cones, notably) would otherwise run
-  // unbounded; a capped attack reports finished=false identically in both
-  // variants, and batch widths are still measured on the rounds that ran.
-  uint64_t sat_conflict_budget = 300000;
-  // Cold-vs-warm flow + serial-vs-parallel STA section. The secure flow is
-  // the costliest kernel here, so it shares the attack section's gate cap.
+  // The secure flow is costly on the largest ISCAS members; they are
+  // skipped above this size.
   size_t flow_max_gates = 4000;
   size_t flow_key_bits = 32;
-  size_t sta_reps = 5;
 };
 
-// The sweep shape mirrors ShardedFaultSweep's inner tile: per word, load
-// stimulus once and run every fault. One stimulus stream per variant so
-// both see identical patterns.
-double TimeDetectSweep(atpg::FaultSimulator& sim,
-                       const std::vector<atpg::Fault>& faults, size_t words,
-                       uint64_t seed, bool full, uint64_t* acc) {
-  Rng rng(seed);
-  const double start = Now();
-  for (size_t w = 0; w < words; ++w) {
-    sim.LoadRandomPatterns(rng);
-    for (const atpg::Fault& f : faults) {
-      *acc ^= full ? sim.DetectMaskFull(f) : sim.DetectMask(f);
-    }
-  }
-  return Now() - start;
-}
-
-// Old-vs-new multi-word sweep over the same stimulus: both variants draw
-// `groups * width` words from a fresh Rng(seed) in matching order, so the
-// per-word masks are comparable lane for lane.
-double TimeWideSweep(atpg::FaultSimulator& sim,
-                     const std::vector<atpg::Fault>& faults, size_t groups,
-                     size_t width, uint64_t seed, bool wide, uint64_t* acc) {
-  Rng rng(seed);
-  const double start = Now();
-  if (wide) {
-    std::vector<uint64_t> masks(width);
-    for (size_t g = 0; g < groups; ++g) {
-      sim.LoadRandomPatternsWide(rng, width);
-      for (const atpg::Fault& f : faults) {
-        sim.DetectMasks(f, masks);
-        for (const uint64_t m : masks) *acc ^= m;
-      }
-    }
-  } else {
-    for (size_t g = 0; g < groups; ++g) {
-      for (size_t w = 0; w < width; ++w) {
-        sim.LoadRandomPatterns(rng);
-        for (const atpg::Fault& f : faults) *acc ^= sim.DetectMask(f);
-      }
-    }
-  }
-  return Now() - start;
-}
-
-KernelRecord RunCircuit(const std::string& name, Netlist nl,
+KernelRecord RunCircuit(const std::string& name, const Netlist& nl,
                         const BenchConfig& cfg) {
   KernelRecord rec;
   rec.name = name;
   rec.gates = nl.NumLogicGates();
-  rec.words = cfg.words;
-  rec.dip_rounds = cfg.dip_rounds;
-
-  // --- DetectMask: full resim vs event-driven ---
-  std::vector<atpg::Fault> faults =
-      atpg::CollapseFaults(nl, atpg::EnumerateStemFaults(nl));
-  if (faults.size() > cfg.max_faults) faults.resize(cfg.max_faults);
-  rec.faults = faults.size();
-
-  const atpg::SimTopology topo(nl);
-  atpg::FaultSimulator sim(nl, topo);
-  uint64_t acc = 0;
-  // Correctness cross-check outside the timed region.
-  {
-    Rng rng(99);
-    sim.LoadRandomPatterns(rng);
-    for (const atpg::Fault& f : faults) {
-      if (sim.DetectMask(f) != sim.DetectMaskFull(f)) ++rec.detect_mismatches;
-    }
+  if (nl.NumLogicGates() > cfg.flow_max_gates) {
+    std::printf("%s: flow skipped (%zu gates > cap %zu)\n", name.c_str(),
+                nl.NumLogicGates(), cfg.flow_max_gates);
+    return rec;
   }
-  rec.detect_full_s =
-      TimeDetectSweep(sim, faults, cfg.words, 2026, /*full=*/true, &acc);
-  rec.detect_event_s =
-      TimeDetectSweep(sim, faults, cfg.words, 2026, /*full=*/false, &acc);
+  try {
+    core::FlowOptions fopt;
+    // Small ISCAS members cannot pay for 32 restore comparators; scale
+    // the key down and relax the gates that exist to reject tiny runs.
+    fopt.key_bits = std::max<size_t>(
+        4, std::min(cfg.flow_key_bits, nl.NumLogicGates() / 8));
+    fopt.seed = 2019;
+    fopt.lock.verify_lec = false;
+    fopt.lock.require_area_gain = false;
 
-  // --- Multi-word sweep: W one-word sweeps vs one W-word sweep ---
-  rec.wide_width = cfg.wide_width;
-  {
-    // Cross-check outside the timed region: per-word masks bit-identical.
-    Rng wide_rng(77), narrow_rng(77);
-    sim.LoadRandomPatternsWide(wide_rng, cfg.wide_width);
-    std::vector<std::vector<uint64_t>> expected(
-        faults.size(), std::vector<uint64_t>(cfg.wide_width));
-    for (size_t w = 0; w < cfg.wide_width; ++w) {
-      sim.LoadRandomPatterns(narrow_rng);
-      for (size_t f = 0; f < faults.size(); ++f) {
-        expected[f][w] = sim.DetectMask(faults[f]);
-      }
-    }
-    std::vector<uint64_t> masks(cfg.wide_width);
-    for (size_t f = 0; f < faults.size(); ++f) {
-      sim.DetectMasks(faults[f], masks);
-      if (masks != expected[f]) ++rec.wide_mismatches;
-    }
-  }
-  rec.sweep_narrow_s = TimeWideSweep(sim, faults, cfg.wide_groups,
-                                     cfg.wide_width, 2027, false, &acc);
-  rec.sweep_wide_s = TimeWideSweep(sim, faults, cfg.wide_groups,
-                                   cfg.wide_width, 2027, true, &acc);
-
-  // --- DIP-round encoding: full EncodeNetlist vs incremental ---
-  Rng lock_rng(4242);
-  const size_t key_bits = std::min(cfg.key_bits, nl.NumLogicGates() / 2);
-  const lock::EpicResult locked = lock::LockWithEpic(nl, key_bits, lock_rng);
-  const Netlist& lk = locked.locked;
-  rec.key_bits = lk.KeyInputs().size();
-  const size_t num_pis = lk.inputs().size();
-
-  sat::Solver full_solver, inc_solver;
-  sat::StructuralEncoder full_enc(full_solver), inc_enc(inc_solver);
-  std::vector<sat::Lit> fk1(rec.key_bits), fk2(rec.key_bits);
-  std::vector<sat::Lit> ik1(rec.key_bits), ik2(rec.key_bits);
-  for (auto& l : fk1) l = full_enc.FreshLit();
-  for (auto& l : fk2) l = full_enc.FreshLit();
-  for (auto& l : ik1) l = inc_enc.FreshLit();
-  for (auto& l : ik2) l = inc_enc.FreshLit();
-  sat::IncrementalDipEncoder dip_enc(inc_enc, lk);
-  rec.cone_gates = dip_enc.ConeSize();
-
-  std::vector<std::vector<uint8_t>> dips(cfg.dip_rounds);
-  Rng dip_rng(7);
-  for (auto& dip : dips) {
-    dip.resize(num_pis);
-    for (auto& b : dip) b = dip_rng.NextBool() ? 1 : 0;
-  }
-
-  std::vector<std::vector<sat::Lit>> full_outs, inc_outs;
-  const double full_start = Now();
-  for (const auto& dip : dips) {
-    std::vector<sat::Lit> const_in(num_pis);
-    for (size_t i = 0; i < num_pis; ++i) {
-      const_in[i] = dip[i] ? full_enc.TrueLit() : full_enc.FalseLit();
-    }
-    full_outs.push_back(full_enc.EncodeNetlist(lk, const_in, fk1));
-    full_outs.push_back(full_enc.EncodeNetlist(lk, const_in, fk2));
-  }
-  rec.dip_full_s = Now() - full_start;
-
-  const double inc_start = Now();
-  for (const auto& dip : dips) {
-    dip_enc.SetDip(dip);
-    inc_outs.push_back(dip_enc.Encode(ik1));
-    inc_outs.push_back(dip_enc.Encode(ik2));
-  }
-  rec.dip_incremental_s = Now() - inc_start;
-
-  for (size_t i = 0; i < full_outs.size(); ++i) {
-    if (full_outs[i] != inc_outs[i]) ++rec.dip_mismatches;
-  }
-
-  // --- Wide-DIP rounds: dips_per_round 1 vs 4 against the same oracle ---
-  if (nl.NumLogicGates() <= cfg.sat_max_gates) {
-    rec.sat_ran = true;
-    attack::SatAttackOptions single, multi;
-    single.dips_per_round = 1;
-    multi.dips_per_round = 4;
-    single.max_dips = multi.max_dips = cfg.sat_max_dips;
-    single.conflict_limit_per_solve = multi.conflict_limit_per_solve =
-        cfg.sat_conflict_budget;
     double start = Now();
-    const attack::SatAttackResult rs = attack::RunSatAttack(lk, nl, single);
-    rec.sat_single_s = Now() - start;
+    const core::FlowResult cold = core::RunSecureFlow(nl, fopt);
+    rec.flow_cold_s = Now() - start;
+    rec.flow_ran = true;
+
+    const std::string payload = store::EncodeFlowArtifact(
+        cold.lock, *cold.physical.netlist, *cold.physical.layout,
+        cold.physical.lift);
+    rec.artifact_bytes = payload.size();
+
+    // Warm path: deserialize + replay the analysis tail.
     start = Now();
-    const attack::SatAttackResult rm = attack::RunSatAttack(lk, nl, multi);
-    rec.sat_multi_s = Now() - start;
-    rec.sat_dips_single = rs.dips_used;
-    rec.sat_dips_multi = rm.dips_used;
-    rec.dip_batch_mean = rm.telemetry.MeanDipBatch();
-    for (const attack::SatRoundTelemetry& round : rm.telemetry.rounds) {
-      rec.dip_batch_max = std::max(rec.dip_batch_max, round.dip_batch);
+    std::optional<store::FlowArtifact> art =
+        store::DecodeFlowArtifact(payload);
+    core::FlowResult warm;
+    if (art) {
+      warm = core::ReplayFlowFromArtifacts(
+          std::move(art->lock), std::move(art->netlist),
+          std::move(art->layout), art->lift, fopt);
     }
-    rec.sat_single_finished = rs.finished;
-    rec.sat_multi_finished = rm.finished;
-    // Key-equivalence cross-check: every finished attack must have
-    // recovered a functionally correct key (each verified independently
-    // against the oracle). The finished flags may legitimately differ
-    // under the shared conflict budget — wide rounds spend extra
-    // conflicts on the intra-round re-solves.
-    if (rs.finished && !(rs.key_found && rs.functionally_correct)) {
-      ++rec.sat_mismatches;
+    rec.flow_warm_s = Now() - start;
+
+    // Equivalence cross-checks, outside the timed regions: the replayed
+    // flow must be indistinguishable from the computed one.
+    if (!art) {
+      ++rec.flow_mismatches;
+      return rec;
     }
-    if (rm.finished && !(rm.key_found && rm.functionally_correct)) {
-      ++rec.sat_mismatches;
+    const std::string reencoded = store::EncodeFlowArtifact(
+        warm.lock, *warm.physical.netlist, *warm.physical.layout,
+        warm.physical.lift);
+    if (reencoded != payload) ++rec.flow_mismatches;
+    if (warm.physical.timing.net_arrival_ps !=
+        cold.physical.timing.net_arrival_ps) {
+      ++rec.flow_mismatches;
     }
-  } else {
-    std::printf("%s: wide-DIP attack skipped (%zu gates > cap %zu)\n",
-                name.c_str(), nl.NumLogicGates(), cfg.sat_max_gates);
+    if (warm.physical.cost.die_area_um2 != cold.physical.cost.die_area_um2 ||
+        warm.physical.cost.power_uw != cold.physical.cost.power_uw ||
+        warm.physical.cost.critical_path_ps !=
+            cold.physical.cost.critical_path_ps) {
+      ++rec.flow_mismatches;
+    }
+    if (phys::LayoutFingerprint(*warm.physical.layout) !=
+        phys::LayoutFingerprint(*cold.physical.layout)) {
+      ++rec.flow_mismatches;
+    }
+    if (warm.feol.sink_stubs.size() != cold.feol.sink_stubs.size()) {
+      ++rec.flow_mismatches;
+    }
+  } catch (const std::exception& e) {
+    std::printf("%s: flow skipped (%s)\n", name.c_str(), e.what());
   }
-
-  // --- Cold-vs-warm flow (artifact tier) + serial-vs-parallel STA ---
-  if (nl.NumLogicGates() <= cfg.flow_max_gates) {
-    try {
-      core::FlowOptions fopt;
-      // Small ISCAS members cannot pay for 32 restore comparators; scale
-      // the key down and relax the gates that exist to reject tiny runs.
-      fopt.key_bits = std::max<size_t>(
-          4, std::min(cfg.flow_key_bits, nl.NumLogicGates() / 8));
-      fopt.seed = 2019;
-      fopt.lock.verify_lec = false;
-      fopt.lock.require_area_gain = false;
-
-      double start = Now();
-      const core::FlowResult cold = core::RunSecureFlow(nl, fopt);
-      rec.flow_cold_s = Now() - start;
-      rec.flow_ran = true;
-
-      const std::string payload = store::EncodeFlowArtifact(
-          cold.lock, *cold.physical.netlist, *cold.physical.layout,
-          cold.physical.lift);
-      rec.artifact_bytes = payload.size();
-
-      // Warm path: deserialize + replay the analysis tail.
-      start = Now();
-      std::optional<store::FlowArtifact> art =
-          store::DecodeFlowArtifact(payload);
-      core::FlowResult warm;
-      if (art) {
-        warm = core::ReplayFlowFromArtifacts(
-            std::move(art->lock), std::move(art->netlist),
-            std::move(art->layout), art->lift, fopt);
-      }
-      rec.flow_warm_s = Now() - start;
-
-      // Equivalence cross-checks, outside the timed regions: the replayed
-      // flow must be indistinguishable from the computed one.
-      if (!art) {
-        ++rec.flow_mismatches;
-      } else {
-        const std::string reencoded = store::EncodeFlowArtifact(
-            warm.lock, *warm.physical.netlist, *warm.physical.layout,
-            warm.physical.lift);
-        if (reencoded != payload) ++rec.flow_mismatches;
-        if (warm.physical.timing.net_arrival_ps !=
-            cold.physical.timing.net_arrival_ps) {
-          ++rec.flow_mismatches;
-        }
-        if (warm.physical.cost.die_area_um2 !=
-                cold.physical.cost.die_area_um2 ||
-            warm.physical.cost.power_uw != cold.physical.cost.power_uw ||
-            warm.physical.cost.critical_path_ps !=
-                cold.physical.cost.critical_path_ps) {
-          ++rec.flow_mismatches;
-        }
-        if (phys::LayoutFingerprint(*warm.physical.layout) !=
-            phys::LayoutFingerprint(*cold.physical.layout)) {
-          ++rec.flow_mismatches;
-        }
-        if (warm.feol.sink_stubs.size() != cold.feol.sink_stubs.size()) {
-          ++rec.flow_mismatches;
-        }
-      }
-
-      // Serial vs parallel STA on the cold layout, cross-checked first.
-      rec.sta_reps = cfg.sta_reps;
-      const phys::TimingReport serial_ref =
-          phys::RunStaSerial(*cold.physical.layout);
-      const phys::TimingReport parallel_ref =
-          phys::RunSta(*cold.physical.layout);
-      if (serial_ref.net_arrival_ps != parallel_ref.net_arrival_ps ||
-          serial_ref.critical_path_ps != parallel_ref.critical_path_ps) {
-        ++rec.sta_mismatches;
-      }
-      double sink = 0.0;
-      start = Now();
-      for (size_t i = 0; i < cfg.sta_reps; ++i) {
-        sink += phys::RunStaSerial(*cold.physical.layout).critical_path_ps;
-      }
-      rec.sta_serial_s = Now() - start;
-      start = Now();
-      for (size_t i = 0; i < cfg.sta_reps; ++i) {
-        sink += phys::RunSta(*cold.physical.layout).critical_path_ps;
-      }
-      rec.sta_parallel_s = Now() - start;
-      if (sink < 0) std::printf("(unlikely)\n");  // keep sink live
-    } catch (const std::exception& e) {
-      std::printf("%s: flow section skipped (%s)\n", name.c_str(), e.what());
-    }
-  } else {
-    std::printf("%s: flow section skipped (%zu gates > cap %zu)\n",
-                name.c_str(), nl.NumLogicGates(), cfg.flow_max_gates);
-  }
-
-  if (acc == 0x5a5a5a5a5a5a5a5aULL) std::printf("(unlikely)\n");  // keep acc
   return rec;
 }
 
 std::string ToJson(const std::vector<KernelRecord>& records, bool smoke) {
-  char buf[2048];
+  char buf[512];
   std::string json = "{\"bench\":\"bench_kernels\",\"schema_version\":" +
                      std::to_string(store::kResultSchemaVersion) + ",";
   std::snprintf(buf, sizeof(buf), "\"smoke\":%s,\"repro_scale\":%.3f,",
@@ -439,38 +148,13 @@ std::string ToJson(const std::vector<KernelRecord>& records, bool smoke) {
     const KernelRecord& r = records[i];
     std::snprintf(
         buf, sizeof(buf),
-        "%s{\"name\":\"%s\",\"gates\":%zu,\"faults\":%zu,\"words\":%zu,"
-        "\"detect_full_s\":%.6f,\"detect_event_s\":%.6f,"
-        "\"detect_speedup\":%.2f,\"detect_mismatches\":%zu,"
-        "\"dip_rounds\":%zu,\"key_bits\":%zu,\"cone_gates\":%zu,"
-        "\"dip_full_s\":%.6f,\"dip_incremental_s\":%.6f,"
-        "\"dip_speedup\":%.2f,\"dip_mismatches\":%zu,"
-        "\"wide_width\":%zu,\"sweep_narrow_s\":%.6f,\"sweep_wide_s\":%.6f,"
-        "\"wide_speedup\":%.2f,\"wide_mismatches\":%zu,"
-        "\"sat_ran\":%s,\"sat_single_finished\":%s,"
-        "\"sat_multi_finished\":%s,"
-        "\"sat_single_s\":%.6f,\"sat_multi_s\":%.6f,"
-        "\"sat_dips_single\":%zu,\"sat_dips_multi\":%zu,"
-        "\"dip_batch_mean\":%.3f,\"dip_batch_max\":%zu,"
-        "\"sat_mismatches\":%zu,"
+        "%s{\"name\":\"%s\",\"gates\":%zu,"
         "\"flow_ran\":%s,\"flow_cold_s\":%.6f,\"flow_warm_s\":%.6f,"
         "\"flow_warm_speedup\":%.2f,\"artifact_bytes\":%zu,"
-        "\"flow_mismatches\":%zu,"
-        "\"sta_reps\":%zu,\"sta_serial_s\":%.6f,\"sta_parallel_s\":%.6f,"
-        "\"sta_speedup\":%.2f,\"sta_mismatches\":%zu}",
-        i == 0 ? "" : ",", r.name.c_str(), r.gates, r.faults, r.words,
-        r.detect_full_s, r.detect_event_s, r.DetectSpeedup(),
-        r.detect_mismatches, r.dip_rounds, r.key_bits, r.cone_gates,
-        r.dip_full_s, r.dip_incremental_s, r.DipSpeedup(), r.dip_mismatches,
-        r.wide_width, r.sweep_narrow_s, r.sweep_wide_s, r.WideSpeedup(),
-        r.wide_mismatches, r.sat_ran ? "true" : "false",
-        r.sat_single_finished ? "true" : "false",
-        r.sat_multi_finished ? "true" : "false", r.sat_single_s,
-        r.sat_multi_s, r.sat_dips_single, r.sat_dips_multi, r.dip_batch_mean,
-        r.dip_batch_max, r.sat_mismatches, r.flow_ran ? "true" : "false",
-        r.flow_cold_s, r.flow_warm_s, r.FlowWarmSpeedup(), r.artifact_bytes,
-        r.flow_mismatches, r.sta_reps, r.sta_serial_s, r.sta_parallel_s,
-        r.StaSpeedup(), r.sta_mismatches);
+        "\"flow_mismatches\":%zu}",
+        i == 0 ? "" : ",", r.name.c_str(), r.gates,
+        r.flow_ran ? "true" : "false", r.flow_cold_s, r.flow_warm_s,
+        r.FlowWarmSpeedup(), r.artifact_bytes, r.flow_mismatches);
     json += buf;
   }
   json += "],\"metrics\":";
@@ -492,17 +176,8 @@ int Main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) cfg.smoke = true;
     if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
   }
-  if (cfg.smoke) {
-    cfg.max_faults = 256;
-    cfg.words = 1;
-    cfg.dip_rounds = 2;
-    cfg.key_bits = 16;
-    cfg.wide_groups = 1;
-    cfg.flow_key_bits = 8;
-    cfg.sta_reps = 2;
-  }
+  if (cfg.smoke) cfg.flow_key_bits = 8;
 
-  std::vector<KernelRecord> records;
   const double itc_scale = cfg.smoke ? 0.05 : ReproScale();
   std::vector<std::pair<std::string, Netlist>> circuits;
   for (const auto& info : circuits::IscasSuite()) {
@@ -514,45 +189,25 @@ int Main(int argc, char** argv) {
     circuits.emplace_back(info.name, circuits::MakeItc99(info.name, itc_scale));
   }
 
-  std::printf(
-      "%-6s | %8s | %7s | %12s | %13s | %8s | %12s | %12s | %8s | %8s | "
-      "%6s\n",
-      "name", "gates", "faults", "detect full", "detect event", "speedup",
-      "dip full", "dip incr", "speedup", "W8 sweep", "batchw");
-  for (auto& [name, nl] : circuits) {
-    KernelRecord rec = RunCircuit(name, std::move(nl), cfg);
-    std::printf(
-        "%-6s | %8zu | %7zu | %10.4fs | %11.4fs | %7.1fx | %10.4fs | "
-        "%10.4fs | %7.1fx | %7.1fx | %6.2f\n",
-        rec.name.c_str(), rec.gates, rec.faults, rec.detect_full_s,
-        rec.detect_event_s, rec.DetectSpeedup(), rec.dip_full_s,
-        rec.dip_incremental_s, rec.DipSpeedup(), rec.WideSpeedup(),
-        rec.dip_batch_mean);
+  std::vector<KernelRecord> records;
+  std::printf("%-6s | %8s | %10s | %10s | %8s | %10s\n", "name", "gates",
+              "cold flow", "warm flow", "speedup", "blob (KB)");
+  for (const auto& [name, nl] : circuits) {
+    KernelRecord rec = RunCircuit(name, nl, cfg);
+    if (rec.flow_ran) {
+      std::printf("%-6s | %8zu | %9.3fs | %9.3fs | %7.1fx | %10.1f\n",
+                  rec.name.c_str(), rec.gates, rec.flow_cold_s,
+                  rec.flow_warm_s, rec.FlowWarmSpeedup(),
+                  rec.artifact_bytes / 1024.0);
+    }
     records.push_back(std::move(rec));
   }
 
-  std::printf("\n%-6s | %10s | %10s | %8s | %10s | %10s | %10s | %8s\n",
-              "name", "cold flow", "warm flow", "speedup", "blob (KB)",
-              "sta serial", "sta par", "speedup");
-  for (const KernelRecord& r : records) {
-    if (!r.flow_ran) continue;
-    std::printf(
-        "%-6s | %9.3fs | %9.3fs | %7.1fx | %10.1f | %9.4fs | %9.4fs | "
-        "%7.1fx\n",
-        r.name.c_str(), r.flow_cold_s, r.flow_warm_s, r.FlowWarmSpeedup(),
-        r.artifact_bytes / 1024.0, r.sta_serial_s, r.sta_parallel_s,
-        r.StaSpeedup());
-  }
-
   size_t mismatches = 0;
-  for (const KernelRecord& r : records) {
-    mismatches += r.detect_mismatches + r.dip_mismatches +
-                  r.wide_mismatches + r.sat_mismatches +
-                  r.flow_mismatches + r.sta_mismatches;
-  }
+  for (const KernelRecord& r : records) mismatches += r.flow_mismatches;
   std::printf("cross-check: %zu mismatches %s\n", mismatches,
-              mismatches == 0 ? "(all kernels bit-identical)"
-                              : "(BUG: kernels diverge!)");
+              mismatches == 0 ? "(warm replay bit-identical to cold flow)"
+                              : "(BUG: warm replay diverges!)");
 
   const std::string json = ToJson(records, cfg.smoke);
   std::printf("%s\n", json.c_str());

@@ -12,8 +12,7 @@
 //    vs the full pool width.
 //
 // Every timed pair is cross-checked: the speculative placer must produce a
-// layout bit-identical to the sequential reference (same contract as
-// DetectMask vs DetectMaskFull in bench_kernels), and the routed layouts
+// layout bit-identical to the sequential reference, and the routed layouts
 // must be bit-identical across widths. Mismatch counts land in the record
 // and fail the run.
 //

@@ -4,15 +4,7 @@
 // re-synthesis runs (their flow is parallel over partitions but bounded by
 // license count). This harness reports the equivalent breakdown for this
 // library's flow: lock (synthesis stage) vs physical design (layout stage),
-// at the configured REPRO_SCALE — plus the exec-layer scaling check: a
-// suite-level random-pattern fault-coverage sweep timed single-threaded and
-// at full pool width, with the determinism contract asserted (identical
-// coverage at every width).
-#include "atpg/fault.hpp"
-#include "atpg/fault_sim.hpp"
-#include "exec/thread_pool.hpp"
-#include "util/stopwatch.hpp"
-
+// at the configured REPRO_SCALE.
 #include "bench_common.hpp"
 
 namespace splitlock::bench {
@@ -56,54 +48,6 @@ void RunRow(benchmark::State& state, const std::string& name) {
   }
 }
 
-// Suite-level fault-coverage sweep at a given pool width over prebuilt
-// (netlist, fault list) inputs; only the sweep itself is timed, so the
-// reported speedup is the exec layer's, not circuit construction's.
-struct FaultSweepInput {
-  Netlist netlist;
-  std::vector<atpg::Fault> faults;
-};
-
-double TimedSuiteFaultSweep(const std::vector<FaultSweepInput>& inputs,
-                            size_t threads, uint64_t patterns,
-                            std::vector<double>* coverages) {
-  using exec::ThreadPool;
-  ThreadPool::SetDefaultThreadCount(threads);
-  const Stopwatch timer;
-  coverages->clear();
-  for (const FaultSweepInput& input : inputs) {
-    const atpg::CoverageResult cov =
-        atpg::FaultCoverage(input.netlist, input.faults, patterns, 2019);
-    coverages->push_back(cov.CoveragePercent());
-  }
-  const double elapsed = timer.Seconds();
-  ThreadPool::SetDefaultThreadCount(0);  // restore the configured default
-  return elapsed;
-}
-
-void PrintParallelSweepTable() {
-  const size_t width = exec::ThreadPool::DefaultThreadCount();
-  const uint64_t patterns = 16384;
-  std::vector<FaultSweepInput> inputs;
-  for (const auto& info : circuits::Itc99Suite()) {
-    FaultSweepInput input{circuits::MakeItc99(info.name, ReproScale()), {}};
-    input.faults = atpg::CollapseFaults(
-        input.netlist, atpg::EnumerateStemFaults(input.netlist));
-    inputs.push_back(std::move(input));
-  }
-  std::vector<double> cov_serial, cov_parallel;
-  const double serial_s =
-      TimedSuiteFaultSweep(inputs, 1, patterns, &cov_serial);
-  const double parallel_s =
-      TimedSuiteFaultSweep(inputs, width, patterns, &cov_parallel);
-  PrintHeader("Suite fault-coverage sweep: exec-layer scaling");
-  std::printf("1 thread: %.2f s   %zu threads: %.2f s   speedup: %.2fx\n",
-              serial_s, width, parallel_s,
-              parallel_s > 0 ? serial_s / parallel_s : 0.0);
-  std::printf("determinism: coverages %s across widths\n",
-              cov_serial == cov_parallel ? "IDENTICAL" : "DIVERGED (BUG!)");
-}
-
 }  // namespace
 }  // namespace splitlock::bench
 
@@ -124,6 +68,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   PrintTable();
-  PrintParallelSweepTable();
   return 0;
 }

@@ -10,9 +10,6 @@
 
 #include "atpg/cube.hpp"
 #include "atpg/cut.hpp"
-#include "atpg/fault.hpp"
-#include "atpg/fault_sim.hpp"
-#include "atpg/podem.hpp"
 #include "circuits/c17.hpp"
 #include "lec/lec.hpp"
 #include "lock/atpg_lock.hpp"
@@ -25,28 +22,14 @@ int main() {
   std::printf("=== c17 (exact ISCAS-85 netlist) ===\n%s\n",
               WriteBench(c17).c_str());
 
-  // --- Step 1: the classical ATPG view ------------------------------------
-  const std::vector<atpg::Fault> faults =
-      atpg::CollapseFaults(c17, atpg::EnumerateStemFaults(c17));
-  std::printf("stuck-at faults after collapsing: %zu\n", faults.size());
-  for (const atpg::Fault& f : faults) {
-    const auto test = atpg::GenerateTest(c17, f);
-    if (!test) continue;
-    std::printf("  %-10s test:", atpg::FaultName(c17, f).c_str());
-    for (uint8_t v : test->pi_values) {
-      std::printf(" %c", v == atpg::kVX ? 'x' : ('0' + v));
-    }
-    std::printf("\n");
-  }
-
-  // --- Step 2: failing patterns of one fault over its cut -----------------
+  // --- Step 1: failing patterns of one fault over its cut -----------------
   // Pick G16 (the paper faults an internal NAND output).
   NetId g16 = kNullId;
   for (NetId n = 0; n < c17.NumNets(); ++n) {
     if (c17.net(n).name == "G16") g16 = n;
   }
   const atpg::Cut cut = atpg::ExtractCut(c17, g16, 8);
-  std::printf("\nfault site G16, cut leaves:");
+  std::printf("fault site G16, cut leaves:");
   for (NetId leaf : cut.leaves) std::printf(" %s", c17.net(leaf).name.c_str());
   std::printf("\n");
   const auto failing = atpg::EnumerateConeMinterms(c17, cut, false, 64);
@@ -66,7 +49,7 @@ int main() {
     std::printf("(%d key bits)\n", c.CareCount());
   }
 
-  // --- Step 3: the full locking flow on c17 -------------------------------
+  // --- Step 2: the full locking flow on c17 -------------------------------
   lock::AtpgLockOptions options;
   options.key_bits = 8;  // tiny design, tiny key
   options.seed = 17;
@@ -88,7 +71,7 @@ int main() {
                 f.key_bits, f.cone_area_removed);
   }
 
-  // --- Step 4: the LEC accept/reject gate ----------------------------------
+  // --- Step 3: the LEC accept/reject gate ----------------------------------
   const LecResult lec =
       CheckEquivalence(c17, locked.locked, {}, locked.key);
   std::printf("\nLEC (correct key): %s\n",

@@ -1,5 +1,6 @@
 #include "attack/engine.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <mutex>
 #include <stdexcept>
@@ -288,6 +289,17 @@ AttackReport RunAttack(const AttackContext& ctx, const AttackConfig& config) {
       EngineRegistry::Instance().Create(config.engine);
   if (!engine) {
     report.error = "unknown attack engine '" + config.engine + "'";
+    return report;
+  }
+  const std::vector<std::string> accepted = engine->AcceptedKeys();
+  for (const auto& [key, value] : config.params) {
+    if (std::find(accepted.begin(), accepted.end(), key) != accepted.end()) {
+      continue;
+    }
+    report.error = "attack engine '" + config.engine +
+                   "' does not accept key '" + key + "' (accepted:";
+    for (const std::string& a : accepted) report.error += " " + a;
+    report.error += ")";
     return report;
   }
   const std::string missing = engine->CheckContext(ctx);

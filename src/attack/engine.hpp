@@ -123,7 +123,7 @@ struct RoundStat {
   double encode_ms = 0.0;
   double oracle_ms = 0.0;
   int winner = -1;  // portfolio config index; -1 = sequential solve
-  uint64_t dip_batch = 0;  // DIPs oracle-queried this round (batch width)
+  uint64_t dip_batch = 0;  // DIPs oracle-queried this round (0 or 1)
 };
 
 // The uniform attack result. Engines fill the sections that apply to their
@@ -170,6 +170,10 @@ class Engine {
   // Empty string when `ctx` carries everything this engine needs;
   // otherwise the missing requirement (becomes AttackReport::error).
   virtual std::string CheckContext(const AttackContext& ctx) const = 0;
+  // Every AttackConfig key Run reads. RunAttack rejects a config carrying
+  // any other key before running, so a typo or a retired key cannot
+  // silently fall back to its default under a config hash of its own.
+  virtual std::vector<std::string> AcceptedKeys() const = 0;
   virtual AttackReport Run(const AttackContext& ctx,
                            const AttackConfig& config) const = 0;
 };
@@ -195,9 +199,9 @@ class EngineRegistry {
 };
 
 // Dispatches `config` through the registry on `ctx`, handling unknown
-// engines, context-requirement failures and exceptions uniformly (they
-// come back as !ok reports instead of throwing), and stamping
-// engine/config/elapsed_s.
+// engines, keys the engine does not accept, context-requirement failures
+// and exceptions uniformly (they come back as !ok reports instead of
+// throwing), and stamping engine/config/elapsed_s.
 AttackReport RunAttack(const AttackContext& ctx, const AttackConfig& config);
 
 // Convenience: parse + run.

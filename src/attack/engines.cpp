@@ -6,6 +6,7 @@
 // result -> report conversions so the campaign runner, the CLI and the
 // benches all see one shape.
 #include <string>
+#include <vector>
 
 #include "attack/engine.hpp"
 #include "attack/ideal.hpp"
@@ -29,7 +30,8 @@ void FillSatReport(const SatAttackResult& result, AttackReport* report) {
       static_cast<double>(result.telemetry.total_conflicts);
   report->counters["rounds"] =
       static_cast<double>(result.telemetry.rounds.size());
-  report->counters["mean_dip_batch"] = result.telemetry.MeanDipBatch();
+  // Every DIP round queries one DIP; the counter stays for record shape.
+  report->counters["mean_dip_batch"] = result.dips_used > 0 ? 1.0 : 0.0;
   double solve_ms = 0.0;
   double encode_ms = 0.0;
   double oracle_ms = 0.0;
@@ -63,6 +65,11 @@ class ProximityEngine : public Engine {
   }
   std::string CheckContext(const AttackContext& ctx) const override {
     return ctx.feol ? "" : "proximity engine needs an FEOL view";
+  }
+  std::vector<std::string> AcceptedKeys() const override {
+    return {"seed",   "direction",   "load",  "loop",
+            "timing", "postprocess", "slack", "direction_penalty",
+            "max_candidates"};
   }
   AttackReport Run(const AttackContext& ctx,
                    const AttackConfig& config) const override {
@@ -108,6 +115,10 @@ class MlEngine : public Engine {
   std::string CheckContext(const AttackContext& ctx) const override {
     return ctx.feol ? "" : "ml engine needs an FEOL view";
   }
+  std::vector<std::string> AcceptedKeys() const override {
+    return {"seed", "max_positives", "negatives", "epochs", "lr",
+            "postprocess"};
+  }
   AttackReport Run(const AttackContext& ctx,
                    const AttackConfig& config) const override {
     MlAttackOptions options;
@@ -145,6 +156,9 @@ class IdealEngine : public Engine {
     if (ctx.locked && ctx.oracle && !ctx.correct_key.empty()) return "";
     return "ideal engine needs an FEOL view (assignment mode) or "
            "locked+oracle+correct_key (guess-sweep mode)";
+  }
+  std::vector<std::string> AcceptedKeys() const override {
+    return {"seed", "guesses", "patterns_per_guess"};
   }
   AttackReport Run(const AttackContext& ctx,
                    const AttackConfig& config) const override {
@@ -184,19 +198,18 @@ class SatEngine : public Engine {
     }
     return "";
   }
+  std::vector<std::string> AcceptedKeys() const override {
+    return {"seed", "max_dips", "conflicts", "verify_patterns", "wall_s"};
+  }
   AttackReport Run(const AttackContext& ctx,
                    const AttackConfig& config) const override {
     SatAttackOptions options;
     options.seed = config.GetUint("seed", ctx.seed);
     options.max_dips = config.GetUint("max_dips", options.max_dips);
-    options.dips_per_round =
-        config.GetUint("dips_per_round", options.dips_per_round);
     options.conflict_limit_per_solve =
         config.GetUint("conflicts", ctx.conflict_budget);
     options.verify_patterns =
         config.GetUint("verify_patterns", options.verify_patterns);
-    options.incremental_dip_encoding =
-        config.GetBool("incremental", options.incremental_dip_encoding);
     options.wall_budget_s = config.GetDouble("wall_s", ctx.wall_budget_s);
 
     const SatAttackResult result =
@@ -216,6 +229,9 @@ class OracleLessEngine : public Engine {
   }
   std::string CheckContext(const AttackContext& ctx) const override {
     return ctx.locked ? "" : "oracle-less engine needs the locked netlist";
+  }
+  std::vector<std::string> AcceptedKeys() const override {
+    return {"seed", "samples", "patterns"};
   }
   AttackReport Run(const AttackContext& ctx,
                    const AttackConfig& config) const override {
@@ -246,14 +262,16 @@ class PortfolioSatAttackEngine : public Engine {
     if (!ctx.oracle) return "sat-portfolio engine needs a functional oracle";
     return "";
   }
+  std::vector<std::string> AcceptedKeys() const override {
+    return {"seed",      "configs",         "max_dips", "conflicts_per_round",
+            "conflicts", "verify_patterns", "wall_s"};
+  }
   AttackReport Run(const AttackContext& ctx,
                    const AttackConfig& config) const override {
     PortfolioSatOptions options;
     options.seed = config.GetUint("seed", ctx.seed);
     options.num_configs = config.GetUint("configs", options.num_configs);
     options.max_dips = config.GetUint("max_dips", options.max_dips);
-    options.dips_per_round =
-        config.GetUint("dips_per_round", options.dips_per_round);
     options.conflicts_per_round =
         config.GetUint("conflicts_per_round", options.conflicts_per_round);
     // The context's conflict budget is a *cumulative* ceiling — the same

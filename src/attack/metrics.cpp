@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "attack/proximity.hpp"
+#include "obs/trace.hpp"
 
 namespace splitlock::attack {
 namespace {
@@ -104,6 +105,7 @@ double ComputePnrPercent(const split::FeolView& feol,
 AttackScore ScoreAttack(const split::FeolView& feol,
                         const split::Assignment& assignment,
                         uint64_t patterns, uint64_t seed) {
+  obs::Span span("attack.score");
   AttackScore score;
   score.ccr = ComputeCcr(feol, assignment);
   score.pnr_percent = ComputePnrPercent(feol, assignment);

@@ -39,7 +39,8 @@ struct AttackScore {
   FunctionalDiff functional;  // HD / OER vs the true design
 };
 
-// Full scorecard: CCR + PNR + HD/OER over `patterns` random patterns.
+// Full scorecard: CCR + PNR + HD/OER over `patterns` random patterns,
+// traced as the `attack.score` span.
 AttackScore ScoreAttack(const split::FeolView& feol,
                         const split::Assignment& assignment,
                         uint64_t patterns, uint64_t seed);

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cassert>
 #include <memory>
-#include <optional>
 #include <set>
 
 #include "exec/parallel.hpp"
@@ -27,14 +26,12 @@ namespace {
 // DIPs and oracle queries are pure functions of the instance + options,
 // and conflicts are deterministic by the solver contract (the portfolio
 // adopts the lowest-index completing clone, whose trajectory does not
-// depend on the interleaving). The dip_batch histogram buckets the
-// per-round DIP batch widths the wide-oracle batching produces.
+// depend on the interleaving).
 struct SatMetrics {
   obs::Counter* rounds;
   obs::Counter* dips;
   obs::Counter* oracle_queries;
   obs::Counter* conflicts;
-  obs::Histogram* dip_batch;
 };
 
 SatMetrics& Metrics() {
@@ -45,7 +42,6 @@ SatMetrics& Metrics() {
         r.RegisterCounter("attack.sat.dips"),
         r.RegisterCounter("attack.sat.oracle_queries"),
         r.RegisterCounter("attack.sat.conflicts"),
-        r.RegisterHistogram("attack.sat.dip_batch", obs::Pow2Edges(1, 1024)),
     };
   }();
   return m;
@@ -57,14 +53,13 @@ SatMetrics& Metrics() {
 // drive one of these; only the miter-solve step differs.
 class MiterAttack {
  public:
-  MiterAttack(const Netlist& locked, const Netlist& oracle, bool incremental)
-      : locked_(locked),
-        enc_(solver_),
+  MiterAttack(const Netlist& locked, const Netlist& oracle)
+      : enc_(solver_),
         oracle_sim_(oracle),
         num_pis_(locked.inputs().size()),
         num_pos_(locked.outputs().size()),
         num_keys_(locked.KeyInputs().size()),
-        incremental_(incremental) {
+        dip_enc_(enc_, locked) {
     x_.resize(num_pis_);
     for (auto& l : x_) l = enc_.FreshLit();
     k1_.resize(num_keys_);
@@ -87,92 +82,51 @@ class MiterAttack {
     std::vector<sat::Lit> clause{sat::Negate(diff_any_)};
     clause.insert(clause.end(), diffs.begin(), diffs.end());
     solver_.AddClause(clause);  // diff_any -> OR(diffs)
-
-    if (incremental_) dip_enc_.emplace(enc_, locked_);
   }
 
   sat::Solver& solver() { return solver_; }
   sat::Lit diff_any() const { return diff_any_; }
 
-  // The DIP carried by the model currently held in solver().
-  std::vector<uint8_t> ExtractDip() const {
+  // Takes the DIP from the model currently held in solver(), queries the
+  // oracle on it and constrains both key hypotheses to agree with the
+  // response. Counts the DIP in `result` and fills the oracle/encode
+  // timings of its last telemetry round.
+  void LearnDip(SatAttackResult* result) {
     std::vector<uint8_t> dip(num_pis_);
     for (size_t i = 0; i < num_pis_; ++i) {
       const bool v = solver_.ModelValue(sat::VarOf(x_[i]));
       dip[i] = static_cast<uint8_t>(sat::IsNegated(x_[i]) ? !v : v);
     }
-    return dip;
-  }
+    ++result->dips_used;
+    ++result->telemetry.oracle_queries;
+    Metrics().dips->Add(1);
+    Metrics().oracle_queries->Add(1);
+    SatRoundTelemetry& round = result->telemetry.rounds.back();
+    round.dip_batch = 1;
 
-  // Permanently excludes input assignment `dip` from the miter search so a
-  // re-solve must surface a *different* DIP. The clause is guarded by the
-  // miter selector (¬diff_any ∨ ¬(x = dip)): the final key-extraction
-  // solve, which runs without the diff_any assumption, is unaffected, and
-  // once the oracle constraints for `dip` are added both key hypotheses
-  // agree on it, making the clause implied — so keeping it forever is
-  // sound.
-  void BlockDip(std::span<const uint8_t> dip) {
-    std::vector<sat::Lit> clause;
-    clause.reserve(num_pis_ + 1);
-    clause.push_back(sat::Negate(diff_any_));
-    for (size_t i = 0; i < num_pis_; ++i) {
-      clause.push_back(dip[i] ? sat::Negate(x_[i]) : x_[i]);
-    }
-    solver_.AddClause(std::move(clause));
-  }
-
-  // Queries the oracle on the round's whole DIP batch — ONE
-  // DipOracle::Flush sweep, one batch column per DIP — and constrains both
-  // key hypotheses to agree with every response. Fills the telemetry
-  // entry's oracle/encode timings and batch width.
-  void ConstrainWithOracle(std::span<const std::vector<uint8_t>> dips,
-                           SatRoundTelemetry* round) {
-    Metrics().oracle_queries->Add(dips.size());
-    Metrics().dip_batch->Observe(dips.size());
     const Stopwatch oracle_sw;
-    std::vector<size_t> queries;
-    queries.reserve(dips.size());
+    size_t query = 0;
     {
-      obs::Span span("attack.sat.oracle", dips.size());
-      for (const std::vector<uint8_t>& dip : dips) {
-        queries.push_back(oracle_sim_.Enqueue(dip));
-      }
+      obs::Span span("attack.sat.oracle");
+      query = oracle_sim_.Enqueue(dip);
       oracle_sim_.Flush();
     }
-    round->oracle_ms = oracle_sw.Ms();
-    round->dip_batch = dips.size();
+    round.oracle_ms = oracle_sw.Ms();
 
     // Under constant inputs all non-key logic folds to constants; only the
-    // key-dependent cone produces CNF. The two paths below emit
-    // bit-identical clause streams (see IncrementalDipEncoder); the
-    // incremental one skips the per-round full-netlist walks.
-    obs::Span encode_span("attack.sat.encode", dips.size());
+    // key-dependent cone produces CNF (see IncrementalDipEncoder).
+    obs::Span encode_span("attack.sat.encode");
     const Stopwatch encode_sw;
-    std::vector<sat::Lit> const_in;
-    for (size_t d = 0; d < dips.size(); ++d) {
-      const std::vector<uint8_t>& dip = dips[d];
-      if (incremental_) {
-        dip_enc_->SetDip(dip);
-      } else {
-        const_in.resize(num_pis_);
-        for (size_t i = 0; i < num_pis_; ++i) {
-          const_in[i] = dip[i] ? enc_.TrueLit() : enc_.FalseLit();
-        }
-      }
-      for (const auto& keys : {k1_, k2_}) {
-        const std::vector<sat::Lit> outs =
-            incremental_ ? dip_enc_->Encode(keys)
-                         : enc_.EncodeNetlist(locked_, const_in, keys);
-        for (size_t o = 0; o < num_pos_; ++o) {
-          const bool want = oracle_sim_.OutputBit(queries[d], o);
-          solver_.AddUnit(want ? outs[o] : sat::Negate(outs[o]));
-        }
+    dip_enc_.SetDip(dip);
+    for (const auto& keys : {k1_, k2_}) {
+      const std::vector<sat::Lit> outs = dip_enc_.Encode(keys);
+      for (size_t o = 0; o < num_pos_; ++o) {
+        const bool want = oracle_sim_.OutputBit(query, o);
+        solver_.AddUnit(want ? outs[o] : sat::Negate(outs[o]));
       }
     }
-    round->encode_ms = encode_sw.Ms();
+    round.encode_ms = encode_sw.Ms();
   }
-
-  const DipOracle& oracle() const { return oracle_sim_; }
 
   // All DIPs exhausted: any key satisfying the accumulated IO constraints
   // is functionally correct. Solve once more without the miter assumption.
@@ -192,19 +146,17 @@ class MiterAttack {
   }
 
  private:
-  const Netlist& locked_;
-  sat::Solver solver_;  // master solver; declared before the encoder
+  sat::Solver solver_;  // master solver; declared before the encoders
   sat::StructuralEncoder enc_;
   DipOracle oracle_sim_;
   const size_t num_pis_;
   const size_t num_pos_;
   const size_t num_keys_;
-  const bool incremental_;
+  sat::IncrementalDipEncoder dip_enc_;
   std::vector<sat::Lit> x_;
   std::vector<sat::Lit> k1_;
   std::vector<sat::Lit> k2_;
   sat::Lit diff_any_ = 0;
-  std::optional<sat::IncrementalDipEncoder> dip_enc_;
 };
 
 }  // namespace
@@ -257,7 +209,7 @@ SatAttackResult RunSatAttack(const Netlist& locked, const Netlist& oracle,
   SatAttackResult result;
   const Stopwatch total_sw;
 
-  MiterAttack miter(locked, oracle, options.incremental_dip_encoding);
+  MiterAttack miter(locked, oracle);
   sat::Solver& solver = miter.solver();
   const std::vector<sat::Lit> assumptions{miter.diff_any()};
 
@@ -276,47 +228,16 @@ SatAttackResult RunSatAttack(const Netlist& locked, const Netlist& oracle,
       obs::Span span("attack.sat.solve");
       sr = solver.Solve(assumptions, options.conflict_limit_per_solve);
     }
-    if (sr == sat::SolveResult::kUnknown) {  // budget blown
-      tel.solve_ms = solve_sw.Ms();
-      tel.conflicts = solver.conflicts() - conflicts_before;
-      Metrics().conflicts->Add(tel.conflicts);
-      result.telemetry.rounds.push_back(tel);
-      result.telemetry.total_conflicts = solver.conflicts();
-      result.telemetry.total_ms = total_sw.Ms();
-      return result;
-    }
-    if (sr == sat::SolveResult::kUnsat) {
-      tel.solve_ms = solve_sw.Ms();
-      tel.conflicts = solver.conflicts() - conflicts_before;
-      Metrics().conflicts->Add(tel.conflicts);
-      result.telemetry.rounds.push_back(tel);
-      result.finished = true;
-      break;
-    }
-    // Multi-DIP round: keep re-solving under blocking clauses until K
-    // distinct DIPs are in hand (or the miter runs dry / the budget
-    // blows, either of which just ends the batch early — the next round's
-    // plain solve re-establishes the loop invariant).
-    const size_t batch_cap =
-        std::min(std::max<size_t>(options.dips_per_round, 1),
-                 options.max_dips - result.dips_used);
-    std::vector<std::vector<uint8_t>> dips;
-    dips.push_back(miter.ExtractDip());
-    while (dips.size() < batch_cap) {
-      miter.BlockDip(dips.back());
-      const sat::SolveResult extra =
-          solver.Solve(assumptions, options.conflict_limit_per_solve);
-      if (extra != sat::SolveResult::kSat) break;
-      dips.push_back(miter.ExtractDip());
-    }
     tel.solve_ms = solve_sw.Ms();
     tel.conflicts = solver.conflicts() - conflicts_before;
     Metrics().conflicts->Add(tel.conflicts);
     result.telemetry.rounds.push_back(tel);
-    result.dips_used += dips.size();
-    Metrics().dips->Add(dips.size());
-    result.telemetry.oracle_queries += dips.size();
-    miter.ConstrainWithOracle(dips, &result.telemetry.rounds.back());
+    if (sr == sat::SolveResult::kUnknown) break;  // budget blown; unfinished
+    if (sr == sat::SolveResult::kUnsat) {
+      result.finished = true;
+      break;
+    }
+    miter.LearnDip(&result);
   }
   if (result.finished) {
     miter.ExtractKey(options.conflict_limit_per_solve, &result);
@@ -366,7 +287,7 @@ PortfolioSatResult RunPortfolioSatAttack(const Netlist& locked,
   SatAttackResult& result = out.attack;
   const Stopwatch total_sw;
 
-  MiterAttack miter(locked, oracle, /*incremental=*/true);
+  MiterAttack miter(locked, oracle);
   sat::Solver& master = miter.solver();
   const std::vector<sat::Lit> assumptions{miter.diff_any()};
 
@@ -457,49 +378,17 @@ PortfolioSatResult RunPortfolioSatAttack(const Netlist& locked,
         }
       }
     }
-    if (sr == sat::SolveResult::kUnknown) {  // no configuration completed
-      tel.solve_ms = solve_sw.Ms();
-      tel.conflicts = master.conflicts() - conflicts_before;
-      Metrics().conflicts->Add(tel.conflicts);
-      result.telemetry.rounds.push_back(tel);
-      result.telemetry.total_conflicts = master.conflicts();
-      result.telemetry.total_ms = total_sw.Ms();
-      return out;
-    }
-    ++out.wins_per_config[static_cast<size_t>(tel.winner)];
-    if (sr == sat::SolveResult::kUnsat) {
-      tel.solve_ms = solve_sw.Ms();
-      tel.conflicts = master.conflicts() - conflicts_before;
-      Metrics().conflicts->Add(tel.conflicts);
-      result.telemetry.rounds.push_back(tel);
-      result.finished = true;
-      break;
-    }
-    // Multi-DIP round: extra DIPs come from sequential blocking-clause
-    // re-solves on the adopted master — a serial, deterministic tail, so
-    // the batch is identical at any thread count. Each re-solve gets the
-    // usual per-round conflict allowance; a dry miter or a blown budget
-    // just ends the batch.
-    const size_t batch_cap =
-        std::min(std::max<size_t>(options.dips_per_round, 1),
-                 options.max_dips - result.dips_used);
-    std::vector<std::vector<uint8_t>> dips;
-    dips.push_back(miter.ExtractDip());
-    while (dips.size() < batch_cap) {
-      miter.BlockDip(dips.back());
-      const sat::SolveResult extra = master.Solve(
-          assumptions, master.conflicts() + options.conflicts_per_round);
-      if (extra != sat::SolveResult::kSat) break;
-      dips.push_back(miter.ExtractDip());
-    }
     tel.solve_ms = solve_sw.Ms();
     tel.conflicts = master.conflicts() - conflicts_before;
     Metrics().conflicts->Add(tel.conflicts);
     result.telemetry.rounds.push_back(tel);
-    result.dips_used += dips.size();
-    Metrics().dips->Add(dips.size());
-    result.telemetry.oracle_queries += dips.size();
-    miter.ConstrainWithOracle(dips, &result.telemetry.rounds.back());
+    if (sr == sat::SolveResult::kUnknown) break;  // no configuration completed
+    ++out.wins_per_config[static_cast<size_t>(tel.winner)];
+    if (sr == sat::SolveResult::kUnsat) {
+      result.finished = true;
+      break;
+    }
+    miter.LearnDip(&result);
     ++round;
   }
   if (result.finished) {

@@ -35,10 +35,8 @@ namespace splitlock::attack {
 // Batched functional-oracle frontend. Queries (one input bit-vector each)
 // are queued and answered through Simulator::RunBatch: one
 // structure-of-arrays sweep per Flush(), one batch column per queued
-// query, instead of a full word-at-a-time Run() per query. RunSatAttack
-// routes its DIP responses through this; multi-DIP rounds
-// (SatAttackOptions::dips_per_round > 1) queue a whole round's DIPs and
-// amortize one SoA sweep across them.
+// query, instead of a full word-at-a-time Run() per query. Both DIP loops
+// route each round's DIP through this.
 class DipOracle {
  public:
   explicit DipOracle(const Netlist& oracle);
@@ -78,16 +76,13 @@ class DipOracle {
 // `SatAttackResult::dips_used` by one. Wall-clock fields are measurements
 // (they vary run to run); the conflict counters are deterministic.
 struct SatRoundTelemetry {
-  uint64_t conflicts = 0;  // conflicts spent by this round's solves (the
-                           // decisive miter solve plus any blocking-clause
-                           // re-solves that extracted extra DIPs)
+  uint64_t conflicts = 0;  // conflicts spent by this round's miter solve
   double solve_ms = 0.0;   // miter solve(s) (portfolio: the whole race)
   double encode_ms = 0.0;  // DIP-constraint CNF encoding
   double oracle_ms = 0.0;  // oracle query (batched RunBatch sweep)
   int winner = -1;         // portfolio config index; -1 = sequential solve
-  // DIPs extracted and oracle-queried this round — the width of the
-  // round's DipOracle::Flush batch (0 on the terminating UNSAT round and
-  // on a budget-blown kUnknown attempt).
+  // DIPs oracle-queried this round: 1, or 0 on the terminating UNSAT
+  // round and on a budget-blown kUnknown attempt.
   size_t dip_batch = 0;
 };
 
@@ -98,22 +93,6 @@ struct SatAttackTelemetry {
   double final_solve_ms = 0.0;   // key-extraction solve
   double verify_ms = 0.0;        // random-simulation verification
   double total_ms = 0.0;
-
-  // Mean DipOracle batch width over the rounds that queried the oracle
-  // (0 when none did). dips_per_round = 1 pins this at exactly 1.
-  double MeanDipBatch() const {
-    size_t batches = 0;
-    size_t dips = 0;
-    for (const SatRoundTelemetry& r : rounds) {
-      if (r.dip_batch > 0) {
-        ++batches;
-        dips += r.dip_batch;
-      }
-    }
-    return batches == 0 ? 0.0
-                        : static_cast<double>(dips) /
-                              static_cast<double>(batches);
-  }
 };
 
 struct SatAttackResult {
@@ -129,23 +108,6 @@ struct SatAttackResult {
 
 struct SatAttackOptions {
   size_t max_dips = 4096;
-  // Distinct DIPs extracted per stalled miter round (clamped to >= 1, and
-  // to the remaining max_dips budget). After the round's first DIP, the
-  // miter is re-solved under a blocking clause per extracted DIP (guarded
-  // by the miter selector, so key extraction is untouched) until K DIPs
-  // are in hand or the miter runs dry; the whole batch is oracle-queried
-  // in ONE DipOracle::Flush sweep and constrained together. Each blocking
-  // clause is implied once its DIP's oracle constraints land, so keeping
-  // them is sound. The DIP *sequence* differs from dips_per_round = 1 but
-  // the recovered key is always functionally correct, and any fixed value
-  // is deterministic at any thread count.
-  //
-  // Deliberately defaults to 1: wide rounds change the per-run counters
-  // (dips_used, oracle_queries) that land in canonical store records, so
-  // they are opt-in via config — a different config hash — rather than a
-  // silent behaviour change under existing config strings (which would
-  // have forced a result-store schema bump).
-  size_t dips_per_round = 1;
   uint64_t conflict_limit_per_solve = 2000000;
   uint64_t verify_patterns = 4096;
   uint64_t seed = 1;
@@ -154,12 +116,6 @@ struct SatAttackOptions {
   // whether the attack finishes may vary run to run. Leave 0 when
   // reproducibility matters.
   double wall_budget_s = 0.0;
-  // Encode per-round DIP constraints with sat::IncrementalDipEncoder
-  // (O(key cone) CNF work per round) instead of re-encoding the full
-  // locked netlist twice per round. Both paths feed the solver a
-  // bit-identical clause stream, so results do not depend on this flag;
-  // the legacy path is kept for equivalence tests and benchmarks.
-  bool incremental_dip_encoding = true;
 };
 
 // Oracle-guided SAT attack on `locked` using `oracle` as the black-box
@@ -189,12 +145,6 @@ SatAttackResult RunSatAttack(const Netlist& locked, const Netlist& oracle,
 struct PortfolioSatOptions {
   size_t num_configs = 4;  // diversified configurations per round
   size_t max_dips = 4096;
-  // Multi-DIP rounds, as in SatAttackOptions::dips_per_round: after the
-  // round's winner (raced or baseline) produces a DIP, extra DIPs are
-  // extracted sequentially on the adopted master under blocking clauses —
-  // a deterministic serial tail, so thread-count invariance is preserved.
-  // Defaults to 1 for the same store-record reason as SatAttackOptions.
-  size_t dips_per_round = 1;
   // Conflict budget for each configuration's solve, per round. Unlike
   // SatAttackOptions::conflict_limit_per_solve (a cumulative ceiling on
   // the master solver), this is measured from the start of each solve.

@@ -22,7 +22,7 @@ using NetId = uint32_t;
 inline constexpr uint32_t kNullId = std::numeric_limits<uint32_t>::max();
 
 // Hard upper bound on gate fanin count. Hot simulation loops (sim/simulator,
-// atpg/fault_sim, atpg/cube) size fixed stack buffers `uint64_t[kMaxFanin]`
+// sat/tseitin, atpg/cube) size fixed stack buffers `uint64_t[kMaxFanin]`
 // from this; Netlist::AddGate / MorphGate enforce it unconditionally (even in
 // Release builds, where asserts vanish) so an oversized gate fails loudly at
 // construction instead of corrupting those stacks.

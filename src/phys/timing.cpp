@@ -2,24 +2,16 @@
 
 #include <algorithm>
 
-#include "exec/parallel.hpp"
 #include "netlist/libcell.hpp"
 
 namespace splitlock::phys {
 
 namespace {
 
-// Below this many gates the level-bucket setup costs more than the serial
-// walk it replaces.
-constexpr size_t kParallelStaMinGates = 512;
-constexpr size_t kStaGrain = 32;
-
 // Times one gate: reads finalized fanin arrivals, writes the arrival of the
-// gate's own output net. The single-driver invariant makes the write
-// exclusive, so this body runs unchanged (and produces identical doubles)
-// under both the serial walk and the per-level ParallelFor sweep.
-inline void TimeGate(const Layout& layout, const Netlist& nl, GateId g,
-                     std::vector<double>& arrival) {
+// gate's own output net.
+void TimeGate(const Layout& layout, const Netlist& nl, GateId g,
+              std::vector<double>& arrival) {
   const Gate& gate = nl.gate(g);
   if (gate.op == GateOp::kOutput || gate.op == GateOp::kDeleted) return;
   if (IsSourceOp(gate.op)) {
@@ -54,69 +46,22 @@ inline void TimeGate(const Layout& layout, const Netlist& nl, GateId g,
   arrival[out] = input_arrival + delay;
 }
 
-// Fixed-order max over primary outputs — the same loop for both engines, so
-// critical_path_ps is bit-identical regardless of how arrivals were swept.
-double CriticalPath(const Netlist& nl, const std::vector<double>& arrival) {
-  double critical = 0.0;
-  for (GateId g : nl.outputs()) {
-    // Driver-less outputs (fanin detached by editing) observe nothing.
-    const Gate& po = nl.gate(g);
-    if (po.fanins.empty() || po.fanins[0] == kNullId) continue;
-    critical = std::max(critical, arrival[po.fanins[0]]);
-  }
-  return critical;
-}
-
 }  // namespace
 
-TimingReport RunStaSerial(const Layout& layout) {
+TimingReport RunSta(const Layout& layout) {
   const Netlist& nl = *layout.netlist;
   TimingReport report;
   report.net_arrival_ps.assign(nl.NumNets(), 0.0);
   for (GateId g : nl.TopoOrder()) {
     TimeGate(layout, nl, g, report.net_arrival_ps);
   }
-  report.critical_path_ps = CriticalPath(nl, report.net_arrival_ps);
-  return report;
-}
-
-TimingReport RunSta(const Layout& layout) {
-  const Netlist& nl = *layout.netlist;
-  if (nl.NumGates() < kParallelStaMinGates) return RunStaSerial(layout);
-
-  // Logic levels: level(g) = 1 + max level over fanin drivers. The topo
-  // order guarantees drivers are leveled before their sinks, and bucketing
-  // in topo order keeps the per-level gate order deterministic.
-  const std::vector<GateId> topo = nl.TopoOrder();
-  std::vector<uint32_t> level(nl.NumGates(), 0);
-  uint32_t max_level = 0;
-  for (GateId g : topo) {
-    const Gate& gate = nl.gate(g);
-    if (gate.op == GateOp::kDeleted) continue;
-    uint32_t lvl = 0;
-    for (NetId n : gate.fanins) {
-      if (n == kNullId) continue;  // detached kOutput observers
-      const GateId driver = nl.DriverOf(n);
-      if (driver != kNullId) lvl = std::max(lvl, level[driver] + 1);
-    }
-    level[g] = lvl;
-    max_level = std::max(max_level, lvl);
+  for (GateId g : nl.outputs()) {
+    // Driver-less outputs (fanin detached by editing) observe nothing.
+    const Gate& po = nl.gate(g);
+    if (po.fanins.empty() || po.fanins[0] == kNullId) continue;
+    report.critical_path_ps = std::max(report.critical_path_ps,
+                                       report.net_arrival_ps[po.fanins[0]]);
   }
-  std::vector<std::vector<GateId>> buckets(max_level + 1);
-  for (GateId g : topo) buckets[level[g]].push_back(g);
-
-  TimingReport report;
-  report.net_arrival_ps.assign(nl.NumNets(), 0.0);
-  for (const std::vector<GateId>& bucket : buckets) {
-    // Every fanin of a level-L gate was finalized by level < L, and each
-    // gate writes only its own output net: race-free, order-insensitive.
-    exec::ParallelFor(bucket.size(), kStaGrain, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        TimeGate(layout, nl, bucket[i], report.net_arrival_ps);
-      }
-    });
-  }
-  report.critical_path_ps = CriticalPath(nl, report.net_arrival_ps);
   return report;
 }
 

@@ -19,17 +19,8 @@ struct TimingReport {
   std::vector<double> net_arrival_ps;  // indexed by NetId
 };
 
-// Levelized parallel STA: gates are bucketed by logic level (every fanin
-// driver sits on a strictly lower level) and each level is swept with
-// ParallelFor — each gate writes only its own output net's arrival, so the
-// sweep is race-free and every arrival is computed from exactly the same
-// inputs as the serial walk. critical_path_ps is reduced serially in
-// primary-output order. Bit-identical to RunStaSerial at any thread count;
-// small designs dispatch to the serial walk outright.
+// One topological walk on the calling thread; critical_path_ps is the
+// maximum arrival over primary outputs.
 TimingReport RunSta(const Layout& layout);
-
-// The reference single-threaded topological walk (also the small-design
-// fast path). Exposed for the determinism tests and bench cross-checks.
-TimingReport RunStaSerial(const Layout& layout);
 
 }  // namespace splitlock::phys

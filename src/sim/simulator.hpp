@@ -2,16 +2,17 @@
 //
 // One Run() evaluates 64 input patterns at once (one bit-lane each). This is
 // the workhorse behind HD/OER estimation, switching-activity extraction for
-// the power model, bias profiling for fault selection, and fault simulation.
+// the power model, bias profiling for fault selection, and the lock stage's
+// per-fault checks.
 //
 // The batched API (BeginBatch/RunBatch) evaluates N x 64 patterns in a
 // single topological sweep over structure-of-arrays net-value buffers:
 // values of one net occupy N contiguous words, so each gate's inner loop is
 // a straight-line pass over contiguous memory that vectorizes. The parallel
-// sweeps in sim/metrics, atpg/fault_sim and attack/ shard word-batches
-// across the exec thread pool, one Simulator per shard; attack::DipOracle
-// answers each flushed DIP batch (one batch column per query, width > 1
-// under multi-DIP SAT rounds) with one RunBatch sweep.
+// sweeps in sim/metrics and attack/ shard word-batches across the exec
+// thread pool, one Simulator per shard; attack::DipOracle answers each
+// flushed batch of oracle queries (one batch column per query) with one
+// RunBatch sweep.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,14 @@
-// Attack-engine API contract tests: config parsing/hashing, the registry,
-// the five adapter engines against their legacy free functions, the
-// campaign runner's attack portfolios, and — the load-bearing guarantee —
-// the portfolio SAT attack's bit-identical results at 1, 2 and 8 threads.
+// Attack-engine API contract tests: config parsing/hashing, the registry
+// and the config keys each engine accepts, the five adapter engines
+// against their legacy free functions, the campaign runner's attack
+// portfolios, and — the load-bearing guarantee — the portfolio SAT
+// attack's bit-identical results at 1, 2 and 8 threads.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "attack/engine.hpp"
 #include "attack/proximity.hpp"
@@ -134,6 +140,7 @@ TEST(EngineRegistry, ExternalRegistration) {
     std::string CheckContext(const AttackContext&) const override {
       return "";
     }
+    std::vector<std::string> AcceptedKeys() const override { return {}; }
     AttackReport Run(const AttackContext&,
                      const AttackConfig&) const override {
       AttackReport report;
@@ -146,6 +153,53 @@ TEST(EngineRegistry, ExternalRegistration) {
   const AttackReport report = RunAttack(AttackContext{}, "fake");
   EXPECT_TRUE(report.ok);
   EXPECT_EQ(report.counters.at("ran"), 1.0);
+}
+
+TEST(EngineRegistry, RejectsKeysTheEngineDoesNotAccept) {
+  // The keys each built-in engine's Run reads. The key check runs before
+  // the context check, so an empty context separates the two verdicts
+  // without running any attack.
+  const std::map<std::string, std::vector<std::string>> reads = {
+      {"proximity",
+       {"seed", "direction", "load", "loop", "timing", "postprocess", "slack",
+        "direction_penalty", "max_candidates"}},
+      {"ml",
+       {"seed", "max_positives", "negatives", "epochs", "lr", "postprocess"}},
+      {"ideal", {"seed", "guesses", "patterns_per_guess"}},
+      {"sat", {"seed", "max_dips", "conflicts", "verify_patterns", "wall_s"}},
+      {"oracle-less", {"seed", "samples", "patterns"}},
+      {"sat-portfolio",
+       {"seed", "configs", "max_dips", "conflicts_per_round", "conflicts",
+        "verify_patterns", "wall_s"}},
+  };
+  for (const auto& [engine, keys] : reads) {
+    std::vector<std::string> accepted =
+        EngineRegistry::Instance().Create(engine)->AcceptedKeys();
+    std::vector<std::string> expected = keys;
+    std::sort(accepted.begin(), accepted.end());
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(accepted, expected) << engine;
+
+    AttackConfig config{.engine = engine, .params = {}};
+    for (const std::string& key : keys) config.params[key] = "1";
+    const AttackReport report = RunAttack(AttackContext{}, config);
+    EXPECT_FALSE(report.ok) << engine;
+    EXPECT_EQ(report.error.find("does not accept"), std::string::npos)
+        << engine << ": " << report.error;
+  }
+
+  // The retired legacy-encoder switch, and typos of "conflicts" and
+  // "configs".
+  for (const char* spec :
+       {"sat:incremental=0", "sat:conflcts=100", "sat-portfolio:config=8"}) {
+    const AttackConfig config = AttackConfig::Parse(spec);
+    const std::string& key = config.params.begin()->first;
+    const AttackReport report = RunAttack(AttackContext{}, config);
+    EXPECT_FALSE(report.ok) << spec;
+    EXPECT_NE(report.error.find("does not accept key '" + key + "'"),
+              std::string::npos)
+        << spec << ": " << report.error;
+  }
 }
 
 // --- Adapter equivalence ----------------------------------------------------
@@ -307,9 +361,8 @@ TEST(PortfolioSat, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(PortfolioSat, MultiDipRoundsBitIdenticalAcrossThreadCounts) {
-  // Wide rounds extract extra DIPs serially on the deterministically
-  // adopted master, so the full determinism contract — key, DIP count,
-  // winner sequence, per-round batch widths — must hold at any pool width.
+  // The per-round DIP batch is part of the determinism contract too: every
+  // round queries the adopted master's one DIP, at any pool width.
   PoolWidthGuard guard;
   const Netlist original = TestCircuit(12);
   lock::AtpgLockOptions opts;
@@ -320,7 +373,6 @@ TEST(PortfolioSat, MultiDipRoundsBitIdenticalAcrossThreadCounts) {
   PortfolioSatOptions popts;
   popts.num_configs = 4;
   popts.seed = 12;
-  popts.dips_per_round = 4;
 
   std::vector<PortfolioSatResult> results;
   for (const size_t threads : {1u, 2u, 8u}) {
@@ -330,6 +382,9 @@ TEST(PortfolioSat, MultiDipRoundsBitIdenticalAcrossThreadCounts) {
   const PortfolioSatResult& ref = results[0];
   ASSERT_TRUE(ref.attack.key_found);
   EXPECT_TRUE(ref.attack.functionally_correct);
+  for (const SatRoundTelemetry& round : ref.attack.telemetry.rounds) {
+    EXPECT_LE(round.dip_batch, 1u);
+  }
   for (size_t i = 1; i < results.size(); ++i) {
     const PortfolioSatResult& r = results[i];
     EXPECT_EQ(r.attack.recovered_key, ref.attack.recovered_key)

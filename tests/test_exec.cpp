@@ -1,7 +1,7 @@
 // Exec-layer contract tests: the thread pool runs what it is given, the
 // deterministic primitives cover their ranges exactly once, counter-based
 // streams reproduce, and — the load-bearing guarantee — every parallel
-// sweep in the library (fault coverage, HD/OER, oracle-less probe,
+// sweep in the library (HD/OER, pattern agreement, oracle-less probe,
 // proximity scoring) is bit-identical at 1, 2 and 8 threads.
 #include <gtest/gtest.h>
 
@@ -10,8 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "atpg/fault.hpp"
-#include "atpg/fault_sim.hpp"
 #include "attack/proximity.hpp"
 #include "attack/sat_attack.hpp"
 #include "circuits/c17.hpp"
@@ -224,8 +222,6 @@ TEST(ThreadInvariance, FaultCoverageHdOerProbeAndProximity) {
   spec.num_gates = 350;
   spec.seed = 21;
   const Netlist nl = circuits::GenerateCircuit(spec);
-  const std::vector<atpg::Fault> faults =
-      atpg::CollapseFaults(nl, atpg::EnumerateStemFaults(nl));
 
   Rng lock_rng(6);
   const lock::EpicResult locked = lock::LockWithEpic(nl, 8, lock_rng);
@@ -237,8 +233,6 @@ TEST(ThreadInvariance, FaultCoverageHdOerProbeAndProximity) {
   constexpr uint64_t kPatterns = 2500;
 
   struct Snapshot {
-    size_t detected = 0;
-    std::vector<uint64_t> profile;
     double hd = 0.0, oer = 0.0;
     bool agree_right = false, agree_wrong = false;
     size_t distinct = 0;
@@ -247,8 +241,6 @@ TEST(ThreadInvariance, FaultCoverageHdOerProbeAndProximity) {
   for (size_t threads : {1u, 2u, 8u}) {
     exec::ThreadPool::SetDefaultThreadCount(threads);
     Snapshot s;
-    s.detected = atpg::FaultCoverage(nl, faults, kPatterns, 77).detected;
-    s.profile = atpg::DetectionProfile(nl, faults, kPatterns, 77);
     const FunctionalDiff d = CompareFunctional(
         nl, locked.locked, kPatterns, 77, {}, wrong_key);
     s.hd = d.hd_percent;
@@ -263,8 +255,6 @@ TEST(ThreadInvariance, FaultCoverageHdOerProbeAndProximity) {
     snaps.push_back(std::move(s));
   }
   for (size_t i = 1; i < snaps.size(); ++i) {
-    EXPECT_EQ(snaps[0].detected, snaps[i].detected);
-    EXPECT_EQ(snaps[0].profile, snaps[i].profile);
     EXPECT_EQ(snaps[0].hd, snaps[i].hd);  // bitwise
     EXPECT_EQ(snaps[0].oer, snaps[i].oer);
     EXPECT_EQ(snaps[0].agree_right, snaps[i].agree_right);
@@ -273,7 +263,6 @@ TEST(ThreadInvariance, FaultCoverageHdOerProbeAndProximity) {
   }
   EXPECT_TRUE(snaps[0].agree_right);
   EXPECT_FALSE(snaps[0].agree_wrong);
-  EXPECT_GT(snaps[0].detected, 0u);
 }
 
 TEST(ThreadInvariance, ProximityAttackAssignment) {

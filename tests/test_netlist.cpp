@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "netlist/libcell.hpp"
 #include "netlist/netlist.hpp"
 
@@ -131,6 +136,18 @@ TEST(Netlist, CompactedPreservesKeyInputOrder) {
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(compact.gate(keys[i]).name, names[i]);
   }
+}
+
+TEST(EventDetect, OversizedGateFailsLoudly) {
+  // Kernels size fixed stack buffers by kMaxFanin; a wider gate must be
+  // rejected at construction instead of overrunning one later.
+  Netlist nl("overfanin");
+  std::vector<NetId> ins;
+  for (int i = 0; i < 5; ++i) {
+    ins.push_back(nl.AddInput("i" + std::to_string(i)));
+  }
+  EXPECT_THROW(nl.AddGate(GateOp::kAnd, std::span<const NetId>(ins)),
+               std::invalid_argument);
 }
 
 TEST(Netlist, EvalGateWordTruthTables) {

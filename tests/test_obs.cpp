@@ -14,8 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "atpg/fault.hpp"
-#include "atpg/fault_sim.hpp"
 #include "attack/engine.hpp"
 #include "circuits/random_circuit.hpp"
 #include "core/campaign.hpp"
@@ -263,8 +261,8 @@ core::FlowOptions SmallOptions(uint64_t seed) {
 }
 
 // A workload touching several instrumented subsystems: secure flow
-// (exec pool, flow stages), a sharded fault sweep (atpg tiles) and a SAT
-// attack (rounds, DIPs, oracle queries, conflicts, batch histogram).
+// (exec pool, flow stages, lock counters) and a SAT attack (rounds, DIPs,
+// oracle queries, conflicts).
 // Returns the deterministic-section delta this workload caused.
 std::string CountDeltaJson(size_t threads) {
   exec::ThreadPool::SetDefaultThreadCount(threads);
@@ -273,9 +271,6 @@ std::string CountDeltaJson(size_t threads) {
   const Netlist original = TestCircuit(11, 260);
   const core::FlowResult flow =
       core::RunSecureFlow(original, SmallOptions(11));
-  const std::vector<atpg::Fault> faults =
-      atpg::CollapseFaults(original, atpg::EnumerateStemFaults(original));
-  atpg::FaultCoverage(original, faults, 512, 2019);
   attack::AttackContext ctx;
   ctx.feol = &flow.feol;
   ctx.locked = &flow.lock.locked;
@@ -298,7 +293,6 @@ TEST(Determinism, CountMetricsBitIdenticalAcrossThreadCounts) {
   // Sanity: the workload actually moved the deterministic counters.
   EXPECT_NE(at1.find("exec.pool.tasks_run"), std::string::npos);
   EXPECT_NE(at1.find("attack.sat.rounds"), std::string::npos);
-  EXPECT_NE(at1.find("atpg.sweep.tiles"), std::string::npos);
 }
 
 // Fresh per-test store directory under the system temp dir.
@@ -391,6 +385,7 @@ TEST(Determinism, TracingDoesNotPerturbCanonicalRecords) {
   EXPECT_TRUE(names.count("flow.lift"));
   EXPECT_TRUE(names.count("flow.sta"));
   EXPECT_TRUE(names.count("attack.engine"));
+  EXPECT_TRUE(names.count("attack.score"));
   fs::remove(path);
 }
 

@@ -1,11 +1,23 @@
+// The oracle-guided SAT attack and its building blocks: key recovery,
+// golden DIP/conflict/key digests for both DIP loops, the incremental DIP
+// encoder against full EncodeNetlist, the batched DipOracle frontend, and
+// the oracle-less key-space probe.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "attack/sat_attack.hpp"
 #include "circuits/c17.hpp"
 #include "circuits/random_circuit.hpp"
+#include "circuits/suites.hpp"
 #include "lock/atpg_lock.hpp"
 #include "lock/epic.hpp"
+#include "sat/solver.hpp"
+#include "sat/tseitin.hpp"
 #include "sim/metrics.hpp"
+#include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace splitlock::attack {
 namespace {
@@ -17,6 +29,16 @@ Netlist TestCircuit(uint64_t seed, size_t gates = 400) {
   spec.num_gates = gates;
   spec.seed = seed;
   spec.bias_cone_fraction = 0.15;
+  return circuits::GenerateCircuit(spec);
+}
+
+Netlist RandomCircuit(uint64_t seed, size_t gates = 300, size_t inputs = 14,
+                      size_t outputs = 8) {
+  circuits::CircuitSpec spec;
+  spec.num_inputs = inputs;
+  spec.num_outputs = outputs;
+  spec.num_gates = gates;
+  spec.seed = seed;
   return circuits::GenerateCircuit(spec);
 }
 
@@ -81,9 +103,9 @@ TEST(SatAttack, DipBudgetRespected) {
 }
 
 TEST(SatAttack, MultiDipRoundsRecoverEquivalentKey) {
-  // Wide rounds (several DIPs per stalled solve, one oracle flush) must
-  // still terminate with a functionally correct key; the DIP *sequence*
-  // differs from one-at-a-time, so only functional results are compared.
+  // Every round queries the oracle at most once: the per-round batch
+  // stays in the telemetry and the attack records, so it must read 1 per
+  // DIP and sum to exactly the DIPs spent.
   const Netlist original = TestCircuit(10);
   lock::AtpgLockOptions opts;
   opts.key_bits = 24;
@@ -91,59 +113,21 @@ TEST(SatAttack, MultiDipRoundsRecoverEquivalentKey) {
   opts.verify_lec = false;
   const lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
 
-  SatAttackOptions single, wide;
-  single.dips_per_round = 1;
-  wide.dips_per_round = 4;
-  const SatAttackResult s = RunSatAttack(locked.locked, original, single);
-  const SatAttackResult w = RunSatAttack(locked.locked, original, wide);
-  ASSERT_TRUE(s.finished);
-  ASSERT_TRUE(w.finished);
-  EXPECT_TRUE(s.key_found);
-  EXPECT_TRUE(w.key_found);
-  EXPECT_TRUE(s.functionally_correct);
-  EXPECT_TRUE(w.functionally_correct);
-  // Batching can only merge rounds, never add them.
-  EXPECT_LE(w.telemetry.rounds.size(), s.telemetry.rounds.size());
-
-  // Single-DIP rounds pin every batch at exactly 1.
-  EXPECT_EQ(s.telemetry.MeanDipBatch(), 1.0);
-  for (const SatRoundTelemetry& round : s.telemetry.rounds) {
-    EXPECT_LE(round.dip_batch, 1u);
-  }
-  // The wide run's per-round batches never exceed the cap, and the total
-  // across rounds is exactly the DIPs spent.
+  const SatAttackResult r = RunSatAttack(locked.locked, original);
+  ASSERT_TRUE(r.finished);
+  EXPECT_TRUE(r.key_found);
+  EXPECT_TRUE(r.functionally_correct);
+  ASSERT_GT(r.dips_used, 1u);
   size_t batched = 0;
-  for (const SatRoundTelemetry& round : w.telemetry.rounds) {
-    EXPECT_LE(round.dip_batch, wide.dips_per_round);
+  for (const SatRoundTelemetry& round : r.telemetry.rounds) {
+    EXPECT_LE(round.dip_batch, 1u);
     batched += round.dip_batch;
   }
-  EXPECT_EQ(batched, w.dips_used);
-}
-
-TEST(SatAttack, WideRoundsActuallyBatch) {
-  // A lock that needs many DIPs must show at least one round with batch
-  // width > 1 when dips_per_round allows it — otherwise the feature is
-  // silently inert. MeanDipBatch is the acceptance-criteria metric.
-  const Netlist original = TestCircuit(11, 500);
-  lock::AtpgLockOptions opts;
-  opts.key_bits = 32;
-  opts.seed = 11;
-  opts.verify_lec = false;
-  const lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
-  SatAttackOptions aopts;
-  aopts.dips_per_round = 4;
-  const SatAttackResult r = RunSatAttack(locked.locked, original, aopts);
-  ASSERT_TRUE(r.finished);
-  ASSERT_TRUE(r.key_found);
-  EXPECT_TRUE(r.functionally_correct);
-  if (r.dips_used > 1) {
-    EXPECT_GT(r.telemetry.MeanDipBatch(), 1.0);
-  }
+  EXPECT_EQ(batched, r.dips_used);
 }
 
 TEST(SatAttack, WideRoundsRespectDipBudget) {
-  // The per-round batch is capped at the remaining budget, so max_dips
-  // keeps its meaning even when dips_per_round exceeds it.
+  // max_dips caps the DIPs spent whether or not the attack finishes.
   const Netlist original = TestCircuit(4);
   lock::AtpgLockOptions opts;
   opts.key_bits = 24;
@@ -152,9 +136,54 @@ TEST(SatAttack, WideRoundsRespectDipBudget) {
   const lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
   SatAttackOptions aopts;
   aopts.max_dips = 3;
-  aopts.dips_per_round = 8;
   const SatAttackResult r = RunSatAttack(locked.locked, original, aopts);
   EXPECT_LE(r.dips_used, 3u);
+  PortfolioSatOptions popts;
+  popts.max_dips = 3;
+  const PortfolioSatResult p =
+      RunPortfolioSatAttack(locked.locked, original, popts);
+  EXPECT_LE(p.attack.dips_used, 3u);
+}
+
+std::string KeyBits(const std::vector<uint8_t>& key) {
+  std::string bits;
+  for (const uint8_t b : key) bits += b ? '1' : '0';
+  return bits;
+}
+
+TEST(SatAttack, GoldenDigests) {
+  // c432 under the 64-bit lock AtpgLock.GoldenLockDigests pins, attacked
+  // by both DIP loops. Pins the DIP count, the master solver's conflict
+  // total and the recovered key: any change to the DIP sequence, the
+  // clause stream or the solver trajectory shows here.
+  const Netlist original = circuits::MakeIscas("c432");
+  lock::AtpgLockOptions opts;
+  opts.key_bits = 64;
+  opts.seed = 1;
+  const lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
+
+  const SatAttackResult seq = RunSatAttack(locked.locked, original);
+  ASSERT_TRUE(seq.finished);
+  EXPECT_TRUE(seq.functionally_correct);
+  EXPECT_EQ(seq.dips_used, 39u);
+  EXPECT_EQ(seq.telemetry.total_conflicts, 15031u);
+  EXPECT_EQ(KeyBits(seq.recovered_key),
+            "0010000011001101101000101011101110111001001001011110100001011010");
+
+  // A per-round budget small enough that one round stalls and races its
+  // diversified clones, so the digest also covers winner selection and
+  // adoption.
+  PortfolioSatOptions popts;
+  popts.conflicts_per_round = 4000;
+  const PortfolioSatResult port =
+      RunPortfolioSatAttack(locked.locked, original, popts);
+  EXPECT_EQ(port.wins_per_config, (std::vector<size_t>{39, 1, 0, 0}));
+  ASSERT_TRUE(port.attack.finished);
+  EXPECT_TRUE(port.attack.functionally_correct);
+  EXPECT_EQ(port.attack.dips_used, 39u);
+  EXPECT_EQ(port.attack.telemetry.total_conflicts, 15694u);
+  EXPECT_EQ(KeyBits(port.attack.recovered_key),
+            "0010000001000010101000101011101100111010001001011110101101011010");
 }
 
 TEST(OracleLess, KeySpaceStaysRich) {
@@ -191,6 +220,112 @@ TEST(OracleLess, UnkeyedNetlistHasOneBehavior) {
   const Netlist original = circuits::MakeC17();
   const OracleLessProbe probe = ProbeOracleLessKeySpace(original, 16, 256, 7);
   EXPECT_EQ(probe.distinct_functions, 1u);
+}
+
+// --- Incremental DIP encoder ------------------------------------------------
+
+// The attack encodes each DIP round with IncrementalDipEncoder; the miter
+// itself still comes from EncodeNetlist. Both must stay bit-identical.
+class IncrementalDip : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IncrementalDip, BitIdenticalToFullEncodeNetlist) {
+  const Netlist original = RandomCircuit(GetParam(), 250);
+  Rng lock_rng(GetParam());
+  const lock::EpicResult locked =
+      lock::LockWithEpic(original, 12, lock_rng);
+  const Netlist& nl = locked.locked;
+  const size_t num_pis = nl.inputs().size();
+  const size_t num_keys = nl.KeyInputs().size();
+  ASSERT_GT(num_keys, 0u);
+
+  // Two fresh solver/encoder pairs receive the same call sequence; the
+  // incremental path must leave them in bit-identical states: same
+  // variable count and literal-identical output vectors, round after
+  // round (cache reuse across rounds included).
+  sat::Solver full_solver, inc_solver;
+  sat::StructuralEncoder full_enc(full_solver), inc_enc(inc_solver);
+  std::vector<sat::Lit> full_keys(num_keys), inc_keys(num_keys);
+  for (auto& l : full_keys) l = full_enc.FreshLit();
+  for (auto& l : inc_keys) l = inc_enc.FreshLit();
+  ASSERT_EQ(full_keys, inc_keys);
+
+  sat::IncrementalDipEncoder dip_enc(inc_enc, nl);
+  EXPECT_LT(dip_enc.ConeSize(), nl.NumLogicGates());
+
+  Rng rng(GetParam() ^ 0xD1F);
+  for (int round = 0; round < 6; ++round) {
+    std::vector<uint8_t> dip(num_pis);
+    for (auto& b : dip) b = rng.NextBool() ? 1 : 0;
+    std::vector<sat::Lit> const_in(num_pis);
+    for (size_t i = 0; i < num_pis; ++i) {
+      const_in[i] = dip[i] ? full_enc.TrueLit() : full_enc.FalseLit();
+    }
+    const std::vector<sat::Lit> full_outs =
+        full_enc.EncodeNetlist(nl, const_in, full_keys);
+    dip_enc.SetDip(dip);
+    const std::vector<sat::Lit> inc_outs = dip_enc.Encode(inc_keys);
+    ASSERT_EQ(inc_outs, full_outs) << "round " << round;
+    ASSERT_EQ(inc_solver.NumVars(), full_solver.NumVars())
+        << "round " << round;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDip,
+                         ::testing::Range<uint64_t>(1, 7));
+
+TEST(IncrementalDip, HandlesKeylessNetlist) {
+  const Netlist nl = circuits::MakeC17();
+  sat::Solver solver;
+  sat::StructuralEncoder enc(solver);
+  sat::IncrementalDipEncoder dip_enc(enc, nl);
+  EXPECT_EQ(dip_enc.ConeSize(), 0u);
+  std::vector<uint8_t> dip(nl.inputs().size(), 1);
+  dip_enc.SetDip(dip);
+  const std::vector<sat::Lit> outs = dip_enc.Encode({});
+  // Everything folds: outputs are constants matching plain simulation.
+  Simulator sim(nl);
+  std::vector<uint64_t> words(nl.inputs().size(), ~0ULL);
+  sim.SetInputWords(words);
+  sim.Run();
+  ASSERT_EQ(outs.size(), nl.outputs().size());
+  for (size_t o = 0; o < outs.size(); ++o) {
+    const sat::Lit want =
+        (sim.OutputWord(o) & 1) != 0 ? enc.TrueLit() : enc.FalseLit();
+    EXPECT_EQ(outs[o], want);
+  }
+}
+
+// --- Batched oracle ---------------------------------------------------------
+
+TEST(DipOracle, BatchedResponsesMatchSequentialSimulation) {
+  const Netlist nl = RandomCircuit(7, 200, 12, 6);
+  DipOracle oracle(nl);
+  Simulator reference(nl);
+  Rng rng(7);
+  constexpr size_t kQueries = 9;
+  std::vector<std::vector<uint8_t>> queries;
+  for (size_t q = 0; q < kQueries; ++q) {
+    std::vector<uint8_t> bits(nl.inputs().size());
+    for (auto& b : bits) b = rng.NextBool() ? 1 : 0;
+    EXPECT_EQ(oracle.Enqueue(bits), q);
+    queries.push_back(std::move(bits));
+  }
+  EXPECT_EQ(oracle.pending(), kQueries);
+  oracle.Flush();  // one SoA sweep answers all queries
+  EXPECT_EQ(oracle.pending(), 0u);
+  EXPECT_EQ(oracle.answered(), kQueries);
+  EXPECT_EQ(oracle.flushes(), 1u);
+  EXPECT_EQ(oracle.max_batch(), kQueries);
+  for (size_t q = 0; q < kQueries; ++q) {
+    for (size_t i = 0; i < queries[q].size(); ++i) {
+      reference.SetSourceWord(nl.inputs()[i], queries[q][i] ? ~0ULL : 0ULL);
+    }
+    reference.Run();
+    for (size_t o = 0; o < nl.outputs().size(); ++o) {
+      EXPECT_EQ(oracle.OutputBit(q, o), (reference.OutputWord(o) & 1) != 0)
+          << "query " << q << " po " << o;
+    }
+  }
 }
 
 }  // namespace
