@@ -21,13 +21,14 @@ void PrintTable() {
     // Records only: a warm persistent store (SPLITLOCK_STORE) serves the
     // recorded stage times of the run that produced the entry.
     const store::CampaignRecord r = RunItcRecordCached(info.name, 4);
-    const double row = r.lock_s + r.place_s + r.route_s + r.lift_s + r.sta_s +
-                       r.analyze_s;
+    const core::StageTimes& t = r.times;
+    const double row =
+        t.lock_s + t.place_s + t.route_s + t.lift_s + t.sta_s + t.analyze_s;
     std::printf("%-6s | %10llu | %9.2f | %9.2f | %9.2f | %9.2f | %9.2f | "
                 "%9.2f | %9.2f\n",
                 info.name.c_str(),
-                static_cast<unsigned long long>(r.logic_gates), r.lock_s,
-                r.place_s, r.route_s, r.lift_s, r.sta_s, r.analyze_s, row);
+                static_cast<unsigned long long>(r.logic_gates), t.lock_s,
+                t.place_s, t.route_s, t.lift_s, t.sta_s, t.analyze_s, row);
     total += row;
   }
   PrintRule(104);
@@ -39,12 +40,12 @@ void PrintTable() {
 void RunRow(benchmark::State& state, const std::string& name) {
   for (auto _ : state) {
     const store::CampaignRecord r = RunItcRecordCached(name, 4);
-    state.counters["lock_s"] = r.lock_s;
-    state.counters["place_s"] = r.place_s;
-    state.counters["route_s"] = r.route_s;
-    state.counters["lift_s"] = r.lift_s;
-    state.counters["sta_s"] = r.sta_s;
-    state.counters["analyze_s"] = r.analyze_s;
+    state.counters["lock_s"] = r.times.lock_s;
+    state.counters["place_s"] = r.times.place_s;
+    state.counters["route_s"] = r.times.route_s;
+    state.counters["lift_s"] = r.times.lift_s;
+    state.counters["sta_s"] = r.times.sta_s;
+    state.counters["analyze_s"] = r.times.analyze_s;
   }
 }
 

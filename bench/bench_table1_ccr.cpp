@@ -30,9 +30,9 @@ void RunRow(benchmark::State& state, const std::string& name,
             int split_layer) {
   for (auto _ : state) {
     const store::CampaignRecord r = RunItcRecordCached(name, split_layer);
-    state.counters["key_logical_ccr"] = r.key_logical_ccr_percent;
-    state.counters["key_physical_ccr"] = r.key_physical_ccr_percent;
-    state.counters["regular_ccr"] = r.regular_ccr_percent;
+    state.counters["key_logical_ccr"] = r.score.key_logical_ccr_percent;
+    state.counters["key_physical_ccr"] = r.score.key_physical_ccr_percent;
+    state.counters["regular_ccr"] = r.score.regular_ccr_percent;
     state.counters["broken_conns"] = static_cast<double>(r.broken_connections);
   }
 }
@@ -53,9 +53,9 @@ void PrintTable() {
     for (int s = 0; s < 2; ++s) {
       const store::CampaignRecord r =
           RunItcRecordCached(info.name, s == 0 ? 4 : 6);
-      measured[s * 3 + 0] = r.key_logical_ccr_percent;
-      measured[s * 3 + 1] = r.key_physical_ccr_percent;
-      measured[s * 3 + 2] = r.regular_ccr_percent;
+      measured[s * 3 + 0] = r.score.key_logical_ccr_percent;
+      measured[s * 3 + 1] = r.score.key_physical_ccr_percent;
+      measured[s * 3 + 2] = r.score.regular_ccr_percent;
       cells[s][0] = Cell(measured[s * 3 + 0], paper[s].key_logical);
       cells[s][1] = Cell(measured[s * 3 + 1], paper[s].key_physical);
       cells[s][2] = Cell(measured[s * 3 + 2], paper[s].regular);

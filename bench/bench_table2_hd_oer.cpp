@@ -28,9 +28,9 @@ void RunRow(benchmark::State& state, const std::string& name,
             int split_layer) {
   for (auto _ : state) {
     const store::CampaignRecord r = RunItcRecordCached(name, split_layer);
-    state.counters["hd_percent"] = r.hd_percent;
-    state.counters["oer_percent"] = r.oer_percent;
-    state.counters["patterns"] = static_cast<double>(r.score_patterns);
+    state.counters["hd_percent"] = r.score.hd_percent;
+    state.counters["oer_percent"] = r.score.oer_percent;
+    state.counters["patterns"] = static_cast<double>(r.score.score_patterns);
   }
 }
 
@@ -47,10 +47,10 @@ void PrintTable() {
     for (int s = 0; s < 2; ++s) {
       const store::CampaignRecord r =
           RunItcRecordCached(info.name, s == 0 ? 4 : 6);
-      sums[s * 2 + 0] += r.hd_percent;
-      sums[s * 2 + 1] += r.oer_percent;
-      cells[s][0] = Cell(r.hd_percent, paper[s].hd);
-      cells[s][1] = Cell(r.oer_percent, paper[s].oer);
+      sums[s * 2 + 0] += r.score.hd_percent;
+      sums[s * 2 + 1] += r.score.oer_percent;
+      cells[s][0] = Cell(r.score.hd_percent, paper[s].hd);
+      cells[s][1] = Cell(r.score.oer_percent, paper[s].oer);
     }
     std::printf("%-6s | %s %s | %s %s\n", info.name.c_str(),
                 cells[0][0].c_str(), cells[0][1].c_str(),

@@ -145,6 +145,11 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
+bool AttackReport::CompletesAssignment(const split::FeolView& feol) const {
+  return ok && !feol.sink_stubs.empty() &&
+         assignment.size() == feol.sink_stubs.size();
+}
+
 std::string AttackReport::ToJson() const {
   std::string out = "{\"engine\":";
   AppendJsonString(&out, engine);

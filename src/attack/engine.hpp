@@ -150,6 +150,12 @@ struct AttackReport {
   std::vector<RoundStat> rounds;
   double elapsed_s = 0.0;
 
+  // Whether this report gets a scorecard against `feol`: it ran ok and
+  // assigns every sink stub of a split that broke something. The
+  // empty-stub guard keeps key-only engines (whose assignment is
+  // legitimately empty) from passing for a layout recovery.
+  bool CompletesAssignment(const split::FeolView& feol) const;
+
   // One JSON object (single line, no trailing newline).
   std::string ToJson() const;
 };

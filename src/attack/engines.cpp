@@ -35,7 +35,7 @@ void FillSatReport(const SatAttackResult& result, AttackReport* report) {
   double solve_ms = 0.0;
   double encode_ms = 0.0;
   double oracle_ms = 0.0;
-  for (const SatRoundTelemetry& round : result.telemetry.rounds) {
+  for (const RoundStat& round : result.telemetry.rounds) {
     solve_ms += round.solve_ms;
     encode_ms += round.encode_ms;
     oracle_ms += round.oracle_ms;
@@ -48,12 +48,7 @@ void FillSatReport(const SatAttackResult& result, AttackReport* report) {
   report->phases.push_back(
       {"final_solve", result.telemetry.final_solve_ms, 1});
   report->phases.push_back({"verify", result.telemetry.verify_ms, 1});
-  report->rounds.reserve(rounds);
-  for (const SatRoundTelemetry& round : result.telemetry.rounds) {
-    report->rounds.push_back({round.conflicts, round.solve_ms,
-                              round.encode_ms, round.oracle_ms, round.winner,
-                              round.dip_batch});
-  }
+  report->rounds = result.telemetry.rounds;
 }
 
 class ProximityEngine : public Engine {

@@ -101,7 +101,7 @@ class MiterAttack {
     ++result->telemetry.oracle_queries;
     Metrics().dips->Add(1);
     Metrics().oracle_queries->Add(1);
-    SatRoundTelemetry& round = result->telemetry.rounds.back();
+    RoundStat& round = result->telemetry.rounds.back();
     round.dip_batch = 1;
 
     const Stopwatch oracle_sw;
@@ -218,7 +218,7 @@ SatAttackResult RunSatAttack(const Netlist& locked, const Netlist& oracle,
         total_sw.Ms() >= options.wall_budget_s * 1000.0) {
       break;  // advisory wall budget blown; report as unfinished
     }
-    SatRoundTelemetry tel;
+    RoundStat tel;
     obs::Span round_span("attack.sat.round", result.telemetry.rounds.size());
     Metrics().rounds->Add(1);
     const Stopwatch solve_sw;
@@ -308,7 +308,7 @@ PortfolioSatResult RunPortfolioSatAttack(const Netlist& locked,
         total_sw.Ms() >= options.wall_budget_s * 1000.0) {
       break;  // advisory wall budget blown; report as unfinished
     }
-    SatRoundTelemetry tel;
+    RoundStat tel;
     obs::Span round_span("attack.sat.round", result.telemetry.rounds.size());
     Metrics().rounds->Add(1);
     const Stopwatch solve_sw;

@@ -26,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "attack/engine.hpp"  // RoundStat
 #include "netlist/netlist.hpp"
 #include "sat/solver.hpp"
 #include "sim/simulator.hpp"
@@ -70,24 +71,14 @@ class DipOracle {
   size_t max_batch_ = 0;
 };
 
-// Per-round instrumentation of the DIP loop. One entry is recorded for
-// every *miter solve* — including the terminating UNSAT round and a
-// budget-blown kUnknown attempt — so `rounds.size()` can exceed
-// `SatAttackResult::dips_used` by one. Wall-clock fields are measurements
-// (they vary run to run); the conflict counters are deterministic.
-struct SatRoundTelemetry {
-  uint64_t conflicts = 0;  // conflicts spent by this round's miter solve
-  double solve_ms = 0.0;   // miter solve(s) (portfolio: the whole race)
-  double encode_ms = 0.0;  // DIP-constraint CNF encoding
-  double oracle_ms = 0.0;  // oracle query (batched RunBatch sweep)
-  int winner = -1;         // portfolio config index; -1 = sequential solve
-  // DIPs oracle-queried this round: 1, or 0 on the terminating UNSAT
-  // round and on a budget-blown kUnknown attempt.
-  size_t dip_batch = 0;
-};
-
 struct SatAttackTelemetry {
-  std::vector<SatRoundTelemetry> rounds;
+  // Per-round instrumentation of the DIP loop. One entry is recorded for
+  // every *miter solve* — including the terminating UNSAT round and a
+  // budget-blown kUnknown attempt — so `rounds.size()` can exceed
+  // `SatAttackResult::dips_used` by one. solve_ms covers the miter
+  // solve(s) (portfolio: the whole race), encode_ms the DIP-constraint CNF
+  // encoding, oracle_ms the batched oracle query.
+  std::vector<RoundStat> rounds;
   uint64_t oracle_queries = 0;
   uint64_t total_conflicts = 0;  // master solver conflicts at exit
   double final_solve_ms = 0.0;   // key-extraction solve

@@ -1,5 +1,6 @@
 #include "core/campaign.hpp"
 
+#include <array>
 #include <exception>
 
 #include "circuits/suites.hpp"
@@ -13,66 +14,37 @@ namespace splitlock::core {
 
 namespace {
 
-// Campaign-level observability. The job counter is deterministic (one
-// per job); the stage time metrics mirror each job's StageTimes so
-// `--metrics` exposes the flow breakdown the records carry, summed
-// across the whole run.
-struct CampaignMetrics {
-  obs::Counter* jobs;
-  obs::TimeMetric* lock_s;
-  obs::TimeMetric* place_s;
-  obs::TimeMetric* route_s;
-  obs::TimeMetric* lift_s;
-  obs::TimeMetric* sta_s;
-  obs::TimeMetric* analyze_s;
-  obs::TimeMetric* artifact_load_s;
-  obs::TimeMetric* artifact_save_s;
-  obs::TimeMetric* total_s;
-};
-
-CampaignMetrics& Metrics() {
-  static CampaignMetrics m = [] {
-    obs::Registry& r = obs::Registry::Instance();
-    return CampaignMetrics{
-        r.RegisterCounter("core.campaign.jobs"),
-        r.RegisterTime("flow.stage.lock_s"),
-        r.RegisterTime("flow.stage.place_s"),
-        r.RegisterTime("flow.stage.route_s"),
-        r.RegisterTime("flow.stage.lift_s"),
-        r.RegisterTime("flow.stage.sta_s"),
-        r.RegisterTime("flow.stage.analyze_s"),
-        r.RegisterTime("flow.stage.artifact_load_s"),
-        r.RegisterTime("flow.stage.artifact_save_s"),
-        r.RegisterTime("flow.stage.total_s"),
-    };
-  }();
-  return m;
+// Campaign-level observability: a deterministic job counter, and one
+// time metric per stage (named in kStages) plus the job total, summed
+// over every job so `--metrics` exposes the flow breakdown the records
+// carry.
+obs::Counter* JobCounter() {
+  static obs::Counter* c =
+      obs::Registry::Instance().RegisterCounter("core.campaign.jobs");
+  return c;
 }
 
-void MirrorStageTimes(const StageTimes& t) {
-  CampaignMetrics& m = Metrics();
-  m.lock_s->AddSeconds(t.lock_s);
-  m.place_s->AddSeconds(t.place_s);
-  m.route_s->AddSeconds(t.route_s);
-  m.lift_s->AddSeconds(t.lift_s);
-  m.sta_s->AddSeconds(t.sta_s);
-  m.analyze_s->AddSeconds(t.analyze_s);
-  m.artifact_load_s->AddSeconds(t.artifact_load_s);
-  m.artifact_save_s->AddSeconds(t.artifact_save_s);
-  m.total_s->AddSeconds(t.total_s);
+void AddStageMetrics(const StageTimes& times) {
+  static const std::array<obs::TimeMetric*, kNumStages> stages = [] {
+    std::array<obs::TimeMetric*, kNumStages> m{};
+    for (size_t i = 0; i < kNumStages; ++i) {
+      m[i] = obs::Registry::Instance().RegisterTime(kStages[i].metric);
+    }
+    return m;
+  }();
+  static obs::TimeMetric* total =
+      obs::Registry::Instance().RegisterTime("flow.stage.total_s");
+  for (size_t i = 0; i < kNumStages; ++i) {
+    stages[i]->AddSeconds(times.*kStages[i].field);
+  }
+  total->AddSeconds(times.total_s);
 }
 
 }  // namespace
 
 const attack::AttackReport* CampaignOutcome::AssignmentReport() const {
-  // The empty-stub guard keeps key-only engines (whose assignment is
-  // legitimately empty) from being mistaken for a layout recovery when the
-  // split broke nothing; splitlock_cli applies the same condition.
-  if (flow.feol.sink_stubs.empty()) return nullptr;
   for (const attack::AttackReport& report : attacks) {
-    if (report.ok && report.assignment.size() == flow.feol.sink_stubs.size()) {
-      return &report;
-    }
+    if (report.CompletesAssignment(flow.feol)) return &report;
   }
   return nullptr;
 }
@@ -102,31 +74,39 @@ store::FlowRecord MakeFlowRecord(const CampaignOutcome& outcome) {
   r.die_area_um2 = outcome.flow.physical.cost.die_area_um2;
   r.power_uw = outcome.flow.physical.cost.power_uw;
   r.critical_path_ps = outcome.flow.physical.cost.critical_path_ps;
-  r.lock_s = outcome.flow.times.lock_s;
-  r.place_s = outcome.flow.times.place_s;
-  r.route_s = outcome.flow.times.route_s;
-  r.lift_s = outcome.flow.times.lift_s;
-  r.sta_s = outcome.flow.times.sta_s;
-  r.analyze_s = outcome.flow.times.analyze_s;
-  r.artifact_load_s = outcome.flow.times.artifact_load_s;
-  r.artifact_save_s = outcome.flow.times.artifact_save_s;
-  r.elapsed_s = outcome.elapsed_s;
+  r.times = outcome.flow.times;
   return r;
 }
 
 namespace {
 
-// Surfaces a record's scorecard through the legacy outcome fields, so
+// The serialized headline numbers of a full AttackScore. `patterns` is the
+// requested pattern budget, recorded only when HD/OER were simulated.
+store::Scorecard ToScorecard(const attack::AttackScore& s, uint64_t patterns) {
+  store::Scorecard c;
+  c.regular_ccr_percent = s.ccr.regular_ccr_percent;
+  c.key_logical_ccr_percent = s.ccr.key_logical_ccr_percent;
+  c.key_physical_ccr_percent = s.ccr.key_physical_ccr_percent;
+  c.pnr_percent = s.pnr_percent;
+  c.hd_percent = s.functional.hd_percent;
+  c.oer_percent = s.functional.oer_percent;
+  c.score_patterns = s.functional.patterns > 0 ? patterns : 0;
+  return c;
+}
+
+// Surfaces a record's scorecard through the outcome's AttackScore, so
 // record-oblivious consumers read the same numbers whether the winning
 // score was computed this run or served from a cached attack record.
-void ScoreFromRecord(const store::CampaignRecord& r, attack::AttackScore* s) {
-  s->ccr.regular_ccr_percent = r.regular_ccr_percent;
-  s->ccr.key_logical_ccr_percent = r.key_logical_ccr_percent;
-  s->ccr.key_physical_ccr_percent = r.key_physical_ccr_percent;
-  s->pnr_percent = r.pnr_percent;
-  s->functional.hd_percent = r.hd_percent;
-  s->functional.oer_percent = r.oer_percent;
-  s->functional.patterns = r.score_patterns;
+attack::AttackScore FromScorecard(const store::Scorecard& c) {
+  attack::AttackScore s;
+  s.ccr.regular_ccr_percent = c.regular_ccr_percent;
+  s.ccr.key_logical_ccr_percent = c.key_logical_ccr_percent;
+  s.ccr.key_physical_ccr_percent = c.key_physical_ccr_percent;
+  s.pnr_percent = c.pnr_percent;
+  s.functional.hd_percent = c.hd_percent;
+  s.functional.oer_percent = c.oer_percent;
+  s.functional.patterns = c.score_patterns;
+  return s;
 }
 
 store::AttackRecord MakeAttackRecord(const attack::AttackReport& report) {
@@ -166,7 +146,7 @@ std::optional<store::CampaignRecord> CampaignRunner::LookupAssembled(
 }
 
 CampaignOutcome CampaignRunner::RunOne(const CampaignJob& job) const {
-  Metrics().jobs->Add(1);
+  JobCounter()->Add(1);
   obs::Span job_span("campaign.job");
   CampaignOutcome outcome;
   outcome.name = job.name;
@@ -217,7 +197,7 @@ CampaignOutcome CampaignRunner::RunOne(const CampaignJob& job) const {
         outcome.from_store = true;
         outcome.ok = outcome.record.ok;
         outcome.error = outcome.record.error;
-        ScoreFromRecord(outcome.record, &outcome.score);
+        outcome.score = FromScorecard(outcome.record.score);
         outcome.elapsed_s = start.Seconds();
         return outcome;
       }
@@ -249,10 +229,9 @@ CampaignOutcome CampaignRunner::RunOne(const CampaignJob& job) const {
       // follows reports under sta_s/analyze_s; timing it here too used to
       // double-report the warm window and broke StageSumS() <= total_s.
       std::optional<store::FlowArtifact> art;
-      double load_s = 0.0;
+      StageTimes load;  // the replay below starts a fresh FlowResult
       {
-        obs::Span span("flow.artifact_load");
-        const Stopwatch t_load;
+        const StageTimer timer(Stage::kArtifactLoad, load);
         if (std::optional<std::string> payload =
                 options_.store->LookupArtifact(key)) {
           art = store::DecodeFlowArtifact(*payload);
@@ -261,13 +240,12 @@ CampaignOutcome CampaignRunner::RunOne(const CampaignJob& job) const {
             options_.store->NoteArtifactCorrupt();
           }
         }
-        load_s = t_load.Seconds();
       }
       if (art) {
         outcome.flow = ReplayFlowFromArtifacts(
             std::move(art->lock), std::move(art->netlist),
             std::move(art->layout), art->lift, job.flow);
-        outcome.flow.times.artifact_load_s = load_s;
+        outcome.flow.times.artifact_load_s = load.artifact_load_s;
         from_artifact = true;
       }
     }
@@ -275,14 +253,12 @@ CampaignOutcome CampaignRunner::RunOne(const CampaignJob& job) const {
       original.emplace(job.make_netlist());
       outcome.flow = RunSecureFlow(*original, job.flow);
       if (store_addressable) {
-        obs::Span span("flow.artifact_save");
-        const Stopwatch t_save;
+        const StageTimer timer(Stage::kArtifactSave, outcome.flow.times);
         options_.store->InsertArtifact(
             key, store::EncodeFlowArtifact(outcome.flow.lock,
                                            *outcome.flow.physical.netlist,
                                            *outcome.flow.physical.layout,
                                            outcome.flow.physical.lift));
-        outcome.flow.times.artifact_save_s = t_save.Seconds();
       }
     }
     if (options_.run_attack) {
@@ -313,27 +289,16 @@ CampaignOutcome CampaignRunner::RunOne(const CampaignJob& job) const {
         }
         attack::AttackReport report = attack::RunAttack(ctx, *slot.config);
         store::AttackRecord rec = MakeAttackRecord(report);
-        // Per-attack scorecard, under the same completeness rule
-        // AssignmentReport applies: the empty-stub guard keeps key-only
-        // engines (whose assignment is legitimately empty) from being
-        // mistaken for a layout recovery when the split broke nothing.
-        // Scoring every assignment-carrying attack (not just the
-        // portfolio's first) makes each record self-contained, so any
-        // future portfolio can reproduce its campaign score from cache.
-        if (!outcome.flow.feol.sink_stubs.empty() && report.ok &&
-            report.assignment.size() == outcome.flow.feol.sink_stubs.size()) {
+        // Per-attack scorecard, under the completeness rule
+        // AssignmentReport applies. Scoring every assignment-carrying
+        // attack (not just the portfolio's first) makes each record
+        // self-contained, so any future portfolio can reproduce its
+        // campaign score from cache.
+        if (report.CompletesAssignment(outcome.flow.feol)) {
           const attack::AttackScore score =
               attack::ScoreAttack(outcome.flow.feol, report.assignment,
                                   options_.score_patterns, job.flow.seed);
-          rec.has_score = true;
-          rec.regular_ccr_percent = score.ccr.regular_ccr_percent;
-          rec.key_logical_ccr_percent = score.ccr.key_logical_ccr_percent;
-          rec.key_physical_ccr_percent = score.ccr.key_physical_ccr_percent;
-          rec.pnr_percent = score.pnr_percent;
-          rec.hd_percent = score.functional.hd_percent;
-          rec.oer_percent = score.functional.oer_percent;
-          rec.score_patterns =
-              score.functional.patterns > 0 ? options_.score_patterns : 0;
+          rec.score = ToScorecard(score, options_.score_patterns);
           full_scores[attack_records.size()] = score;
         }
         outcome.attacks.push_back(std::move(report));
@@ -351,16 +316,16 @@ CampaignOutcome CampaignRunner::RunOne(const CampaignJob& job) const {
   // stage interval (including artifact I/O, which falls outside the
   // inner flow/replay windows) is a sub-interval of it.
   outcome.flow.times.total_s = outcome.elapsed_s;
-  MirrorStageTimes(outcome.flow.times);
+  AddStageMetrics(outcome.flow.times);
   const store::FlowRecord flow_record = MakeFlowRecord(outcome);
   outcome.record = store::ComposeCampaignRecord(flow_record, attack_records);
   // The campaign score is the portfolio's first scorecard. When this run
   // computed it, hand the caller the full in-memory AttackScore; when a
   // cached record supplied it, the serialized headline numbers are all
   // there is (they round-trip bit-exactly via CanonicalDouble).
-  ScoreFromRecord(outcome.record, &outcome.score);
+  outcome.score = FromScorecard(outcome.record.score);
   for (size_t i = 0; i < attack_records.size(); ++i) {
-    if (!attack_records[i].has_score) continue;
+    if (!attack_records[i].score) continue;
     if (full_scores[i]) outcome.score = *full_scores[i];
     break;
   }

@@ -137,6 +137,8 @@ class CampaignRunner {
 // The runner's flow-summary rule, exposed for tests and for consumers
 // that assemble outcomes themselves; the job-level record is then
 // store::ComposeCampaignRecord(MakeFlowRecord(outcome), attack records).
+// The record's timings are outcome.flow.times, whose total_s RunOne sets
+// to the job's elapsed_s.
 store::FlowRecord MakeFlowRecord(const CampaignOutcome& outcome);
 
 // Suite helpers: one job per benchmark, named after it. `scale` follows

@@ -15,8 +15,8 @@ namespace splitlock::core {
 namespace {
 
 // Flow-level run counts (deterministic: one per top-level call). The
-// per-stage seconds live in StageTimes, which campaign.cpp mirrors into
-// the obs time metrics once per job.
+// per-stage seconds live in StageTimes, which campaign.cpp adds to the
+// obs time metrics once per job.
 obs::Counter* FlowRunCounter() {
   static obs::Counter* c =
       obs::Registry::Instance().RegisterCounter("core.flow.runs");
@@ -45,19 +45,15 @@ LayoutCost MeasureCost(const PhysicalBundle& bundle) {
 void AnalyzePhysicalBundle(PhysicalBundle& bundle,
                            const FlowOptions& options) {
   {
-    obs::Span span("flow.sta");
-    const Stopwatch t_sta;
+    const StageTimer timer(Stage::kSta, bundle.times);
     bundle.timing = phys::RunSta(*bundle.layout);
-    bundle.times.sta_s = t_sta.Seconds();
   }
 
   {
-    obs::Span span("flow.analyze");
-    const Stopwatch t_analyze;
+    const StageTimer timer(Stage::kAnalyze, bundle.times);
     const std::vector<double> toggles = EstimateToggleRates(
         *bundle.netlist, options.power_patterns, options.seed ^ 0x777);
     bundle.power = phys::EstimatePower(*bundle.layout, toggles);
-    bundle.times.analyze_s = t_analyze.Seconds();
   }
   bundle.cost = MeasureCost(bundle);
 }
@@ -124,21 +120,17 @@ PhysicalBundle BuildPhysical(const Netlist& physical_netlist,
   placer.randomize_tie_cells = options.randomize_tie_placement;
   placer.key_inputs_as_pads = options.package_mode;
   {
-    obs::Span span("flow.place");
-    const Stopwatch t_place;
+    const StageTimer timer(Stage::kPlace, bundle.times);
     bundle.layout = std::make_unique<phys::Layout>(phys::PlaceDesign(
         *bundle.netlist, phys::Tech::Nangate45Like(), placer));
-    bundle.times.place_s = t_place.Seconds();
   }
 
   phys::RouterOptions router;
   router.seed = options.seed ^ 0x51ed2701;
   router.route_key_nets_as_regular = !options.lift_key_nets;
   {
-    obs::Span span("flow.route");
-    const Stopwatch t_route;
+    const StageTimer timer(Stage::kRoute, bundle.times);
     phys::RouteDesign(*bundle.layout, router);
-    bundle.times.route_s = t_route.Seconds();
   }
 
   if (options.lift_key_nets) {
@@ -148,11 +140,9 @@ PhysicalBundle BuildPhysical(const Netlist& physical_netlist,
         options.package_mode
             ? bundle.layout->tech.NumLayers() - 1
             : options.EffectiveLiftLayer();
-    obs::Span span("flow.lift");
-    const Stopwatch t_lift;
+    const StageTimer timer(Stage::kLift, bundle.times);
     bundle.lift = phys::LiftKeyNets(*bundle.layout, *bundle.netlist,
                                     lift_layer, options.seed ^ 0x1f2e3d4c);
-    bundle.times.lift_s = t_lift.Seconds();
   }
 
   AnalyzePhysicalBundle(bundle, options);
@@ -166,13 +156,11 @@ FlowResult RunSecureFlow(const Netlist& original, const FlowOptions& options) {
   FlowResult result;
 
   {
-    obs::Span span("flow.lock");
-    const Stopwatch t_lock;
+    const StageTimer timer(Stage::kLock, result.times);
     lock::AtpgLockOptions lock_opts = options.lock;
     lock_opts.key_bits = options.key_bits;
     lock_opts.seed = options.seed;
     result.lock = lock::LockWithAtpg(original, lock_opts);
-    result.times.lock_s = t_lock.Seconds();
   }
 
   // Package mode keeps the kKeyIn sources as pads; otherwise the key is
@@ -183,11 +171,7 @@ FlowResult RunSecureFlow(const Netlist& original, const FlowOptions& options) {
           : lock::RealizeKeyAsTies(result.lock.locked, result.lock.key);
 
   result.physical = BuildPhysical(realized, options);
-  result.times.place_s = result.physical.times.place_s;
-  result.times.route_s = result.physical.times.route_s;
-  result.times.lift_s = result.physical.times.lift_s;
-  result.times.sta_s = result.physical.times.sta_s;
-  result.times.analyze_s = result.physical.times.analyze_s;
+  result.times.AddStages(result.physical.times);
 
   result.feol =
       split::SplitLayout(*result.physical.layout, options.split_layer);
@@ -211,8 +195,7 @@ FlowResult ReplayFlowFromArtifacts(lock::AtpgLockResult lock_result,
   result.physical.lift = lift;
 
   AnalyzePhysicalBundle(result.physical, options);
-  result.times.sta_s = result.physical.times.sta_s;
-  result.times.analyze_s = result.physical.times.analyze_s;
+  result.times.AddStages(result.physical.times);
 
   result.feol =
       split::SplitLayout(*result.physical.layout, options.split_layer);

@@ -18,13 +18,16 @@
 #include <memory>
 #include <string>
 
+#include "core/stage_times.hpp"
 #include "lock/atpg_lock.hpp"
 #include "netlist/netlist.hpp"
+#include "obs/trace.hpp"
 #include "phys/layout.hpp"
 #include "phys/power.hpp"
 #include "phys/router.hpp"
 #include "phys/timing.hpp"
 #include "split/split.hpp"
+#include "util/stopwatch.hpp"
 
 namespace splitlock::core {
 
@@ -42,43 +45,22 @@ struct CostDelta {
 };
 CostDelta CompareCost(const LayoutCost& base, const LayoutCost& ours);
 
-// Wall-clock of each flow phase, from the run that produced the result
-// (non-canonical: two runs of the same key agree on everything but this).
-// place/route/lift are measured inside BuildPhysical around exactly the
-// PlaceDesign / RouteDesign / LiftKeyNets calls, so campaign records expose
-// where a job's physical-design time goes (see bench_runtime, bench_phys).
-struct StageTimes {
-  double lock_s = 0.0;
-  double place_s = 0.0;
-  double route_s = 0.0;
-  double lift_s = 0.0;
-  double sta_s = 0.0;      // RunSta alone
-  double analyze_s = 0.0;  // toggle-rate + power estimation
+// Times one stage: opens the stage's span and, when it goes out of scope,
+// stores the elapsed seconds in that stage's field of `times`. Keyed by
+// Stage, so a span name cannot drift from the field it times.
+class StageTimer {
+ public:
+  StageTimer(Stage stage, StageTimes& times)
+      : field_(&(times.*kStages[static_cast<size_t>(stage)].field)),
+        span_(kStages[static_cast<size_t>(stage)].span) {}
+  ~StageTimer() { *field_ = watch_.Seconds(); }
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
 
-  // Artifact-tier I/O (store/artifact_io): zero on a computed flow without
-  // a store; a warm flow has artifact_load_s > 0 and place/route/lift == 0.
-  // Measures lookup + decode only — the replayed analysis stages report
-  // under sta_s/analyze_s, never here, so the stage fields are pairwise
-  // non-overlapping intervals.
-  double artifact_load_s = 0.0;
-  double artifact_save_s = 0.0;
-
-  // End-to-end wall clock of the call that produced this result (flow,
-  // replay, or whole campaign job). Because every stage field above is a
-  // non-overlapping sub-interval of it, StageSumS() <= total_s (up to
-  // clock resolution) — tests assert this on both cold and warm runs.
-  double total_s = 0.0;
-
-  // Everything BuildPhysical spends (lock_s is the synthesis stage).
-  double LayoutTotalS() const {
-    return place_s + route_s + lift_s + sta_s + analyze_s;
-  }
-
-  // Sum of all stage intervals, for the total_s consistency check.
-  double StageSumS() const {
-    return lock_s + place_s + route_s + lift_s + sta_s + analyze_s +
-           artifact_load_s + artifact_save_s;
-  }
+ private:
+  double* field_;
+  obs::Span span_;
+  Stopwatch watch_;  // started after the span opens, read before it closes
 };
 
 struct FlowOptions {
@@ -118,7 +100,7 @@ struct PhysicalBundle {
   phys::PowerReport power;
   phys::LiftStats lift;
   LayoutCost cost;
-  StageTimes times;  // place_s/route_s/lift_s of this build (lock_s unused)
+  StageTimes times;  // place_s..analyze_s of this build (lock_s unused)
 };
 
 struct FlowResult {

@@ -22,6 +22,17 @@ uint64_t RequireHexHash(const util::JsonValue& v, const char* key) {
   return *parsed;
 }
 
+// An unsigned count or index (util::JsonValue::GetUint's strict rule):
+// `def` when absent, a throw when present but malformed.
+uint64_t RequireUint(const util::JsonValue& v, const char* key, uint64_t def) {
+  const std::optional<uint64_t> parsed = v.GetUint(key, def);
+  if (!parsed) {
+    throw std::runtime_error(std::string("shard table: malformed '") + key +
+                             "'");
+  }
+  return *parsed;
+}
+
 }  // namespace
 
 std::vector<uint64_t> ShardPlan::Select(uint64_t job_count) const {
@@ -60,8 +71,8 @@ ShardTable ShardTable::Parse(std::string_view json) {
   if (!doc || !doc->IsObject()) {
     throw std::runtime_error("shard table: not a JSON object");
   }
-  const int version = static_cast<int>(doc->GetNumber("schema_version", -1.0));
-  if (version != store::kResultSchemaVersion) {
+  const uint64_t version = RequireUint(*doc, "schema_version", 0);
+  if (version != uint64_t{store::kResultSchemaVersion}) {
     throw std::runtime_error(
         "shard table: schema_version " + std::to_string(version) +
         " (this binary writes " + std::to_string(store::kResultSchemaVersion) +
@@ -75,22 +86,20 @@ ShardTable ShardTable::Parse(std::string_view json) {
   }
   table.flow_hash = RequireHexHash(*doc, "flow_hash");
   table.attack_hash = RequireHexHash(*doc, "attack_hash");
-  table.job_count = static_cast<uint64_t>(doc->GetNumber("job_count", 0.0));
-  table.num_shards = static_cast<uint64_t>(doc->GetNumber("num_shards", 0.0));
-  table.shard_index =
-      static_cast<uint64_t>(doc->GetNumber("shard_index", 0.0));
+  table.job_count = RequireUint(*doc, "job_count", 0);
+  table.num_shards = RequireUint(*doc, "num_shards", 0);
+  table.shard_index = RequireUint(*doc, "shard_index", 0);
 
   const util::JsonValue* jobs = doc->Get("jobs");
   if (!jobs || !jobs->IsArray()) {
     throw std::runtime_error("shard table: missing 'jobs' array");
   }
   for (const util::JsonValue& jv : jobs->array) {
-    if (!jv.IsObject() || !jv.Get("job_index") ||
-        !jv.Get("job_index")->IsNumber()) {
+    if (!jv.IsObject() || !jv.Get("job_index")) {
       throw std::runtime_error("shard table: malformed job entry");
     }
     ShardEntry entry;
-    entry.job_index = static_cast<uint64_t>(jv.GetNumber("job_index", 0.0));
+    entry.job_index = RequireUint(jv, "job_index", 0);
     const util::JsonValue* rec = jv.Get("record");
     std::optional<store::CampaignRecord> record =
         rec ? store::CampaignRecord::FromJson(*rec) : std::nullopt;

@@ -71,45 +71,33 @@ constexpr BaseCell kMuxC{"MUX2", 7, 1.8, 45.0, 1.4, 40.0};
 constexpr BaseCell kTieHiC{"TIEHI", 2, 0.0, 0.0, 8.0, 3.0};
 constexpr BaseCell kTieLoC{"TIELO", 2, 0.0, 0.0, 8.0, 3.0};
 
+// Every base cell the library hands out, and the drive strengths it
+// sizes each one at.
+constexpr std::array<const BaseCell*, 19> kBases = {
+    &kBuf,      &kInv,      &kAnd[0],  &kAnd[1],  &kAnd[2],  &kNandC[0],
+    &kNandC[1], &kNandC[2], &kOrC[0],  &kOrC[1],  &kOrC[2],  &kNorC[0],
+    &kNorC[1],  &kNorC[2],  &kXorC,    &kXnorC,   &kMuxC,    &kTieHiC,
+    &kTieLoC};
+constexpr std::array<uint8_t, 3> kDrives = {1, 2, 4};
+
 const LibCell& Lookup(const BaseCell& base, uint8_t drive) {
-  // Cache the nine-ish variants lazily; the table is tiny and immutable
-  // after first use.
-  static std::array<std::array<LibCell, 3>, 16> cache;
-  static std::array<std::array<bool, 3>, 16> filled{};
-  // Hash base by pointer-identity within our fixed set.
-  static const BaseCell* bases[16] = {
-      &kBuf,      &kInv,      &kAnd[0],  &kAnd[1],  &kAnd[2],  &kNandC[0],
-      &kNandC[1], &kNandC[2], &kOrC[0],  &kOrC[1],  &kOrC[2],  &kNorC[0],
-      &kNorC[1],  &kNorC[2],  &kXorC,    &kXnorC};
-  int slot = -1;
-  for (int i = 0; i < 16; ++i) {
-    if (bases[i] == &base) {
-      slot = i;
-      break;
+  // Every (base, drive) variant, built once by a function-local static
+  // initializer — thread-safe, so concurrent campaign jobs only ever read
+  // the finished, immutable table.
+  using Table = std::array<std::array<LibCell, kDrives.size()>, kBases.size()>;
+  static const Table table = [] {
+    Table t;
+    for (size_t b = 0; b < kBases.size(); ++b) {
+      for (size_t d = 0; d < kDrives.size(); ++d) {
+        t[b][d] = MakeVariant(*kBases[b], kDrives[d]);
+      }
     }
-  }
-  const int di = drive == 4 ? 2 : (drive == 2 ? 1 : 0);
-  if (slot >= 0) {
-    if (!filled[slot][di]) {
-      cache[slot][di] = MakeVariant(base, drive);
-      filled[slot][di] = true;
-    }
-    return cache[slot][di];
-  }
-  // MUX / TIE variants live in their own small cache.
-  static std::array<LibCell, 3> mux_cache;
-  static std::array<bool, 3> mux_filled{};
-  static LibCell tiehi = MakeVariant(kTieHiC, 1);
-  static LibCell tielo = MakeVariant(kTieLoC, 1);
-  if (&base == &kMuxC) {
-    if (!mux_filled[di]) {
-      mux_cache[di] = MakeVariant(base, drive);
-      mux_filled[di] = true;
-    }
-    return mux_cache[di];
-  }
-  if (&base == &kTieHiC) return tiehi;
-  return tielo;
+    return t;
+  }();
+  size_t slot = 0;
+  while (kBases[slot] != &base) ++slot;
+  const size_t di = drive == 4 ? 2 : (drive == 2 ? 1 : 0);
+  return table[slot][di];
 }
 
 }  // namespace

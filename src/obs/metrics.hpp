@@ -2,14 +2,14 @@
 // time accumulators with deterministic registration and an ordered
 // snapshot/export API.
 //
-// Why a registry instead of the scattered ad-hoc telemetry it replaces
-// (StageTimes in core/flow, SatRoundTelemetry in attack/sat_attack,
-// StoreStats in store): the campaign-service direction needs one place
-// to ask "what did this run spend, per subsystem", and tests need one
-// place to assert that instrumentation never perturbs results. Those
-// structs still exist where they are part of an API; their values are
-// now *also* mirrored into the registry so every consumer (CLI
-// --metrics, bench JSON records, CI artifacts) sees the same shape.
+// Why a registry: a run needs one place to ask "what did this run spend,
+// per subsystem", and tests need one place to assert that instrumentation
+// never perturbs results. Some counts live only here — the result store
+// keeps no stats of its own (store.*). Telemetry that is also part of an
+// API (the StageTimes a record carries, the SAT rounds an AttackReport
+// lists) is added here once per job or run, so every consumer (CLI
+// --metrics and --store-stats, bench JSON records, CI artifacts) sees the
+// same shape.
 //
 // Determinism classes. Every metric carries a MetricClass and snapshots
 // keep the classes segregated, because they have different contracts:
@@ -18,9 +18,9 @@
 //           identical at any thread count / shard count / store
 //           temperature-for-a-fixed-disk-state. Examples: tasks run
 //           (chunk counts come from exec::NumChunks, which ignores the
-//           worker count), SAT rounds, DIPs, fault-sweep tiles, store
-//           hits. tests/test_obs.cpp asserts bit-identity of this class
-//           at SPLITLOCK_THREADS=1/2/8.
+//           worker count), SAT rounds, DIPs, store hits.
+//           tests/test_obs.cpp asserts bit-identity of this class at
+//           SPLITLOCK_THREADS=1/2/8.
 //   kSched  Scheduling-dependent counts: honest integers, but functions
 //           of the actual interleaving (steals, queue-depth high-water).
 //           Never asserted for identity, never canonical.
@@ -65,9 +65,9 @@ enum class MetricClass {
 // Sub() is the one sanctioned exception to monotonicity: it exists so an
 // already-counted event can be *reclassified* after the fact (the store's
 // NoteArtifactCorrupt moves an envelope-level artifact hit to corrupt-miss
-// once the payload fails to decode), keeping the obs mirror equal to the
-// per-instance stats it shadows. Callers may only subtract events they
-// previously added on the same counter, so totals never go negative.
+// once the payload fails to decode), so the store's counts stay exact.
+// Callers may only subtract events they previously added on the same
+// counter, so totals never go negative.
 class Counter {
  public:
   void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }

@@ -42,19 +42,16 @@ std::string U64(uint64_t v) {
   return buf;
 }
 
-uint64_t GetU64(const util::JsonValue& v, const std::string& key) {
-  const double d = v.GetNumber(key, 0.0);
-  return d <= 0.0 ? 0 : static_cast<uint64_t>(d);
-}
-
 // First four bytes of every artifact blob ("SLAR" little-endian), so a
 // record JSON accidentally renamed to .art fails at byte 0.
 constexpr uint32_t kArtifactMagic = 0x52414c53u;
 
-// Process-wide mirrors of the per-instance stats, one set per tier
-// (store.record.* / store.artifact.*). All count-class: what a store
-// serves is a function of the workload and the disk state, never of the
-// thread count. The byte histograms bucket per-operation sizes; their
+// The store's stats, one set per tier (store.record.* /
+// store.artifact.*), one count per file operation: a job touches one flow
+// record plus one record per attack in its portfolio. All count-class:
+// what a store serves is a function of the workload and the disk state,
+// never of the thread count. The byte histograms bucket the sizes of the
+// files returned by hits (bytes_read) and published (bytes_written); their
 // sums are the per-tier byte totals `--store-stats` reports.
 struct TierMetrics {
   obs::Counter* hits;
@@ -117,8 +114,7 @@ GcMetrics& ArtifactGc() {
 // attack records (null for flow records).
 bool EnvelopeMatches(const util::JsonValue& doc, const char* kind,
                      const StoreKey& key, const uint64_t* attack_hash) {
-  if (static_cast<int>(doc.GetNumber("schema_version", -1.0)) !=
-      kResultSchemaVersion) {
+  if (doc.GetUint("schema_version", 0) != uint64_t{kResultSchemaVersion}) {
     return false;
   }
   if (doc.GetString("kind", "") != kind) return false;
@@ -135,6 +131,40 @@ bool EnvelopeMatches(const util::JsonValue& doc, const char* kind,
   return true;
 }
 
+void CountMiss(TierMetrics& tier, bool corrupt) {
+  tier.misses->Add(1);
+  if (corrupt) tier.corrupt->Add(1);
+}
+
+// The flow-summary fields every record kind opens with.
+void AppendFlowSummary(const FlowRecord& r, std::string* out, bool* first) {
+  AppendKv(out, "name", Quoted(r.name), first);
+  AppendKv(out, "ok", r.ok ? "true" : "false", first);
+  AppendKv(out, "error", Quoted(r.error), first);
+  AppendKv(out, "broken_connections", U64(r.broken_connections), first);
+  AppendKv(out, "key_bits", U64(r.key_bits), first);
+  AppendKv(out, "logic_gates", U64(r.logic_gates), first);
+  std::string cost = "{\"die_area_um2\":" + CanonicalDouble(r.die_area_um2) +
+                     ",\"power_uw\":" + CanonicalDouble(r.power_uw) +
+                     ",\"critical_path_ps\":" +
+                     CanonicalDouble(r.critical_path_ps) + "}";
+  AppendKv(out, "cost", cost, first);
+}
+
+// The non-canonical tail every flow-carrying record closes with: one
+// "times" key per stage, in kStages order, then the job's total.
+void AppendFlowTimings(const FlowRecord& r, std::string* out, bool* first) {
+  std::string times = "{";
+  bool first_stage = true;
+  for (const core::StageInfo& stage : core::kStages) {
+    AppendKv(&times, stage.key, CanonicalDouble(r.times.*stage.field),
+             &first_stage);
+  }
+  times += '}';
+  AppendKv(out, "times", times, first);
+  AppendKv(out, "elapsed_s", CanonicalDouble(r.times.total_s), first);
+}
+
 std::string KeyEchoJson(const StoreKey& key, const uint64_t* attack_hash) {
   std::string out = "{\"suite\":" + Quoted(key.suite) +
                     ",\"scale\":" + Quoted(key.scale) +
@@ -144,6 +174,55 @@ std::string KeyEchoJson(const StoreKey& key, const uint64_t* attack_hash) {
   }
   out += '}';
   return out;
+}
+
+// One record file: the envelope (schema version, kind, key echo) that
+// EnvelopeMatches checks, around the record's full JSON.
+std::string RecordDoc(const char* kind, const StoreKey& key,
+                      const uint64_t* attack_hash,
+                      const std::string& record_json) {
+  return "{\"schema_version\":" + std::to_string(kResultSchemaVersion) +
+         ",\"kind\":\"" + kind + "\",\"key\":" +
+         KeyEchoJson(key, attack_hash) + ",\"record\":" + record_json + "}\n";
+}
+
+// The whole file at `path`; nullopt when it cannot be opened.
+std::optional<std::string> ReadWholeFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) return std::nullopt;
+  std::string text;
+  char buf[1 << 16];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  std::fclose(f);
+  return text;
+}
+
+// Reads one record file and validates its envelope, counting exactly one
+// hit, miss (absent file) or corrupt miss (anything unusable).
+template <typename Record>
+std::optional<Record> ReadRecord(const std::string& path, const char* kind,
+                                 const StoreKey& key,
+                                 const uint64_t* attack_hash) {
+  const std::optional<std::string> text = ReadWholeFile(path);
+  if (!text) {
+    CountMiss(RecordTier(), /*corrupt=*/false);
+    return std::nullopt;
+  }
+  std::optional<Record> record;
+  const std::optional<util::JsonValue> doc = util::ParseJson(*text);
+  if (doc && EnvelopeMatches(*doc, kind, key, attack_hash)) {
+    if (const util::JsonValue* rec = doc->Get("record")) {
+      record = Record::FromJson(*rec);
+    }
+  }
+  if (!record) {
+    CountMiss(RecordTier(), /*corrupt=*/true);
+    return std::nullopt;
+  }
+  RecordTier().hits->Add(1);
+  RecordTier().bytes_read->Observe(text->size());
+  return record;
 }
 
 }  // namespace
@@ -201,6 +280,35 @@ uint64_t PortfolioHash(const std::vector<std::string>& config_strings,
   return util::Fnv1a(canonical);
 }
 
+// --- Scorecard --------------------------------------------------------------
+
+std::string Scorecard::ToJson() const {
+  return "{\"regular_ccr_percent\":" + CanonicalDouble(regular_ccr_percent) +
+         ",\"key_logical_ccr_percent\":" +
+         CanonicalDouble(key_logical_ccr_percent) +
+         ",\"key_physical_ccr_percent\":" +
+         CanonicalDouble(key_physical_ccr_percent) +
+         ",\"pnr_percent\":" + CanonicalDouble(pnr_percent) +
+         ",\"hd_percent\":" + CanonicalDouble(hd_percent) +
+         ",\"oer_percent\":" + CanonicalDouble(oer_percent) +
+         ",\"score_patterns\":" + U64(score_patterns) + "}";
+}
+
+std::optional<Scorecard> Scorecard::FromJson(const util::JsonValue& v) {
+  if (!v.IsObject()) return std::nullopt;
+  const std::optional<uint64_t> patterns = v.GetUint("score_patterns", 0);
+  if (!patterns) return std::nullopt;
+  Scorecard c;
+  c.regular_ccr_percent = v.GetNumber("regular_ccr_percent", 0.0);
+  c.key_logical_ccr_percent = v.GetNumber("key_logical_ccr_percent", 0.0);
+  c.key_physical_ccr_percent = v.GetNumber("key_physical_ccr_percent", 0.0);
+  c.pnr_percent = v.GetNumber("pnr_percent", 0.0);
+  c.hd_percent = v.GetNumber("hd_percent", 0.0);
+  c.oer_percent = v.GetNumber("oer_percent", 0.0);
+  c.score_patterns = *patterns;
+  return c;
+}
+
 // --- AttackRecord -----------------------------------------------------------
 
 std::string AttackRecord::ToJson(bool include_timings) const {
@@ -222,20 +330,8 @@ std::string AttackRecord::ToJson(bool include_timings) const {
   }
   counters_json += '}';
   AppendKv(&out, "counters", counters_json, &first);
-  AppendKv(&out, "has_score", has_score ? "true" : "false", &first);
-  if (has_score) {
-    std::string score =
-        "{\"regular_ccr_percent\":" + CanonicalDouble(regular_ccr_percent) +
-        ",\"key_logical_ccr_percent\":" +
-        CanonicalDouble(key_logical_ccr_percent) +
-        ",\"key_physical_ccr_percent\":" +
-        CanonicalDouble(key_physical_ccr_percent) +
-        ",\"pnr_percent\":" + CanonicalDouble(pnr_percent) +
-        ",\"hd_percent\":" + CanonicalDouble(hd_percent) +
-        ",\"oer_percent\":" + CanonicalDouble(oer_percent) +
-        ",\"score_patterns\":" + U64(score_patterns) + "}";
-    AppendKv(&out, "score", score, &first);
-  }
+  AppendKv(&out, "has_score", score ? "true" : "false", &first);
+  if (score) AppendKv(&out, "score", score->ToJson(), &first);
   if (include_timings) {
     AppendKv(&out, "elapsed_s", CanonicalDouble(elapsed_s), &first);
   }
@@ -263,18 +359,13 @@ std::optional<AttackRecord> AttackRecord::FromJson(const util::JsonValue& v) {
       if (cvalue.IsNumber()) a.counters[cname] = cvalue.number;
     }
   }
-  a.has_score = v.GetBool("has_score", false);
-  if (const util::JsonValue* score = v.Get("score");
-      score && score->IsObject()) {
-    a.regular_ccr_percent = score->GetNumber("regular_ccr_percent", 0.0);
-    a.key_logical_ccr_percent =
-        score->GetNumber("key_logical_ccr_percent", 0.0);
-    a.key_physical_ccr_percent =
-        score->GetNumber("key_physical_ccr_percent", 0.0);
-    a.pnr_percent = score->GetNumber("pnr_percent", 0.0);
-    a.hd_percent = score->GetNumber("hd_percent", 0.0);
-    a.oer_percent = score->GetNumber("oer_percent", 0.0);
-    a.score_patterns = GetU64(*score, "score_patterns");
+  if (v.GetBool("has_score", false)) {
+    a.score.emplace();
+    if (const util::JsonValue* score = v.Get("score");
+        score && score->IsObject()) {
+      a.score = Scorecard::FromJson(*score);
+      if (!a.score) return std::nullopt;
+    }
   }
   a.elapsed_s = v.GetNumber("elapsed_s", 0.0);
   return a;
@@ -285,30 +376,8 @@ std::optional<AttackRecord> AttackRecord::FromJson(const util::JsonValue& v) {
 std::string FlowRecord::ToJson(bool include_timings) const {
   std::string out = "{";
   bool first = true;
-  AppendKv(&out, "name", Quoted(name), &first);
-  AppendKv(&out, "ok", ok ? "true" : "false", &first);
-  AppendKv(&out, "error", Quoted(error), &first);
-  AppendKv(&out, "broken_connections", U64(broken_connections), &first);
-  AppendKv(&out, "key_bits", U64(key_bits), &first);
-  AppendKv(&out, "logic_gates", U64(logic_gates), &first);
-  std::string cost = "{\"die_area_um2\":" + CanonicalDouble(die_area_um2) +
-                     ",\"power_uw\":" + CanonicalDouble(power_uw) +
-                     ",\"critical_path_ps\":" +
-                     CanonicalDouble(critical_path_ps) + "}";
-  AppendKv(&out, "cost", cost, &first);
-  if (include_timings) {
-    std::string times = "{\"lock_s\":" + CanonicalDouble(lock_s) +
-                        ",\"place_s\":" + CanonicalDouble(place_s) +
-                        ",\"route_s\":" + CanonicalDouble(route_s) +
-                        ",\"lift_s\":" + CanonicalDouble(lift_s) +
-                        ",\"sta_s\":" + CanonicalDouble(sta_s) +
-                        ",\"analyze_s\":" + CanonicalDouble(analyze_s) +
-                        ",\"artifact_load_s\":" + CanonicalDouble(artifact_load_s) +
-                        ",\"artifact_save_s\":" + CanonicalDouble(artifact_save_s) +
-                        "}";
-    AppendKv(&out, "times", times, &first);
-    AppendKv(&out, "elapsed_s", CanonicalDouble(elapsed_s), &first);
-  }
+  AppendFlowSummary(*this, &out, &first);
+  if (include_timings) AppendFlowTimings(*this, &out, &first);
   out += '}';
   return out;
 }
@@ -318,13 +387,17 @@ std::optional<FlowRecord> FlowRecord::FromJson(const util::JsonValue& v) {
   const util::JsonValue* name = v.Get("name");
   const util::JsonValue* ok = v.Get("ok");
   if (!name || !name->IsString() || !ok || !ok->IsBool()) return std::nullopt;
+  const std::optional<uint64_t> broken = v.GetUint("broken_connections", 0);
+  const std::optional<uint64_t> key_bits = v.GetUint("key_bits", 0);
+  const std::optional<uint64_t> logic_gates = v.GetUint("logic_gates", 0);
+  if (!broken || !key_bits || !logic_gates) return std::nullopt;
   FlowRecord r;
   r.name = name->string;
   r.ok = ok->boolean;
   r.error = v.GetString("error", "");
-  r.broken_connections = GetU64(v, "broken_connections");
-  r.key_bits = GetU64(v, "key_bits");
-  r.logic_gates = GetU64(v, "logic_gates");
+  r.broken_connections = *broken;
+  r.key_bits = *key_bits;
+  r.logic_gates = *logic_gates;
   if (const util::JsonValue* cost = v.Get("cost"); cost && cost->IsObject()) {
     r.die_area_um2 = cost->GetNumber("die_area_um2", 0.0);
     r.power_uw = cost->GetNumber("power_uw", 0.0);
@@ -332,16 +405,11 @@ std::optional<FlowRecord> FlowRecord::FromJson(const util::JsonValue& v) {
   }
   if (const util::JsonValue* times = v.Get("times");
       times && times->IsObject()) {
-    r.lock_s = times->GetNumber("lock_s", 0.0);
-    r.place_s = times->GetNumber("place_s", 0.0);
-    r.route_s = times->GetNumber("route_s", 0.0);
-    r.lift_s = times->GetNumber("lift_s", 0.0);
-    r.sta_s = times->GetNumber("sta_s", 0.0);
-    r.analyze_s = times->GetNumber("analyze_s", 0.0);
-    r.artifact_load_s = times->GetNumber("artifact_load_s", 0.0);
-    r.artifact_save_s = times->GetNumber("artifact_save_s", 0.0);
+    for (const core::StageInfo& stage : core::kStages) {
+      r.times.*stage.field = times->GetNumber(stage.key, 0.0);
+    }
   }
-  r.elapsed_s = v.GetNumber("elapsed_s", 0.0);
+  r.times.total_s = v.GetNumber("elapsed_s", 0.0);
   return r;
 }
 
@@ -350,29 +418,8 @@ std::optional<FlowRecord> FlowRecord::FromJson(const util::JsonValue& v) {
 std::string CampaignRecord::ToJson(bool include_timings) const {
   std::string out = "{";
   bool first = true;
-  AppendKv(&out, "name", Quoted(name), &first);
-  AppendKv(&out, "ok", ok ? "true" : "false", &first);
-  AppendKv(&out, "error", Quoted(error), &first);
-  AppendKv(&out, "broken_connections", U64(broken_connections), &first);
-  AppendKv(&out, "key_bits", U64(key_bits), &first);
-  AppendKv(&out, "logic_gates", U64(logic_gates), &first);
-
-  std::string cost = "{\"die_area_um2\":" + CanonicalDouble(die_area_um2) +
-                     ",\"power_uw\":" + CanonicalDouble(power_uw) +
-                     ",\"critical_path_ps\":" + CanonicalDouble(critical_path_ps) +
-                     "}";
-  AppendKv(&out, "cost", cost, &first);
-
-  std::string score =
-      "{\"regular_ccr_percent\":" + CanonicalDouble(regular_ccr_percent) +
-      ",\"key_logical_ccr_percent\":" + CanonicalDouble(key_logical_ccr_percent) +
-      ",\"key_physical_ccr_percent\":" + CanonicalDouble(key_physical_ccr_percent) +
-      ",\"pnr_percent\":" + CanonicalDouble(pnr_percent) +
-      ",\"hd_percent\":" + CanonicalDouble(hd_percent) +
-      ",\"oer_percent\":" + CanonicalDouble(oer_percent) +
-      ",\"score_patterns\":" + U64(score_patterns) + "}";
-  AppendKv(&out, "score", score, &first);
-
+  AppendFlowSummary(*this, &out, &first);
+  AppendKv(&out, "score", score.ToJson(), &first);
   std::string attacks_json = "[";
   bool first_attack = true;
   for (const AttackRecord& a : attacks) {
@@ -384,55 +431,22 @@ std::string CampaignRecord::ToJson(bool include_timings) const {
   }
   attacks_json += ']';
   AppendKv(&out, "attacks", attacks_json, &first);
-
-  if (include_timings) {
-    std::string times = "{\"lock_s\":" + CanonicalDouble(lock_s) +
-                        ",\"place_s\":" + CanonicalDouble(place_s) +
-                        ",\"route_s\":" + CanonicalDouble(route_s) +
-                        ",\"lift_s\":" + CanonicalDouble(lift_s) +
-                        ",\"sta_s\":" + CanonicalDouble(sta_s) +
-                        ",\"analyze_s\":" + CanonicalDouble(analyze_s) +
-                        ",\"artifact_load_s\":" + CanonicalDouble(artifact_load_s) +
-                        ",\"artifact_save_s\":" + CanonicalDouble(artifact_save_s) +
-                        "}";
-    AppendKv(&out, "times", times, &first);
-    AppendKv(&out, "elapsed_s", CanonicalDouble(elapsed_s), &first);
-  }
+  if (include_timings) AppendFlowTimings(*this, &out, &first);
   out += '}';
   return out;
 }
 
 std::optional<CampaignRecord> CampaignRecord::FromJson(
     const util::JsonValue& v) {
-  if (!v.IsObject()) return std::nullopt;
-  const util::JsonValue* name = v.Get("name");
-  const util::JsonValue* ok = v.Get("ok");
-  if (!name || !name->IsString() || !ok || !ok->IsBool()) return std::nullopt;
-
+  std::optional<FlowRecord> flow = FlowRecord::FromJson(v);
+  if (!flow) return std::nullopt;
   CampaignRecord r;
-  r.name = name->string;
-  r.ok = ok->boolean;
-  r.error = v.GetString("error", "");
-  r.broken_connections = GetU64(v, "broken_connections");
-  r.key_bits = GetU64(v, "key_bits");
-  r.logic_gates = GetU64(v, "logic_gates");
-
-  if (const util::JsonValue* cost = v.Get("cost"); cost && cost->IsObject()) {
-    r.die_area_um2 = cost->GetNumber("die_area_um2", 0.0);
-    r.power_uw = cost->GetNumber("power_uw", 0.0);
-    r.critical_path_ps = cost->GetNumber("critical_path_ps", 0.0);
-  }
+  static_cast<FlowRecord&>(r) = std::move(*flow);
   if (const util::JsonValue* score = v.Get("score");
       score && score->IsObject()) {
-    r.regular_ccr_percent = score->GetNumber("regular_ccr_percent", 0.0);
-    r.key_logical_ccr_percent =
-        score->GetNumber("key_logical_ccr_percent", 0.0);
-    r.key_physical_ccr_percent =
-        score->GetNumber("key_physical_ccr_percent", 0.0);
-    r.pnr_percent = score->GetNumber("pnr_percent", 0.0);
-    r.hd_percent = score->GetNumber("hd_percent", 0.0);
-    r.oer_percent = score->GetNumber("oer_percent", 0.0);
-    r.score_patterns = GetU64(*score, "score_patterns");
+    std::optional<Scorecard> card = Scorecard::FromJson(*score);
+    if (!card) return std::nullopt;
+    r.score = *card;
   }
   if (const util::JsonValue* attacks = v.Get("attacks");
       attacks && attacks->IsArray()) {
@@ -442,57 +456,23 @@ std::optional<CampaignRecord> CampaignRecord::FromJson(
       r.attacks.push_back(std::move(*a));
     }
   }
-  if (const util::JsonValue* times = v.Get("times");
-      times && times->IsObject()) {
-    r.lock_s = times->GetNumber("lock_s", 0.0);
-    r.place_s = times->GetNumber("place_s", 0.0);
-    r.route_s = times->GetNumber("route_s", 0.0);
-    r.lift_s = times->GetNumber("lift_s", 0.0);
-    r.sta_s = times->GetNumber("sta_s", 0.0);
-    r.analyze_s = times->GetNumber("analyze_s", 0.0);
-    r.artifact_load_s = times->GetNumber("artifact_load_s", 0.0);
-    r.artifact_save_s = times->GetNumber("artifact_save_s", 0.0);
-  }
-  r.elapsed_s = v.GetNumber("elapsed_s", 0.0);
   return r;
 }
 
 CampaignRecord ComposeCampaignRecord(const FlowRecord& flow,
                                      const std::vector<AttackRecord>& attacks) {
   CampaignRecord r;
-  r.name = flow.name;
-  r.ok = flow.ok;
-  r.error = flow.error;
-  r.broken_connections = flow.broken_connections;
-  r.key_bits = flow.key_bits;
-  r.logic_gates = flow.logic_gates;
-  r.die_area_um2 = flow.die_area_um2;
-  r.power_uw = flow.power_uw;
-  r.critical_path_ps = flow.critical_path_ps;
+  static_cast<FlowRecord&>(r) = flow;
   // Campaign score: the first attack in portfolio order carrying a
   // scorecard — the same "first complete assignment wins" rule the
   // compute path has always applied, now reproducible from cached pieces.
   for (const AttackRecord& a : attacks) {
-    if (!a.has_score) continue;
-    r.regular_ccr_percent = a.regular_ccr_percent;
-    r.key_logical_ccr_percent = a.key_logical_ccr_percent;
-    r.key_physical_ccr_percent = a.key_physical_ccr_percent;
-    r.pnr_percent = a.pnr_percent;
-    r.hd_percent = a.hd_percent;
-    r.oer_percent = a.oer_percent;
-    r.score_patterns = a.score_patterns;
-    break;
+    if (a.score) {
+      r.score = *a.score;
+      break;
+    }
   }
   r.attacks = attacks;
-  r.lock_s = flow.lock_s;
-  r.place_s = flow.place_s;
-  r.route_s = flow.route_s;
-  r.lift_s = flow.lift_s;
-  r.sta_s = flow.sta_s;
-  r.analyze_s = flow.analyze_s;
-  r.artifact_load_s = flow.artifact_load_s;
-  r.artifact_save_s = flow.artifact_save_s;
-  r.elapsed_s = flow.elapsed_s;
   return r;
 }
 
@@ -504,111 +484,42 @@ ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
   if (ec || !std::filesystem::is_directory(dir_)) {
     throw std::runtime_error("result store: cannot create directory " + dir_);
   }
-}
-
-void ResultStore::CountRecordMiss(bool corrupt) {
-  RecordTier().misses->Add(1);
-  if (corrupt) RecordTier().corrupt->Add(1);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.misses;
-  if (corrupt) ++stats_.corrupt;
-}
-
-void ResultStore::CountRecordHit(size_t bytes) {
-  RecordTier().hits->Add(1);
-  RecordTier().bytes_read->Observe(bytes);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.hits;
-  stats_.bytes_read += bytes;
-}
-
-// Reads and parses one record file. Counts the miss (absent file) or
-// corrupt miss (unparseable) itself; on success the caller finishes
-// validation and counts exactly one hit or corrupt miss.
-std::optional<util::JsonValue> ResultStore::ReadRecordDoc(
-    const std::string& path, size_t* bytes) {
-  std::string text;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-      CountRecordMiss(/*corrupt=*/false);
-      return std::nullopt;
-    }
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-    std::fclose(f);
-  }
-  *bytes = text.size();
-  std::optional<util::JsonValue> doc = util::ParseJson(text);
-  if (!doc || !doc->IsObject()) {
-    CountRecordMiss(/*corrupt=*/true);
-    return std::nullopt;
-  }
-  return doc;
+  // Register every store metric up front, so a run that never touches a
+  // tier (a warm run's artifacts, GC) still exports its zeros.
+  RecordTier();
+  ArtifactTier();
+  ArtifactGc();
 }
 
 std::optional<FlowRecord> ResultStore::LookupFlow(const StoreKey& key) {
-  size_t bytes = 0;
-  std::optional<util::JsonValue> doc =
-      ReadRecordDoc(dir_ + "/" + key.FlowFilename(), &bytes);
-  if (!doc) return std::nullopt;
-  std::optional<FlowRecord> record;
-  if (EnvelopeMatches(*doc, "flow", key, /*attack_hash=*/nullptr)) {
-    if (const util::JsonValue* rec = doc->Get("record")) {
-      record = FlowRecord::FromJson(*rec);
-    }
-  }
-  if (!record) {
-    CountRecordMiss(/*corrupt=*/true);
-    return std::nullopt;
-  }
-  CountRecordHit(bytes);
-  return record;
+  return ReadRecord<FlowRecord>(dir_ + "/" + key.FlowFilename(), "flow", key,
+                                /*attack_hash=*/nullptr);
 }
 
 bool ResultStore::InsertFlow(const StoreKey& key, const FlowRecord& record) {
-  const std::string doc =
-      "{\"schema_version\":" + std::to_string(kResultSchemaVersion) +
-      ",\"kind\":\"flow\",\"key\":" + KeyEchoJson(key, nullptr) +
-      ",\"record\":" + record.ToJson(/*include_timings=*/true) + "}\n";
-  return PublishFile(dir_ + "/" + key.FlowFilename(), doc,
+  return PublishFile(dir_ + "/" + key.FlowFilename(),
+                     RecordDoc("flow", key, /*attack_hash=*/nullptr,
+                               record.ToJson(/*include_timings=*/true)),
                      /*record_tier=*/true);
 }
 
 std::optional<AttackRecord> ResultStore::LookupAttack(const StoreKey& key,
                                                       uint64_t attack_hash) {
-  size_t bytes = 0;
-  std::optional<util::JsonValue> doc =
-      ReadRecordDoc(dir_ + "/" + key.AttackFilename(attack_hash), &bytes);
-  if (!doc) return std::nullopt;
-  std::optional<AttackRecord> record;
-  if (EnvelopeMatches(*doc, "attack", key, &attack_hash)) {
-    if (const util::JsonValue* rec = doc->Get("record")) {
-      record = AttackRecord::FromJson(*rec);
-    }
-  }
-  if (!record) {
-    CountRecordMiss(/*corrupt=*/true);
-    return std::nullopt;
-  }
-  CountRecordHit(bytes);
-  return record;
+  return ReadRecord<AttackRecord>(dir_ + "/" + key.AttackFilename(attack_hash),
+                                  "attack", key, &attack_hash);
 }
 
 bool ResultStore::InsertAttack(const StoreKey& key, uint64_t attack_hash,
                                const AttackRecord& record) {
-  const std::string doc =
-      "{\"schema_version\":" + std::to_string(kResultSchemaVersion) +
-      ",\"kind\":\"attack\",\"key\":" + KeyEchoJson(key, &attack_hash) +
-      ",\"record\":" + record.ToJson(/*include_timings=*/true) + "}\n";
-  return PublishFile(dir_ + "/" + key.AttackFilename(attack_hash), doc,
+  return PublishFile(dir_ + "/" + key.AttackFilename(attack_hash),
+                     RecordDoc("attack", key, &attack_hash,
+                               record.ToJson(/*include_timings=*/true)),
                      /*record_tier=*/true);
 }
 
 // Unique temp name in the same directory (rename must not cross
 // filesystems), then atomic publish. Shared by both tiers; only the
-// stats they count differ.
+// counters they bump differ.
 bool ResultStore::PublishFile(const std::string& path, const std::string& doc,
                               bool record_tier) {
   static std::atomic<uint64_t> counter{0};
@@ -620,8 +531,6 @@ bool ResultStore::PublishFile(const std::string& path, const std::string& doc,
   const auto fail = [&]() {
     std::remove(tmp.c_str());
     tier.insert_errors->Add(1);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++(record_tier ? stats_.insert_errors : artifact_stats_.insert_errors);
     return false;
   };
 
@@ -634,14 +543,6 @@ bool ResultStore::PublishFile(const std::string& path, const std::string& doc,
 
   tier.inserts->Add(1);
   tier.bytes_written->Observe(doc.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  if (record_tier) {
-    ++stats_.inserts;
-    stats_.bytes_written += doc.size();
-  } else {
-    ++artifact_stats_.inserts;
-    artifact_stats_.bytes_written += doc.size();
-  }
   return true;
 }
 
@@ -652,27 +553,15 @@ std::string ResultStore::ArtifactPathFor(const StoreKey& key) const {
 }
 
 std::optional<std::string> ResultStore::LookupArtifact(const StoreKey& key) {
-  std::string blob;
-  {
-    std::FILE* f = std::fopen(ArtifactPathFor(key).c_str(), "rb");
-    if (!f) {
-      ArtifactTier().misses->Add(1);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++artifact_stats_.misses;
-      return std::nullopt;
-    }
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) blob.append(buf, n);
-    std::fclose(f);
+  const std::optional<std::string> file = ReadWholeFile(ArtifactPathFor(key));
+  if (!file) {
+    CountMiss(ArtifactTier(), /*corrupt=*/false);
+    return std::nullopt;
   }
+  const std::string& blob = *file;
 
   const auto corrupt_miss = [&]() -> std::optional<std::string> {
-    ArtifactTier().misses->Add(1);
-    ArtifactTier().corrupt->Add(1);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++artifact_stats_.misses;
-    ++artifact_stats_.corrupt;
+    CountMiss(ArtifactTier(), /*corrupt=*/true);
     return std::nullopt;
   };
 
@@ -698,9 +587,6 @@ std::optional<std::string> ResultStore::LookupArtifact(const StoreKey& key) {
 
   ArtifactTier().hits->Add(1);
   ArtifactTier().bytes_read->Observe(blob.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  ++artifact_stats_.hits;
-  artifact_stats_.bytes_read += blob.size();
   return payload;
 }
 
@@ -729,16 +615,10 @@ bool ResultStore::InsertArtifact(const StoreKey& key,
 
 void ResultStore::NoteArtifactCorrupt() {
   // The lookup counted an envelope-level hit; the payload turned out to be
-  // undecodable, so reclassify it as a corrupt miss — in the per-instance
-  // stats and the obs mirror alike (Counter::Sub exists for exactly this
-  // path), so the two never disagree.
+  // undecodable, so reclassify it as a corrupt miss (Counter::Sub exists
+  // for exactly this path).
   ArtifactTier().hits->Sub(1);
-  ArtifactTier().misses->Add(1);
-  ArtifactTier().corrupt->Add(1);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (artifact_stats_.hits > 0) --artifact_stats_.hits;
-  ++artifact_stats_.misses;
-  ++artifact_stats_.corrupt;
+  CountMiss(ArtifactTier(), /*corrupt=*/true);
 }
 
 GcResult ResultStore::CollectArtifactGarbage(uint64_t budget_bytes) {
@@ -794,24 +674,9 @@ GcResult ResultStore::CollectArtifactGarbage(uint64_t budget_bytes) {
     out.evicted_bytes += blob.size;
   }
 
-  if (out.evicted_blobs > 0) {
-    ArtifactGc().evictions->Add(out.evicted_blobs);
-    ArtifactGc().evicted_bytes->Add(out.evicted_bytes);
-    std::lock_guard<std::mutex> lock(mu_);
-    artifact_stats_.evictions += out.evicted_blobs;
-    artifact_stats_.evicted_bytes += out.evicted_bytes;
-  }
+  ArtifactGc().evictions->Add(out.evicted_blobs);
+  ArtifactGc().evicted_bytes->Add(out.evicted_bytes);
   return out;
-}
-
-StoreStats ResultStore::Stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-ArtifactStats ResultStore::ArtifactTierStats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return artifact_stats_;
 }
 
 }  // namespace splitlock::store

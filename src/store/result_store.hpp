@@ -32,8 +32,8 @@
 // are published with rename(2), so readers only ever observe absent or
 // complete records — a shard killed mid-insert leaves no torn JSON behind.
 // Reads are corruption-tolerant: unparseable files, schema-version
-// mismatches and key-echo mismatches count as misses (and bump the
-// `corrupt` stat) rather than erroring, so a damaged cache degrades to
+// mismatches and key-echo mismatches count as misses (and bump the tier's
+// `corrupt` counter) rather than erroring, so a damaged cache degrades to
 // recomputation, never to a failed campaign.
 //
 // The JSON records deliberately do NOT contain netlists or layouts — those
@@ -58,11 +58,11 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/stage_times.hpp"
 #include "util/json.hpp"
 
 namespace splitlock::store {
@@ -122,6 +122,25 @@ uint64_t AttackKeyHash(const std::string& config_string,
 uint64_t PortfolioHash(const std::vector<std::string>& config_strings,
                        uint64_t score_patterns, bool run_attack);
 
+// The headline numbers of one attack's recovered assignment
+// (attack::AttackScore fields): CCR, PNR and HD/OER over `score_patterns`
+// random patterns.
+// lint:result-schema(v4) persisted in the canonical record JSON — a
+// result-affecting change here needs a kResultSchemaVersion bump.
+struct Scorecard {
+  double regular_ccr_percent = 0.0;
+  double key_logical_ccr_percent = 0.0;
+  double key_physical_ccr_percent = 0.0;
+  double pnr_percent = 0.0;
+  double hd_percent = 0.0;
+  double oer_percent = 0.0;
+  uint64_t score_patterns = 0;
+
+  std::string ToJson() const;
+  // nullopt when `v` is not a scorecard object.
+  static std::optional<Scorecard> FromJson(const util::JsonValue& v);
+};
+
 // Summary of one attack-engine run (subset of attack::AttackReport that
 // is serializable and small), stored one file per (flow key, attack
 // hash). When the engine recovered a complete assignment the record also
@@ -139,17 +158,10 @@ struct AttackRecord {
   bool functionally_correct = false;
   std::map<std::string, double> counters;  // deterministic
 
-  // Scorecard from this attack's recovered assignment (attack::AttackScore
-  // fields). has_score is false for engines that recover keys but no
-  // layout assignment (e.g. sat) and when the split broke nothing.
-  bool has_score = false;
-  double regular_ccr_percent = 0.0;
-  double key_logical_ccr_percent = 0.0;
-  double key_physical_ccr_percent = 0.0;
-  double pnr_percent = 0.0;
-  double hd_percent = 0.0;
-  double oer_percent = 0.0;
-  uint64_t score_patterns = 0;  // 0 when !has_score
+  // Scorecard from this attack's recovered assignment. Absent for engines
+  // that recover keys but no layout assignment (e.g. sat) and when the
+  // split broke nothing. The JSON writes "has_score" either way.
+  std::optional<Scorecard> score;
 
   double elapsed_s = 0.0;  // timing: non-canonical
 
@@ -180,70 +192,33 @@ struct FlowRecord {
 
   // Timings from the producing run (excluded from canonical JSON: two
   // processes computing the same key agree on everything above, never on
-  // wall clocks).
-  double lock_s = 0.0;
-  double place_s = 0.0;
-  double route_s = 0.0;
-  double lift_s = 0.0;
-  double sta_s = 0.0;      // RunSta alone
-  double analyze_s = 0.0;  // toggle-rate + power estimation
-  double artifact_load_s = 0.0;  // artifact-tier deserialize (warm path)
-  double artifact_save_s = 0.0;  // artifact-tier serialize + publish
-  double elapsed_s = 0.0;        // the producing job's whole duration
+  // wall clocks). times.total_s is the producing job's whole duration,
+  // serialized as "elapsed_s".
+  core::StageTimes times;
 
-  std::string ToJson(bool include_timings) const;
-  static std::optional<FlowRecord> FromJson(const util::JsonValue& v);
-};
-
-// The deterministic summary of one campaign job. No longer persisted as
-// one file: it is assembled (ComposeCampaignRecord) from a FlowRecord and
-// the job's AttackRecords, and what shard tables / the CLI serialize.
-// lint:result-schema(v4) the canonical record layout itself — any change
-// to serialized fields IS the schema; bump kResultSchemaVersion.
-struct CampaignRecord {
-  std::string name;
-  bool ok = false;
-  std::string error;
-
-  uint64_t broken_connections = 0;
-  uint64_t key_bits = 0;
-  uint64_t logic_gates = 0;
-
-  // Layout cost (core::LayoutCost fields).
-  double die_area_um2 = 0.0;
-  double power_uw = 0.0;
-  double critical_path_ps = 0.0;
-
-  // Campaign-level attack scorecard: the first attack in portfolio order
-  // that carries one (AttackRecord::has_score).
-  double regular_ccr_percent = 0.0;
-  double key_logical_ccr_percent = 0.0;
-  double key_physical_ccr_percent = 0.0;
-  double pnr_percent = 0.0;
-  double hd_percent = 0.0;
-  double oer_percent = 0.0;
-  uint64_t score_patterns = 0;
-
-  std::vector<AttackRecord> attacks;
-
-  // Timings from the producing run (excluded from canonical JSON).
-  double lock_s = 0.0;
-  double place_s = 0.0;
-  double route_s = 0.0;
-  double lift_s = 0.0;
-  double sta_s = 0.0;
-  double analyze_s = 0.0;
-  double artifact_load_s = 0.0;
-  double artifact_save_s = 0.0;
-  double elapsed_s = 0.0;
-
-  // One JSON object. Canonical form omits every timing field and is
-  // bit-identical across processes/thread counts/store temperatures for
-  // the same key — the merge determinism contract builds on it. The full
-  // form appends the timings.
   std::string ToJson(bool include_timings) const;
   // nullopt when `v` is not a record object. Absent timing fields read
   // as 0 (canonical-form input is valid).
+  static std::optional<FlowRecord> FromJson(const util::JsonValue& v);
+};
+
+// The deterministic summary of one campaign job: its flow summary plus the
+// campaign scorecard and every attack's record. No longer persisted as one
+// file: it is assembled (ComposeCampaignRecord) from a FlowRecord and the
+// job's AttackRecords, and what shard tables / the CLI serialize.
+// lint:result-schema(v4) the canonical record layout itself — any change
+// to serialized fields IS the schema; bump kResultSchemaVersion.
+struct CampaignRecord : FlowRecord {
+  // Campaign-level attack scorecard: the first attack in portfolio order
+  // that carries one (all zeros when none does).
+  Scorecard score;
+  std::vector<AttackRecord> attacks;
+
+  // One JSON object: the flow summary, then "score" and "attacks", then
+  // the flow timings. Canonical form omits every timing field and is
+  // bit-identical across processes/thread counts/store temperatures for
+  // the same key — the merge determinism contract builds on it.
+  std::string ToJson(bool include_timings) const;
   static std::optional<CampaignRecord> FromJson(const util::JsonValue& v);
 };
 
@@ -255,37 +230,6 @@ struct CampaignRecord {
 // carrying one. Timings (including elapsed_s) are copied from `flow`.
 CampaignRecord ComposeCampaignRecord(const FlowRecord& flow,
                                      const std::vector<AttackRecord>& attacks);
-
-struct StoreStats {
-  // One count per record *file* operation: a job touches one flow record
-  // plus one record per attack in its portfolio.
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t inserts = 0;
-  uint64_t insert_errors = 0;
-  uint64_t corrupt = 0;  // present-but-unusable files (counted as misses too)
-  // Byte totals, mirroring the artifact tier so `--store-stats` reports
-  // the same shape for both cache populations: bytes_read counts
-  // validated records returned to callers (hits), bytes_written counts
-  // published record files.
-  uint64_t bytes_read = 0;
-  uint64_t bytes_written = 0;
-};
-
-// Counters for the artifact tier, kept separate from the summary-record
-// stats so `--store-stats` can show both cache populations independently.
-struct ArtifactStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t inserts = 0;
-  uint64_t insert_errors = 0;
-  uint64_t corrupt = 0;  // envelope- or payload-level failures (misses too)
-  uint64_t bytes_read = 0;
-  uint64_t bytes_written = 0;
-  // GC activity (CollectArtifactGarbage, including auto-GC on insert).
-  uint64_t evictions = 0;
-  uint64_t evicted_bytes = 0;
-};
 
 // One CollectArtifactGarbage pass, summarized.
 struct GcResult {
@@ -299,6 +243,12 @@ struct GcResult {
 // The on-disk store. Thread-safe: campaign workers look up and insert
 // concurrently; distinct keys map to distinct files and same-key races are
 // resolved by atomic rename (last writer wins with an identical record).
+//
+// Stats. Every hit, miss, insert, error, byte and eviction is counted in
+// the process-wide obs registry — store.record.* and store.artifact.*, the
+// only count the store keeps — which `--store-stats` and bench records
+// read. Construction registers both tiers' metrics, so a snapshot carries
+// them at every store temperature, zeros included.
 class ResultStore {
  public:
   // Creates `dir` (and parents) if needed. Throws std::runtime_error when
@@ -308,7 +258,7 @@ class ResultStore {
   // --- Record tier --------------------------------------------------------
 
   std::optional<FlowRecord> LookupFlow(const StoreKey& key);
-  // False on I/O failure (counted in stats, never throws).
+  // False on I/O failure (counted as an insert error, never throws).
   bool InsertFlow(const StoreKey& key, const FlowRecord& record);
 
   std::optional<AttackRecord> LookupAttack(const StoreKey& key,
@@ -323,14 +273,14 @@ class ResultStore {
   // returning the payload; anything malformed is a corrupt miss.
 
   std::optional<std::string> LookupArtifact(const StoreKey& key);
-  // False on I/O failure (counted in stats, never throws). When an
-  // artifact budget is set (set_artifact_budget), a successful publish
+  // False on I/O failure (counted as an insert error, never throws). When
+  // an artifact budget is set (set_artifact_budget), a successful publish
   // triggers an auto-GC pass over the tier.
   bool InsertArtifact(const StoreKey& key, std::string_view payload);
   // Callers that fail to *decode* a payload the envelope vouched for (e.g.
   // a format-version mismatch inside artifact_io) report it here so the
-  // blob is reclassified from hit to corrupt miss — in the per-instance
-  // stats AND the obs mirror, which stay in agreement.
+  // blob is reclassified from hit to corrupt miss in the store.artifact.*
+  // counters.
   void NoteArtifactCorrupt();
 
   // Evicts artifact blobs until the tier's byte total fits `budget_bytes`.
@@ -347,29 +297,16 @@ class ResultStore {
   }
   uint64_t artifact_budget() const { return artifact_budget_; }
 
-  // Per-instance counters. Every update site also mirrors into the
-  // process-wide obs registry (store.record.* / store.artifact.*), which
-  // is what `--store-stats` and bench records export; the two always
-  // agree (NoteArtifactCorrupt reclassifies in both).
-  StoreStats Stats() const;
-  ArtifactStats ArtifactTierStats() const;
   const std::string& dir() const { return dir_; }
 
  private:
-  std::optional<util::JsonValue> ReadRecordDoc(const std::string& path,
-                                               size_t* bytes);
   bool PublishFile(const std::string& path, const std::string& doc,
                    bool record_tier);
-  void CountRecordMiss(bool corrupt);
-  void CountRecordHit(size_t bytes);
 
   std::string ArtifactPathFor(const StoreKey& key) const;
 
   std::string dir_;
   uint64_t artifact_budget_ = 0;
-  mutable std::mutex mu_;
-  StoreStats stats_;
-  ArtifactStats artifact_stats_;
 };
 
 }  // namespace splitlock::store

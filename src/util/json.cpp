@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -25,6 +26,18 @@ std::string JsonValue::GetString(const std::string& key,
                                  std::string def) const {
   const JsonValue* v = Get(key);
   return v && v->IsString() ? v->string : std::move(def);
+}
+
+std::optional<uint64_t> JsonValue::GetUint(const std::string& key,
+                                           uint64_t def) const {
+  const JsonValue* v = Get(key);
+  if (!v) return def;
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (!v->IsNumber() || !(v->number >= 0.0) || v->number > kMaxExact ||
+      std::floor(v->number) != v->number) {
+    return std::nullopt;
+  }
+  return static_cast<uint64_t>(v->number);
 }
 
 namespace {

@@ -48,6 +48,11 @@ class JsonValue {
   double GetNumber(const std::string& key, double def) const;
   bool GetBool(const std::string& key, bool def) const;
   std::string GetString(const std::string& key, std::string def) const;
+
+  // Strict unsigned integer member: `def` when absent; nullopt when present
+  // but not a non-negative integral number <= 2^53 (the range a double
+  // holds exactly). The one reader for counts, indices and versions.
+  std::optional<uint64_t> GetUint(const std::string& key, uint64_t def) const;
 };
 
 // Parses exactly one JSON document (trailing non-whitespace is an error).

@@ -16,6 +16,7 @@
 #include "lock/key.hpp"
 #include "phys/placer.hpp"
 #include "phys/router.hpp"
+#include "obs/metrics.hpp"
 #include "store/artifact_io.hpp"
 #include "store/result_store.hpp"
 
@@ -23,6 +24,23 @@ namespace splitlock::store {
 namespace {
 
 namespace fs = std::filesystem;
+
+uint64_t Count(const obs::MetricsSnapshot& snap, const std::string& name) {
+  const auto it = snap.counts.find(name);
+  return it == snap.counts.end() ? 0 : it->second;
+}
+
+// Summed values of a byte histogram (the tier's byte total).
+uint64_t Bytes(const obs::MetricsSnapshot& snap, const std::string& name) {
+  const auto it = snap.histograms.find(name);
+  return it == snap.histograms.end() ? 0 : it->second.sum;
+}
+
+// What the obs registry — where the store counts — counted since `before`.
+obs::MetricsSnapshot Since(const obs::MetricsSnapshot& before) {
+  return obs::MetricsSnapshot::Delta(before,
+                                     obs::Registry::Instance().Snapshot());
+}
 
 Netlist TestCircuit(uint64_t seed, size_t gates = 400) {
   circuits::CircuitSpec spec;
@@ -221,6 +239,7 @@ TEST(ArtifactCodec, FlowArtifactReplayMatchesComputedFlow) {
 // --- Store envelope ---------------------------------------------------------
 
 TEST_F(ArtifactStoreTest, InsertThenLookupRoundTrips) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const StoreKey key = SampleKey();
   // Payloads are opaque to the envelope; embedded NULs must survive.
@@ -232,14 +251,14 @@ TEST_F(ArtifactStoreTest, InsertThenLookupRoundTrips) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, payload);
 
-  const ArtifactStats stats = store.ArtifactTierStats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.inserts, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.corrupt, 0u);
+  const obs::MetricsSnapshot delta = Since(before);
+  EXPECT_EQ(Count(delta, "store.artifact.misses"), 1u);
+  EXPECT_EQ(Count(delta, "store.artifact.inserts"), 1u);
+  EXPECT_EQ(Count(delta, "store.artifact.hits"), 1u);
+  EXPECT_EQ(Count(delta, "store.artifact.corrupt"), 0u);
   // I/O counters measure whole envelope files, so both exceed the payload.
-  EXPECT_GT(stats.bytes_read, payload.size());
-  EXPECT_GT(stats.bytes_written, payload.size());
+  EXPECT_GT(Bytes(delta, "store.artifact.bytes_read"), payload.size());
+  EXPECT_GT(Bytes(delta, "store.artifact.bytes_written"), payload.size());
 
   // A second store over the same directory sees the blob (persistence).
   ResultStore reopened(dir_);
@@ -254,6 +273,7 @@ TEST_F(ArtifactStoreTest, InsertThenLookupRoundTrips) {
 }
 
 TEST_F(ArtifactStoreTest, TruncatedBlobReadsAsCorruptMiss) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const StoreKey key = SampleKey();
   EXPECT_TRUE(store.InsertArtifact(key, "the artifact payload"));
@@ -262,13 +282,14 @@ TEST_F(ArtifactStoreTest, TruncatedBlobReadsAsCorruptMiss) {
   WriteFile(ArtifactPath(key), bytes.substr(0, 16));  // crashed writer shape
 
   EXPECT_FALSE(store.LookupArtifact(key).has_value());
-  EXPECT_EQ(store.ArtifactTierStats().corrupt, 1u);
+  EXPECT_EQ(Count(Since(before), "store.artifact.corrupt"), 1u);
   // The store recovers by overwriting.
   EXPECT_TRUE(store.InsertArtifact(key, "the artifact payload"));
   EXPECT_TRUE(store.LookupArtifact(key).has_value());
 }
 
 TEST_F(ArtifactStoreTest, BitFlippedPayloadFailsChecksum) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const StoreKey key = SampleKey();
   EXPECT_TRUE(store.InsertArtifact(key, "checksummed content"));
@@ -277,10 +298,11 @@ TEST_F(ArtifactStoreTest, BitFlippedPayloadFailsChecksum) {
   WriteFile(ArtifactPath(key), bytes);
 
   EXPECT_FALSE(store.LookupArtifact(key).has_value());
-  EXPECT_EQ(store.ArtifactTierStats().corrupt, 1u);
+  EXPECT_EQ(Count(Since(before), "store.artifact.corrupt"), 1u);
 }
 
 TEST_F(ArtifactStoreTest, SchemaVersionMismatchReadsAsMiss) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const StoreKey key = SampleKey();
   EXPECT_TRUE(store.InsertArtifact(key, "versioned content"));
@@ -291,10 +313,11 @@ TEST_F(ArtifactStoreTest, SchemaVersionMismatchReadsAsMiss) {
   WriteFile(ArtifactPath(key), bytes);
 
   EXPECT_FALSE(store.LookupArtifact(key).has_value());
-  EXPECT_EQ(store.ArtifactTierStats().corrupt, 1u);
+  EXPECT_EQ(Count(Since(before), "store.artifact.corrupt"), 1u);
 }
 
 TEST_F(ArtifactStoreTest, KeyEchoMismatchReadsAsCorrupt) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const StoreKey key = SampleKey();
   EXPECT_TRUE(store.InsertArtifact(key, "keyed content"));
@@ -304,28 +327,30 @@ TEST_F(ArtifactStoreTest, KeyEchoMismatchReadsAsCorrupt) {
   fs::copy_file(ArtifactPath(key), ArtifactPath(other));
 
   EXPECT_FALSE(store.LookupArtifact(other).has_value());
-  EXPECT_EQ(store.ArtifactTierStats().corrupt, 1u);
+  EXPECT_EQ(Count(Since(before), "store.artifact.corrupt"), 1u);
   // The original is untouched.
   EXPECT_TRUE(store.LookupArtifact(key).has_value());
 }
 
 TEST_F(ArtifactStoreTest, NoteArtifactCorruptReclassifiesHit) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const StoreKey key = SampleKey();
   EXPECT_TRUE(store.InsertArtifact(key, "envelope ok, payload undecodable"));
   ASSERT_TRUE(store.LookupArtifact(key).has_value());
-  EXPECT_EQ(store.ArtifactTierStats().hits, 1u);
+  EXPECT_EQ(Count(Since(before), "store.artifact.hits"), 1u);
 
   store.NoteArtifactCorrupt();
-  const ArtifactStats stats = store.ArtifactTierStats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.corrupt, 1u);
+  const obs::MetricsSnapshot delta = Since(before);
+  EXPECT_EQ(Count(delta, "store.artifact.hits"), 0u);
+  EXPECT_EQ(Count(delta, "store.artifact.misses"), 1u);
+  EXPECT_EQ(Count(delta, "store.artifact.corrupt"), 1u);
 }
 
 // --- Artifact GC ------------------------------------------------------------
 
 TEST_F(ArtifactStoreTest, GcRespectsBudgetAndNeverTouchesRecords) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   StoreKey key = SampleKey();
   // Four blobs of ~equal size plus a record file that must survive.
@@ -363,9 +388,9 @@ TEST_F(ArtifactStoreTest, GcRespectsBudgetAndNeverTouchesRecords) {
   EXPECT_EQ(json, 1u);  // records are never GC candidates
   EXPECT_TRUE(store.LookupFlow(key).has_value());
 
-  const ArtifactStats stats = store.ArtifactTierStats();
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.evicted_bytes, 2 * per_blob);
+  const obs::MetricsSnapshot delta = Since(before);
+  EXPECT_EQ(Count(delta, "store.artifact.evictions"), 2u);
+  EXPECT_EQ(Count(delta, "store.artifact.evicted_bytes"), 2 * per_blob);
 
   // Already under budget: a second pass is a no-op.
   const GcResult again = store.CollectArtifactGarbage(2 * per_blob);
@@ -404,6 +429,7 @@ TEST_F(ArtifactStoreTest, GcEvictionOrderIsDeterministicForEqualMtimes) {
 }
 
 TEST_F(ArtifactStoreTest, AutoGcOnInsertKeepsTierUnderBudget) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   StoreKey key = SampleKey();
   key.flow_hash = 0;
@@ -429,7 +455,7 @@ TEST_F(ArtifactStoreTest, AutoGcOnInsertKeepsTierUnderBudget) {
     }
     EXPECT_EQ(art, 1u) << "after insert " << i;
   }
-  EXPECT_GE(store.ArtifactTierStats().evictions, 3u);
+  EXPECT_GE(Count(Since(before), "store.artifact.evictions"), 3u);
 }
 
 // --- Campaign warm start ----------------------------------------------------
@@ -455,6 +481,7 @@ core::CampaignOptions ToyCampaignOptions(ResultStore* store) {
 }
 
 TEST_F(ArtifactStoreTest, WarmCampaignRunSkipsPhysicalStagesBitExactly) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const core::CampaignRunner runner(ToyCampaignOptions(&store));
   const core::CampaignJob job = ToyJob();
@@ -466,12 +493,12 @@ TEST_F(ArtifactStoreTest, WarmCampaignRunSkipsPhysicalStagesBitExactly) {
                 cold.flow.times.route_s,
             0.0);
   EXPECT_GT(cold.flow.times.artifact_save_s, 0.0);
-  EXPECT_EQ(store.ArtifactTierStats().inserts, 1u);
+  EXPECT_EQ(Count(Since(before), "store.artifact.inserts"), 1u);
 
   const core::CampaignOutcome warm = runner.RunOne(job);
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_FALSE(warm.from_store);  // artifact hits are computed-path results
-  EXPECT_EQ(store.ArtifactTierStats().hits, 1u);
+  EXPECT_EQ(Count(Since(before), "store.artifact.hits"), 1u);
 
   // The warm run never ran lock/place/route/lift...
   EXPECT_EQ(warm.flow.times.lock_s, 0.0);
@@ -496,6 +523,7 @@ TEST_F(ArtifactStoreTest, WarmCampaignRunSkipsPhysicalStagesBitExactly) {
 }
 
 TEST_F(ArtifactStoreTest, CorruptArtifactFallsBackToRecompute) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const core::CampaignRunner runner(ToyCampaignOptions(&store));
   const core::CampaignJob job = ToyJob();
@@ -513,7 +541,7 @@ TEST_F(ArtifactStoreTest, CorruptArtifactFallsBackToRecompute) {
   ASSERT_TRUE(recomputed.ok) << recomputed.error;
   EXPECT_GT(recomputed.flow.times.place_s, 0.0);  // really recomputed
   EXPECT_EQ(recomputed.record.ToJson(false), cold.record.ToJson(false));
-  EXPECT_GE(store.ArtifactTierStats().corrupt, 1u);
+  EXPECT_GE(Count(Since(before), "store.artifact.corrupt"), 1u);
 
   // The recompute re-published a good blob: the next run is warm again.
   const core::CampaignOutcome warm = runner.RunOne(job);
@@ -523,6 +551,7 @@ TEST_F(ArtifactStoreTest, CorruptArtifactFallsBackToRecompute) {
 }
 
 TEST_F(ArtifactStoreTest, UndecodablePayloadRecomputes) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const core::CampaignRunner runner(ToyCampaignOptions(&store));
   const core::CampaignJob job = ToyJob();
@@ -535,8 +564,9 @@ TEST_F(ArtifactStoreTest, UndecodablePayloadRecomputes) {
   const core::CampaignOutcome outcome = runner.RunOne(job);
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_GT(outcome.flow.times.place_s, 0.0);  // fell back to computing
-  EXPECT_GE(store.ArtifactTierStats().corrupt, 1u);
-  EXPECT_EQ(store.ArtifactTierStats().hits, 0u);  // reclassified
+  const obs::MetricsSnapshot delta = Since(before);
+  EXPECT_GE(Count(delta, "store.artifact.corrupt"), 1u);
+  EXPECT_EQ(Count(delta, "store.artifact.hits"), 0u);  // reclassified
 
   // The garbage was overwritten with the real artifact.
   const core::CampaignOutcome warm = runner.RunOne(job);
@@ -546,6 +576,7 @@ TEST_F(ArtifactStoreTest, UndecodablePayloadRecomputes) {
 }
 
 TEST_F(ArtifactStoreTest, EvictedArtifactDegradesToRecomputeThenRewarms) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const core::CampaignRunner runner(ToyCampaignOptions(&store));
   const core::CampaignJob job = ToyJob();
@@ -560,7 +591,7 @@ TEST_F(ArtifactStoreTest, EvictedArtifactDegradesToRecomputeThenRewarms) {
   EXPECT_EQ(gc.evicted_blobs, 1u);
   EXPECT_FALSE(fs::exists(ArtifactPath(key)));
   EXPECT_TRUE(store.LookupFlow(key).has_value());
-  EXPECT_EQ(store.ArtifactTierStats().evictions, 1u);
+  EXPECT_EQ(Count(Since(before), "store.artifact.evictions"), 1u);
 
   // An eviction is an ordinary miss: the flow recomputes, byte-identically.
   const core::CampaignOutcome recomputed = runner.RunOne(job);

@@ -382,7 +382,7 @@ TEST(PortfolioSat, MultiDipRoundsBitIdenticalAcrossThreadCounts) {
   const PortfolioSatResult& ref = results[0];
   ASSERT_TRUE(ref.attack.key_found);
   EXPECT_TRUE(ref.attack.functionally_correct);
-  for (const SatRoundTelemetry& round : ref.attack.telemetry.rounds) {
+  for (const RoundStat& round : ref.attack.telemetry.rounds) {
     EXPECT_LE(round.dip_batch, 1u);
   }
   for (size_t i = 1; i < results.size(); ++i) {

@@ -31,6 +31,12 @@ uint64_t Count(const obs::MetricsSnapshot& snap, const std::string& name) {
   return it == snap.counts.end() ? 0 : it->second;
 }
 
+// What the obs registry — where the store counts — counted since `before`.
+obs::MetricsSnapshot Since(const obs::MetricsSnapshot& before) {
+  return obs::MetricsSnapshot::Delta(before,
+                                     obs::Registry::Instance().Snapshot());
+}
+
 // --- ShardPlan --------------------------------------------------------------
 
 TEST(ShardPlan, PartitionsJobsExactlyOnce) {
@@ -75,7 +81,7 @@ ShardTable SmallTable() {
     entry.job_index = i;
     entry.record.name = "job" + std::to_string(i);
     entry.record.ok = true;
-    entry.record.hd_percent = 12.5 + static_cast<double>(i);
+    entry.record.score.hd_percent = 12.5 + static_cast<double>(i);
     table.entries.push_back(entry);
   }
   return table;
@@ -89,7 +95,7 @@ TEST(ShardTable, JsonRoundTripIsExact) {
   EXPECT_EQ(back.suite, "testsuite");
   EXPECT_EQ(back.flow_hash, table.flow_hash);
   ASSERT_EQ(back.entries.size(), 2u);
-  EXPECT_DOUBLE_EQ(back.entries[1].record.hd_percent, 13.5);
+  EXPECT_DOUBLE_EQ(back.entries[1].record.score.hd_percent, 13.5);
 }
 
 TEST(ShardTable, ParseRejectsBadInput) {
@@ -102,6 +108,35 @@ TEST(ShardTable, ParseRejectsBadInput) {
   ASSERT_NE(pos, std::string::npos);
   wrong_version.replace(pos, needle.size(), "\"schema_version\":0");
   EXPECT_THROW(ShardTable::Parse(wrong_version), std::runtime_error);
+}
+
+TEST(ShardTable, ParseRejectsMalformedIntegers) {
+  // Indices, counts and versions must be exact non-negative integers: a
+  // truncating read would merge a table no shard wrote (and casting 1e30
+  // or -1 to an integer is undefined behaviour).
+  const std::string good = SmallTable().ToJson();
+  const auto with = [&](const std::string& needle, const std::string& bad) {
+    std::string json = good;
+    const size_t pos = json.find(needle);
+    EXPECT_NE(pos, std::string::npos) << needle;
+    if (pos != std::string::npos) json.replace(pos, needle.size(), bad);
+    return json;
+  };
+  EXPECT_NO_THROW(MergeShards({ShardTable::Parse(good)}));
+  // The first entry's job_index, as `splitlock_cli merge` would read it.
+  for (const std::string index :
+       {"0.75", "-0.5", "1e30", "18446744073709551616" /* 2^64 */}) {
+    const std::string json = with("\"job_index\":0", "\"job_index\":" + index);
+    EXPECT_THROW(MergeShards({ShardTable::Parse(json)}), std::runtime_error)
+        << index;
+  }
+  EXPECT_THROW(
+      ShardTable::Parse(with("\"job_count\":2", "\"job_count\":6.7")),
+      std::runtime_error);
+  const std::string version = std::to_string(store::kResultSchemaVersion);
+  EXPECT_THROW(ShardTable::Parse(with("\"schema_version\":" + version,
+                                      "\"schema_version\":" + version + ".6")),
+               std::runtime_error);
 }
 
 // --- Merge validation -------------------------------------------------------
@@ -216,20 +251,24 @@ TEST(ShardedCampaign, MergedShardsBitIdenticalToSingleProcessRun) {
       (fs::temp_directory_path() / "splitlock_dist_test_store").string();
   fs::remove_all(dir);
   {
+    const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
     store::ResultStore store(dir);
     const ShardTable seeded = RunShard(jobs, ShardPlan{1, 0}, &store);
     EXPECT_EQ(MergeShards({seeded}).ToJson(), golden);
     // One flow record plus one attack record per job.
-    EXPECT_EQ(store.Stats().inserts, 2 * jobs.size());
-    EXPECT_EQ(store.Stats().hits, 0u);
+    const obs::MetricsSnapshot delta = Since(before);
+    EXPECT_EQ(Count(delta, "store.record.inserts"), 2 * jobs.size());
+    EXPECT_EQ(Count(delta, "store.record.hits"), 0u);
   }
   {
+    const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
     store::ResultStore store(dir);
     const ShardTable warm = RunShard(jobs, ShardPlan{1, 0}, &store);
     EXPECT_EQ(MergeShards({warm}).ToJson(), golden);
-    EXPECT_EQ(store.Stats().hits, 2 * jobs.size());  // 100% store hits
-    EXPECT_EQ(store.Stats().misses, 0u);
-    EXPECT_EQ(store.Stats().inserts, 0u);            // zero recomputation
+    const obs::MetricsSnapshot delta = Since(before);
+    EXPECT_EQ(Count(delta, "store.record.hits"), 2 * jobs.size());  // 100%
+    EXPECT_EQ(Count(delta, "store.record.misses"), 0u);
+    EXPECT_EQ(Count(delta, "store.record.inserts"), 0u);  // no recompute
 
     std::vector<ShardTable> quarters;
     for (uint64_t i = 0; i < 4; ++i) {
@@ -278,6 +317,7 @@ TEST(ShardedCampaign, FailedOutcomesAreNeverPersistedOrServed) {
   const std::string dir =
       (fs::temp_directory_path() / "splitlock_dist_failed_store").string();
   fs::remove_all(dir);
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   store::ResultStore store(dir);
   const core::CampaignRunner runner(TestCampaignOptions(&store));
 
@@ -288,7 +328,7 @@ TEST(ShardedCampaign, FailedOutcomesAreNeverPersistedOrServed) {
   };
   const core::CampaignOutcome failed = runner.RunOne(bad);
   EXPECT_FALSE(failed.ok);
-  EXPECT_EQ(store.Stats().inserts, 0u);
+  EXPECT_EQ(Count(Since(before), "store.record.inserts"), 0u);
 
   // A failed flow record planted by a foreign/stale store is retried, not
   // replayed — and the successful recompute overwrites it.
@@ -323,6 +363,7 @@ TEST(ShardedCampaign, PartialHitRunsOnlyMissingEnginesBitExactly) {
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     exec::ThreadPool::SetDefaultThreadCount(threads);
     fs::remove_all(dir);
+    const obs::MetricsSnapshot cold = obs::Registry::Instance().Snapshot();
     store::ResultStore store(dir);
     const core::CampaignRunner runner(TestCampaignOptions(&store));
 
@@ -332,13 +373,12 @@ TEST(ShardedCampaign, PartialHitRunsOnlyMissingEnginesBitExactly) {
     subset.attacks = {attack::AttackConfig{.engine = "sat"}};
     const core::CampaignOutcome warm = runner.RunOne(subset);
     ASSERT_TRUE(warm.ok) << warm.error;
-    EXPECT_EQ(store.Stats().inserts, 2u);  // flow + sat
+    EXPECT_EQ(Count(Since(cold), "store.record.inserts"), 2u);  // flow + sat
 
     // Superset run: flow and sat records hit; only proximity is cold.
     const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
     const core::CampaignOutcome partial = runner.RunOne(superset);
-    const obs::MetricsSnapshot delta = obs::MetricsSnapshot::Delta(
-        before, obs::Registry::Instance().Snapshot());
+    const obs::MetricsSnapshot delta = Since(before);
     ASSERT_TRUE(partial.ok) << partial.error;
     EXPECT_FALSE(partial.from_store);  // one cold engine ⇒ computed path
 

@@ -119,7 +119,7 @@ TEST(SatAttack, MultiDipRoundsRecoverEquivalentKey) {
   EXPECT_TRUE(r.functionally_correct);
   ASSERT_GT(r.dips_used, 1u);
   size_t batched = 0;
-  for (const SatRoundTelemetry& round : r.telemetry.rounds) {
+  for (const RoundStat& round : r.telemetry.rounds) {
     EXPECT_LE(round.dip_batch, 1u);
     batched += round.dip_batch;
   }

@@ -9,6 +9,7 @@
 #include "attack/engine.hpp"
 #include "core/flow.hpp"
 #include "exec/parallel.hpp"
+#include "obs/metrics.hpp"
 #include "store/result_store.hpp"
 #include "util/json.hpp"
 
@@ -16,6 +17,17 @@ namespace splitlock::store {
 namespace {
 
 namespace fs = std::filesystem;
+
+uint64_t Count(const obs::MetricsSnapshot& snap, const std::string& name) {
+  const auto it = snap.counts.find(name);
+  return it == snap.counts.end() ? 0 : it->second;
+}
+
+// What the obs registry — where the store counts — counted since `before`.
+obs::MetricsSnapshot Since(const obs::MetricsSnapshot& before) {
+  return obs::MetricsSnapshot::Delta(before,
+                                     obs::Registry::Instance().Snapshot());
+}
 
 // Fresh per-test store directory under the system temp dir.
 class StoreTest : public ::testing::Test {
@@ -33,6 +45,18 @@ class StoreTest : public ::testing::Test {
   std::string dir_;
 };
 
+Scorecard SampleScorecard() {
+  Scorecard c;
+  c.regular_ccr_percent = 14.5;
+  c.key_logical_ccr_percent = 51.2;
+  c.key_physical_ccr_percent = 0.5;
+  c.pnr_percent = 7.0;
+  c.hd_percent = 49.5;
+  c.oer_percent = 100.0;
+  c.score_patterns = 4096;
+  return c;
+}
+
 CampaignRecord SampleRecord() {
   CampaignRecord r;
   r.name = "b14";
@@ -43,13 +67,7 @@ CampaignRecord SampleRecord() {
   r.die_area_um2 = 1234.5;
   r.power_uw = 88.25;
   r.critical_path_ps = 901.0 / 3.0;  // not exactly representable in decimal
-  r.regular_ccr_percent = 14.5;
-  r.key_logical_ccr_percent = 51.2;
-  r.key_physical_ccr_percent = 0.5;
-  r.pnr_percent = 7.0;
-  r.hd_percent = 49.5;
-  r.oer_percent = 100.0;
-  r.score_patterns = 4096;
+  r.score = SampleScorecard();
   AttackRecord a;
   a.engine = "proximity";
   a.config = "proximity";
@@ -57,9 +75,9 @@ CampaignRecord SampleRecord() {
   a.counters["candidates"] = 17;
   a.elapsed_s = 1.5;
   r.attacks.push_back(a);
-  r.lock_s = 2.25;
-  r.place_s = 3.5;
-  r.elapsed_s = 9.75;
+  r.times.lock_s = 2.25;
+  r.times.place_s = 3.5;
+  r.times.total_s = 9.75;
   return r;
 }
 
@@ -84,9 +102,9 @@ FlowRecord SampleFlowRecord() {
   r.die_area_um2 = 1234.5;
   r.power_uw = 88.25;
   r.critical_path_ps = 901.0 / 3.0;  // not exactly representable in decimal
-  r.lock_s = 2.25;
-  r.place_s = 3.5;
-  r.elapsed_s = 9.75;
+  r.times.lock_s = 2.25;
+  r.times.place_s = 3.5;
+  r.times.total_s = 9.75;
   return r;
 }
 
@@ -96,14 +114,7 @@ AttackRecord SampleAttackRecord() {
   a.config = "proximity";
   a.ok = true;
   a.counters["candidates"] = 17;
-  a.has_score = true;
-  a.regular_ccr_percent = 14.5;
-  a.key_logical_ccr_percent = 51.2;
-  a.key_physical_ccr_percent = 0.5;
-  a.pnr_percent = 7.0;
-  a.hd_percent = 49.5;
-  a.oer_percent = 100.0;
-  a.score_patterns = 4096;
+  a.score = SampleScorecard();
   a.elapsed_s = 1.5;
   return a;
 }
@@ -133,6 +144,21 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(util::ParseJson("\"unterminated").has_value());
   EXPECT_FALSE(util::ParseJson("{\"a\":1} trailing").has_value());
   EXPECT_FALSE(util::ParseJson("nul").has_value());
+}
+
+TEST(Json, GetUintAcceptsOnlyExactNonNegativeIntegers) {
+  const auto v = util::ParseJson(
+      R"({"zero":0,"n":4096,"max":9007199254740992,"frac":0.75,)"
+      R"("neg":-0.5,"minus":-1,"huge":1e30,"two64":18446744073709551616,)"
+      R"("text":"12"})");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->GetUint("zero", 7), 0u);
+  EXPECT_EQ(v->GetUint("n", 7), 4096u);
+  EXPECT_EQ(v->GetUint("max", 7), 9007199254740992u);  // 2^53
+  EXPECT_EQ(v->GetUint("absent", 7), 7u);  // absent keeps the default
+  for (const char* bad : {"frac", "neg", "minus", "huge", "two64", "text"}) {
+    EXPECT_FALSE(v->GetUint(bad, 7).has_value()) << bad;
+  }
 }
 
 TEST(Json, HexU64RoundTrips) {
@@ -171,16 +197,64 @@ TEST(CampaignRecord, CanonicalJsonExcludesTimings) {
   EXPECT_EQ(canonical.find("\"times\""), std::string::npos);
   // Two runs of the same key that differ only in wall clocks agree.
   CampaignRecord slower = r;
-  slower.elapsed_s = 99.0;
-  slower.lock_s = 42.0;
+  slower.times.total_s = 99.0;
+  slower.times.lock_s = 42.0;
   slower.attacks[0].elapsed_s = 7.0;
   EXPECT_EQ(slower.ToJson(false), canonical);
   EXPECT_NE(slower.ToJson(true), r.ToJson(true));
 }
 
+// --- Golden record bytes ----------------------------------------------------
+//
+// The full (timed) JSON of each sample record, byte for byte: the body the
+// store writes into its files and shard tables embed. A refactor of the
+// record structs must not move a byte; only a kResultSchemaVersion bump
+// may change these strings.
+
+TEST(GoldenRecords, FlowRecordJsonIsPinned) {
+  EXPECT_EQ(SampleFlowRecord().ToJson(/*include_timings=*/true),
+            R"({"name":"b14","ok":true,"error":"","broken_connections":123,)"
+            R"("key_bits":128,"logic_gates":2456,"cost":{"die_area_um2":)"
+            R"(1234.5,"power_uw":88.25,"critical_path_ps":)"
+            R"(300.33333333333331},"times":{"lock_s":2.25,"place_s":3.5,)"
+            R"("route_s":0,"lift_s":0,"sta_s":0,"analyze_s":0,)"
+            R"("artifact_load_s":0,"artifact_save_s":0},"elapsed_s":9.75})");
+}
+
+TEST(GoldenRecords, CampaignRecordJsonIsPinned) {
+  EXPECT_EQ(SampleRecord().ToJson(/*include_timings=*/true),
+            R"({"name":"b14","ok":true,"error":"","broken_connections":123,)"
+            R"("key_bits":128,"logic_gates":2456,"cost":{"die_area_um2":)"
+            R"(1234.5,"power_uw":88.25,"critical_path_ps":)"
+            R"(300.33333333333331},"score":{"regular_ccr_percent":14.5,)"
+            R"("key_logical_ccr_percent":51.200000000000003,)"
+            R"("key_physical_ccr_percent":0.5,"pnr_percent":7,)"
+            R"("hd_percent":49.5,"oer_percent":100,"score_patterns":4096},)"
+            R"("attacks":[{"engine":"proximity","config":"proximity",)"
+            R"("ok":true,"error":"","key_found":false,)"
+            R"("functionally_correct":false,"counters":{"candidates":17},)"
+            R"("has_score":false,"elapsed_s":1.5}],"times":{"lock_s":2.25,)"
+            R"("place_s":3.5,"route_s":0,"lift_s":0,"sta_s":0,)"
+            R"("analyze_s":0,"artifact_load_s":0,"artifact_save_s":0},)"
+            R"("elapsed_s":9.75})");
+}
+
+TEST(GoldenRecords, AttackRecordJsonIsPinned) {
+  EXPECT_EQ(SampleAttackRecord().ToJson(/*include_timings=*/true),
+            R"({"engine":"proximity","config":"proximity","ok":true,)"
+            R"("error":"","key_found":false,"functionally_correct":false,)"
+            R"("counters":{"candidates":17},"has_score":true,"score":)"
+            R"({"regular_ccr_percent":14.5,)"
+            R"("key_logical_ccr_percent":51.200000000000003,)"
+            R"("key_physical_ccr_percent":0.5,"pnr_percent":7,)"
+            R"("hd_percent":49.5,"oer_percent":100,"score_patterns":4096},)"
+            R"("elapsed_s":1.5})");
+}
+
 // --- Store ------------------------------------------------------------------
 
 TEST_F(StoreTest, FlowInsertThenLookupRoundTrips) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const StoreKey key = SampleKey();
   EXPECT_FALSE(store.LookupFlow(key).has_value());  // cold
@@ -189,11 +263,11 @@ TEST_F(StoreTest, FlowInsertThenLookupRoundTrips) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->ToJson(true), SampleFlowRecord().ToJson(true));
 
-  const StoreStats stats = store.Stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.inserts, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.corrupt, 0u);
+  const obs::MetricsSnapshot delta = Since(before);
+  EXPECT_EQ(Count(delta, "store.record.misses"), 1u);
+  EXPECT_EQ(Count(delta, "store.record.inserts"), 1u);
+  EXPECT_EQ(Count(delta, "store.record.hits"), 1u);
+  EXPECT_EQ(Count(delta, "store.record.corrupt"), 0u);
 
   // A second store over the same directory sees the record (persistence).
   ResultStore reopened(dir_);
@@ -209,9 +283,9 @@ TEST_F(StoreTest, AttackInsertThenLookupRoundTrips) {
   const auto hit = store.LookupAttack(key, kSampleAttackHash);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->ToJson(true), SampleAttackRecord().ToJson(true));
-  EXPECT_TRUE(hit->has_score);
-  EXPECT_DOUBLE_EQ(hit->hd_percent, 49.5);
-  EXPECT_EQ(hit->score_patterns, 4096u);
+  ASSERT_TRUE(hit->score.has_value());
+  EXPECT_DOUBLE_EQ(hit->score->hd_percent, 49.5);
+  EXPECT_EQ(hit->score->score_patterns, 4096u);
 }
 
 TEST_F(StoreTest, DistinctKeysDistinctFiles) {
@@ -222,12 +296,12 @@ TEST_F(StoreTest, DistinctKeysDistinctFiles) {
                                  SampleAttackRecord()));
   EXPECT_FALSE(store.LookupAttack(key, kSampleAttackHash ^ 1).has_value());
   AttackRecord different = SampleAttackRecord();
-  different.hd_percent = 1.0;
+  different.score->hd_percent = 1.0;
   EXPECT_TRUE(store.InsertAttack(key, kSampleAttackHash ^ 1, different));
-  EXPECT_DOUBLE_EQ(store.LookupAttack(key, kSampleAttackHash)->hd_percent,
-                   49.5);
-  EXPECT_DOUBLE_EQ(store.LookupAttack(key, kSampleAttackHash ^ 1)->hd_percent,
-                   1.0);
+  EXPECT_DOUBLE_EQ(
+      store.LookupAttack(key, kSampleAttackHash)->score->hd_percent, 49.5);
+  EXPECT_DOUBLE_EQ(
+      store.LookupAttack(key, kSampleAttackHash ^ 1)->score->hd_percent, 1.0);
   // ...and a different flow key shares nothing.
   StoreKey other = key;
   other.flow_hash ^= 1;
@@ -236,6 +310,7 @@ TEST_F(StoreTest, DistinctKeysDistinctFiles) {
 }
 
 TEST_F(StoreTest, CorruptFileReadsAsMiss) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const StoreKey key = SampleKey();
   EXPECT_TRUE(store.InsertFlow(key, SampleFlowRecord()));
@@ -244,13 +319,14 @@ TEST_F(StoreTest, CorruptFileReadsAsMiss) {
     f << "{\"schema_version\":1,\"key\":{\"suite\":\"itc/b14\"";
   }
   EXPECT_FALSE(store.LookupFlow(key).has_value());
-  EXPECT_EQ(store.Stats().corrupt, 1u);
+  EXPECT_EQ(Count(Since(before), "store.record.corrupt"), 1u);
   // The store recovers by overwriting.
   EXPECT_TRUE(store.InsertFlow(key, SampleFlowRecord()));
   EXPECT_TRUE(store.LookupFlow(key).has_value());
 }
 
 TEST_F(StoreTest, SchemaVersionMismatchReadsAsMiss) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const StoreKey key = SampleKey();
   EXPECT_TRUE(store.InsertFlow(key, SampleFlowRecord()));
@@ -266,10 +342,38 @@ TEST_F(StoreTest, SchemaVersionMismatchReadsAsMiss) {
   text.replace(pos, needle.size(), "\"schema_version\":0");
   std::ofstream(path, std::ios::binary) << text;
   EXPECT_FALSE(store.LookupFlow(key).has_value());
-  EXPECT_EQ(store.Stats().corrupt, 1u);
+  EXPECT_EQ(Count(Since(before), "store.record.corrupt"), 1u);
+}
+
+TEST_F(StoreTest, MalformedIntegersReadAsCorrupt) {
+  // Counts and versions are exact non-negative integers; a truncating
+  // read would serve a record no writer produced.
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
+  ResultStore store(dir_);
+  const StoreKey key = SampleKey();
+  const std::string path = dir_ + "/" + key.FlowFilename();
+  const std::string version = std::to_string(kResultSchemaVersion);
+  const std::pair<std::string, std::string> edits[] = {
+      {"\"key_bits\":128", "\"key_bits\":1.5"},
+      {"\"schema_version\":" + version,
+       "\"schema_version\":" + version + ".6"}};
+  for (const auto& [needle, bad] : edits) {
+    ASSERT_TRUE(store.InsertFlow(key, SampleFlowRecord()));
+    std::ifstream in(path, std::ios::binary);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    in.close();
+    const size_t pos = text.find(needle);
+    ASSERT_NE(pos, std::string::npos) << needle;
+    text.replace(pos, needle.size(), bad);
+    std::ofstream(path, std::ios::binary) << text;
+    EXPECT_FALSE(store.LookupFlow(key).has_value()) << bad;
+  }
+  EXPECT_EQ(Count(Since(before), "store.record.corrupt"), 2u);
 }
 
 TEST_F(StoreTest, KeyEchoMismatchReadsAsCorrupt) {
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const StoreKey key = SampleKey();
   EXPECT_TRUE(store.InsertFlow(key, SampleFlowRecord()));
@@ -279,20 +383,21 @@ TEST_F(StoreTest, KeyEchoMismatchReadsAsCorrupt) {
   fs::copy_file(dir_ + "/" + key.FlowFilename(),
                 dir_ + "/" + other.FlowFilename());
   EXPECT_FALSE(store.LookupFlow(other).has_value());
-  EXPECT_EQ(store.Stats().corrupt, 1u);
+  EXPECT_EQ(Count(Since(before), "store.record.corrupt"), 1u);
 }
 
 TEST_F(StoreTest, KindConfusionReadsAsCorrupt) {
   // A flow record copied over an attack filename (or vice versa) must not
   // parse as the other kind — the envelope's kind marker catches it even
   // when the key echo would match.
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const StoreKey key = SampleKey();
   EXPECT_TRUE(store.InsertFlow(key, SampleFlowRecord()));
   fs::copy_file(dir_ + "/" + key.FlowFilename(),
                 dir_ + "/" + key.AttackFilename(kSampleAttackHash));
   EXPECT_FALSE(store.LookupAttack(key, kSampleAttackHash).has_value());
-  EXPECT_EQ(store.Stats().corrupt, 1u);
+  EXPECT_EQ(Count(Since(before), "store.record.corrupt"), 1u);
 }
 
 TEST_F(StoreTest, InsertLeavesNoTempFiles) {
@@ -316,6 +421,7 @@ TEST_F(StoreTest, ConcurrentSameKeyInsertsAndLookupsAreSafe) {
   // Campaign workers race Lookup/Insert on the pool; same-key writers are
   // resolved by atomic rename, so readers must only ever see a miss or a
   // complete record — never a torn one.
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   ResultStore store(dir_);
   const StoreKey key = SampleKey();
   const FlowRecord flow = SampleFlowRecord();
@@ -341,8 +447,9 @@ TEST_F(StoreTest, ConcurrentSameKeyInsertsAndLookupsAreSafe) {
       }
     }
   });
-  EXPECT_EQ(store.Stats().corrupt, 0u);
-  EXPECT_EQ(store.Stats().insert_errors, 0u);
+  const obs::MetricsSnapshot delta = Since(before);
+  EXPECT_EQ(Count(delta, "store.record.corrupt"), 0u);
+  EXPECT_EQ(Count(delta, "store.record.insert_errors"), 0u);
   ASSERT_TRUE(store.LookupFlow(key).has_value());
   ASSERT_TRUE(store.LookupAttack(key, kSampleAttackHash).has_value());
 }
@@ -371,7 +478,7 @@ TEST(Compose, AssemblesCampaignRecordFromPieces) {
   AttackRecord scoreless = SampleAttackRecord();
   scoreless.engine = "sat";
   scoreless.config = "sat";
-  scoreless.has_score = false;
+  scoreless.score.reset();
   const AttackRecord scored = SampleAttackRecord();
   const CampaignRecord r = ComposeCampaignRecord(flow, {scoreless, scored});
   EXPECT_EQ(r.name, "b14");
@@ -380,13 +487,13 @@ TEST(Compose, AssemblesCampaignRecordFromPieces) {
   EXPECT_DOUBLE_EQ(r.die_area_um2, 1234.5);
   // Campaign score = the first attack carrying one, skipping scoreless
   // engines (key-only engines like sat produce no assignment).
-  EXPECT_DOUBLE_EQ(r.hd_percent, 49.5);
-  EXPECT_EQ(r.score_patterns, 4096u);
+  EXPECT_DOUBLE_EQ(r.score.hd_percent, 49.5);
+  EXPECT_EQ(r.score.score_patterns, 4096u);
   ASSERT_EQ(r.attacks.size(), 2u);
   EXPECT_EQ(r.attacks[0].engine, "sat");
   // Timings (including elapsed_s) come from the flow's producing run.
-  EXPECT_DOUBLE_EQ(r.lock_s, 2.25);
-  EXPECT_DOUBLE_EQ(r.elapsed_s, 9.75);
+  EXPECT_DOUBLE_EQ(r.times.lock_s, 2.25);
+  EXPECT_DOUBLE_EQ(r.times.total_s, 9.75);
 }
 
 TEST(Compose, RoundTripThroughStoreIsByteIdentical) {

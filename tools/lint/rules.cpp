@@ -721,7 +721,8 @@ constexpr std::string_view kSerializedStructs[] = {
     "Netlist",        "Gate",       "Pin",       "Net",
     "Segment",        "ViaStack",   "ConnRoute", "NetRoute",
     "Layout",         "AtpgLockResult", "InjectedFault", "LiftStats",
-    "CampaignRecord", "AttackRecord",   "FlowRecord"};
+    "CampaignRecord", "AttackRecord",   "FlowRecord",    "Scorecard",
+    "StageTimes"};
 
 void RuleSchemaVersion(const RuleContext& ctx, std::vector<Violation>* out) {
   if (ctx.expected_schema_version < 0) return;

@@ -207,10 +207,7 @@ EngineRunOutcome RunEnginesAndRender(
   for (const attack::AttackConfig& config : configs) {
     const attack::AttackReport report = attack::RunAttack(ctx, config);
     if (!report.ok) out.any_failed = true;
-    const bool scorable =
-        report.ok && ctx.feol &&
-        report.assignment.size() == ctx.feol->sink_stubs.size() &&
-        !ctx.feol->sink_stubs.empty();
+    const bool scorable = ctx.feol && report.CompletesAssignment(*ctx.feol);
     attack::AttackScore score;
     if (scorable) {
       score = attack::ScoreAttack(*ctx.feol, report.assignment, score_patterns,
@@ -390,38 +387,69 @@ bool WriteFile(const std::string& path, const std::string& content) {
   return out.good();
 }
 
+// The `suite`/`merge` exit-code rule: a failed job OR a failed attack
+// engine is a failure, so gating on merge behaves like gating on the
+// equivalent single-process run.
+bool AnyFailed(const dist::ShardTable& table) {
+  for (const dist::ShardEntry& entry : table.entries) {
+    if (!entry.record.ok) return true;
+    for (const store::AttackRecord& attack : entry.record.attacks) {
+      if (!attack.ok) return true;
+    }
+  }
+  return false;
+}
+
 // One scorecard row per record; shared by `suite` (text mode) and `merge`.
 // The time column only exists when the caller has wall clocks (a live run);
 // merged tables are canonical and carry none.
-int PrintRecordTable(const dist::ShardTable& table,
-                     const std::vector<double>* elapsed) {
+void PrintRecordTable(const dist::ShardTable& table,
+                      const std::vector<double>* elapsed) {
   std::printf("%-6s | %8s | %7s | %7s | %7s | %7s%s\n", "", "broken",
               "CCR %", "PNR %", "HD %", "OER %",
               elapsed ? " | time (s)" : "");
-  int rc = 0;
   for (size_t i = 0; i < table.entries.size(); ++i) {
     const store::CampaignRecord& r = table.entries[i].record;
     if (!r.ok) {
       std::printf("%-6s | FAILED: %s\n", r.name.c_str(), r.error.c_str());
-      rc = 1;
       continue;
     }
     std::printf("%-6s | %8llu | %7.1f | %7.1f | %7.1f | %7.1f",
                 r.name.c_str(),
                 static_cast<unsigned long long>(r.broken_connections),
-                r.regular_ccr_percent, r.pnr_percent, r.hd_percent,
-                r.oer_percent);
+                r.score.regular_ccr_percent, r.score.pnr_percent,
+                r.score.hd_percent, r.score.oer_percent);
     if (elapsed) std::printf(" | %8.2f", (*elapsed)[i]);
     std::printf("\n");
     for (const store::AttackRecord& attack : r.attacks) {
       if (!attack.ok) {
         std::printf("%-6s |   engine %s FAILED: %s\n", "",
                     attack.engine.c_str(), attack.error.c_str());
-        rc = 1;
       }
     }
   }
-  return rc;
+}
+
+// One `--store-stats` text line for the tier whose metrics start with
+// `tier`: its counters, then its byte totals (the byte histograms' sums),
+// each labelled `label` + the metric name.
+void PrintTierStatsLine(const obs::MetricsSnapshot& snap,
+                        const std::string& tier, const std::string& label) {
+  std::string line = "store-stats:";
+  for (const char* name : {"hits", "misses", "inserts", "insert_errors",
+                           "corrupt", "bytes_read", "bytes_written"}) {
+    const std::string metric = tier + "." + name;
+    uint64_t value = 0;
+    if (const auto c = snap.counts.find(metric); c != snap.counts.end()) {
+      value = c->second;
+    }
+    if (const auto h = snap.histograms.find(metric);
+        h != snap.histograms.end()) {
+      value = h->second.sum;
+    }
+    line += " " + label + name + "=" + std::to_string(value);
+  }
+  std::fprintf(stderr, "%s\n", line.c_str());
 }
 
 int CmdSuite(const Args& args) {
@@ -481,15 +509,9 @@ int CmdSuite(const Args& args) {
     elapsed.push_back(outcomes[i].elapsed_s);
   }
 
-  int rc = 0;
+  int rc = AnyFailed(table) ? 1 : 0;
   if (args.json) {
     std::fputs(table.ToJson().c_str(), stdout);
-    for (const dist::ShardEntry& entry : table.entries) {
-      if (!entry.record.ok) rc = 1;
-      for (const store::AttackRecord& attack : entry.record.attacks) {
-        if (!attack.ok) rc = 1;
-      }
-    }
   } else {
     std::printf("%zu-job campaign @ M%d, %zu key bits, %zu threads",
                 shard_jobs.size(), args.split_layer, args.key_bits,
@@ -505,7 +527,7 @@ int CmdSuite(const Args& args) {
       std::printf(" %s", config.ToString().c_str());
     }
     std::printf("\n");
-    rc = PrintRecordTable(table, &elapsed);
+    PrintRecordTable(table, &elapsed);
   }
   if (!args.out_path.empty() && !WriteFile(args.out_path, table.ToJson())) {
     std::fprintf(stderr, "error: cannot write %s\n", args.out_path.c_str());
@@ -515,40 +537,19 @@ int CmdSuite(const Args& args) {
     std::fprintf(stderr, "store-stats: no --store directory configured\n");
   }
   if (result_store && args.store_stats) {
-    const store::StoreStats stats = result_store->Stats();
-    const store::ArtifactStats art = result_store->ArtifactTierStats();
-    std::fprintf(stderr,
-                 "store-stats: hits=%llu misses=%llu inserts=%llu "
-                 "insert_errors=%llu corrupt=%llu bytes_read=%llu "
-                 "bytes_written=%llu\n",
-                 (unsigned long long)stats.hits,
-                 (unsigned long long)stats.misses,
-                 (unsigned long long)stats.inserts,
-                 (unsigned long long)stats.insert_errors,
-                 (unsigned long long)stats.corrupt,
-                 (unsigned long long)stats.bytes_read,
-                 (unsigned long long)stats.bytes_written);
-    std::fprintf(stderr,
-                 "store-stats: artifact_hits=%llu artifact_misses=%llu "
-                 "artifact_inserts=%llu artifact_insert_errors=%llu "
-                 "artifact_corrupt=%llu artifact_bytes_read=%llu "
-                 "artifact_bytes_written=%llu\n",
-                 (unsigned long long)art.hits, (unsigned long long)art.misses,
-                 (unsigned long long)art.inserts,
-                 (unsigned long long)art.insert_errors,
-                 (unsigned long long)art.corrupt,
-                 (unsigned long long)art.bytes_read,
-                 (unsigned long long)art.bytes_written);
+    // The process runs one store, so the registry's store.* metrics are
+    // exactly its stats.
+    const obs::MetricsSnapshot snap = obs::Registry::Instance().Snapshot();
+    PrintTierStatsLine(snap, "store.record", "");
+    PrintTierStatsLine(snap, "store.artifact", "artifact_");
     if (args.json) {
       // The canonical suite table (stdout/--out) must stay byte-identical
-      // between warm and cold runs, so the stats object goes to stderr.
-      // Sourced from the process-wide metrics snapshot (the per-instance
-      // counters above mirror into it), so the JSON shape is the registry's
-      // flat "store.<tier>.<metric>" naming with histogram-style byte
-      // totals per tier — the same object bench records embed.
-      const std::string json =
-          obs::Registry::Instance().Snapshot().FlatCountsJson("store.");
-      std::fprintf(stderr, "{\"store_stats\":%s}\n", json.c_str());
+      // between warm and cold runs, so the stats object goes to stderr:
+      // the registry's flat "store.<tier>.<metric>" naming with
+      // histogram-style byte totals per tier — the same object bench
+      // records embed.
+      std::fprintf(stderr, "{\"store_stats\":%s}\n",
+                   snap.FlatCountsJson("store.").c_str());
     }
   }
   return rc;
@@ -620,24 +621,15 @@ int CmdMerge(const Args& args) {
   }
   const dist::ShardTable merged = dist::MergeShards(shards);
 
-  int rc = 0;
+  int rc = AnyFailed(merged) ? 1 : 0;
   if (args.json) {
     std::fputs(merged.ToJson().c_str(), stdout);
-    // Same exit-code rule as `suite`: a failed job OR a failed attack
-    // engine is a failure, so gating on merge behaves like gating on the
-    // equivalent single-process run.
-    for (const dist::ShardEntry& entry : merged.entries) {
-      if (!entry.record.ok) rc = 1;
-      for (const store::AttackRecord& attack : entry.record.attacks) {
-        if (!attack.ok) rc = 1;
-      }
-    }
   } else {
     std::printf("%llu-job campaign '%s' @ scale %s, merged from %zu shard "
                 "table(s)\n",
                 static_cast<unsigned long long>(merged.job_count),
                 merged.suite.c_str(), merged.scale.c_str(), shards.size());
-    rc = PrintRecordTable(merged, nullptr);
+    PrintRecordTable(merged, nullptr);
   }
   if (!args.out_path.empty() && !WriteFile(args.out_path, merged.ToJson())) {
     std::fprintf(stderr, "error: cannot write %s\n", args.out_path.c_str());
