@@ -6,7 +6,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "circuits/random_circuit.hpp"
 #include "circuits/suites.hpp"
@@ -44,6 +46,141 @@ Netlist LockedRealized(uint64_t seed) {
   opts.verify_lec = false;
   const lock::AtpgLockResult r = lock::LockWithAtpg(original, opts);
   return lock::RealizeKeyAsTies(r.locked, r.key);
+}
+
+// b14 at scale 0.1 under a 32-bit ATPG lock, compacted as the flow does.
+// `realize` turns the key inputs into TIE cells; package mode keeps them
+// as kKeyIn pads.
+Netlist LockedB14(bool realize) {
+  lock::AtpgLockOptions opts;
+  opts.key_bits = 32;
+  opts.seed = 14;
+  opts.verify_lec = false;
+  const lock::AtpgLockResult r =
+      lock::LockWithAtpg(circuits::MakeItc99("b14", 0.1), opts);
+  return realize ? lock::RealizeKeyAsTies(r.locked, r.key).Compacted()
+                 : r.locked.Compacted();
+}
+
+// What each physical-design stage leaves behind: the layout fingerprint
+// after place, route, LiftKeyNets and LiftNetsAbove, the lift statistics,
+// and an FNV-1a digest of every gate's drive after driver upsizing.
+struct StageDigests {
+  uint64_t placed = 0;
+  uint64_t routed = 0;
+  uint64_t lifted = 0;
+  uint64_t above = 0;
+  LiftStats lift;
+  uint64_t drives = 0;
+};
+
+StageDigests RunStages(Netlist nl, const PlacerOptions& popts,
+                       bool route_key_nets_as_regular, int lift_layer) {
+  StageDigests d;
+  Layout layout = PlaceDesign(nl, Tech::Nangate45Like(), popts);
+  d.placed = LayoutFingerprint(layout);
+  RouterOptions ropts;
+  ropts.seed = popts.seed + 1;
+  ropts.route_key_nets_as_regular = route_key_nets_as_regular;
+  RouteDesign(layout, ropts);
+  d.routed = LayoutFingerprint(layout);
+  d.lift = LiftKeyNets(layout, nl, lift_layer, popts.seed + 2);
+  d.lifted = LayoutFingerprint(layout);
+  // Wire-lift every seventh driven regular net, as the lifting defenses do.
+  std::vector<uint8_t> is_key_net(nl.NumNets(), 0);
+  for (NetId n : KeyNetsOf(nl)) is_key_net[n] = 1;
+  std::vector<NetId> nets;
+  for (NetId n = 0; n < nl.NumNets(); n += 7) {
+    const Net& net = nl.net(n);
+    if (net.driver != kNullId && !net.sinks.empty() && !is_key_net[n]) {
+      nets.push_back(n);
+    }
+  }
+  LiftNetsAbove(layout, nets, 6, popts.seed + 3);
+  d.above = LayoutFingerprint(layout);
+  std::string drives;
+  for (GateId g = 0; g < nl.NumGates(); ++g) {
+    drives.push_back(static_cast<char>(nl.gate(g).drive));
+  }
+  d.drives = util::Fnv1a(drives);
+  return d;
+}
+
+void ExpectDigests(const StageDigests& d, uint64_t placed, uint64_t routed,
+                   uint64_t lifted, uint64_t above, const LiftStats& lift,
+                   uint64_t wirelength_bits, uint64_t drives) {
+  EXPECT_EQ(d.placed, placed);
+  EXPECT_EQ(d.routed, routed);
+  EXPECT_EQ(d.lifted, lifted);
+  EXPECT_EQ(d.above, above);
+  EXPECT_EQ(d.lift.key_nets_lifted, lift.key_nets_lifted);
+  EXPECT_EQ(d.lift.stacked_vias, lift.stacked_vias);
+  EXPECT_EQ(std::bit_cast<uint64_t>(d.lift.lifted_wirelength_um),
+            wirelength_bits);
+  EXPECT_EQ(d.lift.regular_nets_detoured, lift.regular_nets_detoured);
+  EXPECT_EQ(d.lift.drivers_upsized, lift.drivers_upsized);
+  EXPECT_EQ(d.drives, drives);
+}
+
+LiftStats Stats(size_t lifted, size_t vias, size_t detoured, size_t upsized) {
+  LiftStats s;
+  s.key_nets_lifted = lifted;
+  s.stacked_vias = vias;
+  s.regular_nets_detoured = detoured;
+  s.drivers_upsized = upsized;
+  return s;
+}
+
+// The golden digests pin every bit placement, routing and lifting produce
+// for a locked ITC'99 circuit, at whatever pool width the suite runs.
+TEST(PhysGolden, SecureModeLayoutDigests) {
+  PlacerOptions popts;
+  popts.seed = 101;
+  popts.moves_per_cell = 10;
+  ExpectDigests(RunStages(LockedB14(true), popts, false, 5),
+                0xaa3c92c29422ad3cULL, 0x7cab3a7ff0ceec66ULL,
+                0xe29031d8c76f062aULL, 0x9ec23133ab2d1823ULL,
+                Stats(32, 64, 1067, 9), 0x408a447e45d92dc3ULL,
+                0x258b08dbd1f012d5ULL);
+}
+
+TEST(PhysGolden, NaiveModeLayoutDigests) {
+  // TIE cells anneal with the regular cells and key-nets route as regular
+  // nets before LiftKeyNets re-routes them.
+  PlacerOptions popts;
+  popts.seed = 202;
+  popts.moves_per_cell = 10;
+  popts.randomize_tie_cells = false;
+  ExpectDigests(RunStages(LockedB14(true), popts, true, 5),
+                0xaecc91ab8706efc4ULL, 0x8e7f1583d6998215ULL,
+                0x7d28e6adc9f99cd5ULL, 0x6b98cd1387534fc7ULL,
+                Stats(32, 64, 1070, 11), 0x4075c44dd6b86b0dULL,
+                0xd1ba941e5c38fe55ULL);
+}
+
+TEST(PhysGolden, KeyInputsAsPadsLayoutDigests) {
+  PlacerOptions popts;
+  popts.seed = 303;
+  popts.moves_per_cell = 10;
+  popts.key_inputs_as_pads = true;
+  const int top_pair = Tech::Nangate45Like().NumLayers() - 1;
+  ExpectDigests(RunStages(LockedB14(false), popts, false, top_pair),
+                0x34ae2adc9c09ad13ULL, 0x4d3355fbab7bb162ULL,
+                0x798e695c61042230ULL, 0xf169d932a40a20d0ULL,
+                Stats(32, 64, 0, 7), 0x4088f953fc36ba5cULL,
+                0x0e42457088246cdfULL);
+}
+
+TEST(PhysGolden, RandomPlacementLayoutDigests) {
+  // moves_per_cell = 0: the TIE prefix and the initial shuffle only.
+  PlacerOptions popts;
+  popts.seed = 404;
+  popts.moves_per_cell = 0;
+  ExpectDigests(RunStages(LockedB14(true), popts, false, 5),
+                0x6c3ee9ef64731fbaULL, 0x77f543528bcc835cULL,
+                0x11a0d93beec87999ULL, 0x05abe3dc2b330281ULL,
+                Stats(32, 64, 1602, 9), 0x40876de1e1e1e1d9ULL,
+                0x3a42567ddeafa8c3ULL);
 }
 
 TEST(ParallelPlacer, BitIdenticalToSequentialReference) {
