@@ -4,8 +4,10 @@
 // knows its data index can reconstruct exactly the random draws belonging to
 // that index, so results are bit-identical regardless of how the index space
 // is chunked across threads. This is the RNG discipline every parallel sweep
-// in the library follows; the sequential util/rng.hpp Rng remains the tool
-// for inherently serial algorithms (placement annealing, greedy fallbacks).
+// in the library follows. Placement and routing draw from these streams too,
+// although they run on one thread: each TIE cell, slot, sample, move and net
+// owns its draws. The sequential util/rng.hpp Rng remains the tool for
+// inherently serial algorithms (lock-site selection, greedy fallbacks).
 //
 // Streams within one seed are keyed twice: a `domain` tag separates the
 // independent uses inside one algorithm (e.g. input stimulus vs key
@@ -34,7 +36,7 @@ enum class StreamDomain : uint64_t {
   kKeySample = 0x4b,   // per-sample random key bits
   kShard = 0x5a,       // generic per-shard streams
   kPlacerMove = 0x50,  // per-move annealing draws (gate, slot, acceptance)
-  kPlacerTie = 0x54,   // per-TIE-cell slot candidates (placement prefix)
+  kPlacerTie = 0x54,   // per-TIE-cell slot draws until a free slot
   kPlacerInit = 0x49,  // per-slot shuffle keys for the initial placement
   kPlacerTemp = 0x74,  // per-sample draws for temperature estimation
   kRouteNet = 0x52,    // per-net layer-pair / corner draws in RouteDesign

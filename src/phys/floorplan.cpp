@@ -4,44 +4,36 @@
 #include <cassert>
 #include <cmath>
 
-#include "exec/parallel.hpp"
 #include "netlist/libcell.hpp"
 
 namespace splitlock::phys {
 
 namespace {
 
-// Per-chunk tally for the cell census. Combined in chunk order, so the
-// width sum is bit-identical at any thread count.
-struct CellTally {
-  size_t cells = 0;
-  double width_um = 0.0;
-};
-
-constexpr size_t kFloorplanGrain = 256;
+// The cell census sums widths in groups of kCensusGroup gates and then adds
+// the group sums in order. The grouping fixes the rounding of the slot
+// width, and with it every slot coordinate, so it must not be flattened
+// into one sum.
+constexpr size_t kCensusGroup = 256;
 
 }  // namespace
 
 void BuildFloorplan(Layout& layout, const FloorplanOptions& options) {
   const Netlist& nl = *layout.netlist;
 
-  const CellTally tally = exec::ParallelReduce<CellTally>(
-      nl.NumGates(), kFloorplanGrain, CellTally{},
-      [&](size_t lo, size_t hi) {
-        CellTally t;
-        for (GateId g = static_cast<GateId>(lo); g < hi; ++g) {
-          const Gate& gate = nl.gate(g);
-          if (!IsPhysicalOp(gate.op)) continue;
-          ++t.cells;
-          t.width_um += CellFor(gate).WidthUm();
-        }
-        return t;
-      },
-      [](CellTally a, CellTally b) {
-        return CellTally{a.cells + b.cells, a.width_um + b.width_um};
-      });
-  const size_t num_cells = tally.cells;
-  const double total_width_um = tally.width_um;
+  size_t num_cells = 0;
+  double total_width_um = 0.0;
+  for (size_t group = 0; group < nl.NumGates(); group += kCensusGroup) {
+    const size_t end = std::min(group + kCensusGroup, nl.NumGates());
+    double group_width_um = 0.0;
+    for (GateId g = static_cast<GateId>(group); g < end; ++g) {
+      const Gate& gate = nl.gate(g);
+      if (!IsPhysicalOp(gate.op)) continue;
+      ++num_cells;
+      group_width_um += CellFor(gate).WidthUm();
+    }
+    total_width_um += group_width_um;
+  }
   assert(num_cells > 0);
 
   layout.row_height_um = kRowHeightUm;
@@ -68,29 +60,25 @@ void BuildFloorplan(Layout& layout, const FloorplanOptions& options) {
   layout.routes.assign(nl.NumNets(), NetRoute{});
 
   // I/O pads: inputs along the left then top edge, outputs along the right
-  // then bottom edge, evenly spaced. Each pad's position is a pure function
-  // of its index, and the writes are index-disjoint.
+  // then bottom edge, evenly spaced.
   auto spread = [&](const std::vector<GateId>& pads, bool input_side) {
     const size_t n = pads.size();
-    exec::ParallelFor(n, kFloorplanGrain, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        const double t =
-            (static_cast<double>(i) + 0.5) / static_cast<double>(n);
-        Point p;
-        if (t < 0.5) {
-          const double along = t * 2.0;
-          p = input_side ? Point{0.0, along * height}
-                         : Point{width, along * height};
-        } else {
-          const double along = (t - 0.5) * 2.0;
-          p = input_side ? Point{along * width, height}
-                         : Point{along * width, 0.0};
-        }
-        layout.position[pads[i]] = p;
-        layout.placed[pads[i]] = 1;
-        layout.fixed[pads[i]] = 1;
+    for (size_t i = 0; i < n; ++i) {
+      const double t = (static_cast<double>(i) + 0.5) / static_cast<double>(n);
+      Point p;
+      if (t < 0.5) {
+        const double along = t * 2.0;
+        p = input_side ? Point{0.0, along * height}
+                       : Point{width, along * height};
+      } else {
+        const double along = (t - 0.5) * 2.0;
+        p = input_side ? Point{along * width, height}
+                       : Point{along * width, 0.0};
       }
-    });
+      layout.position[pads[i]] = p;
+      layout.placed[pads[i]] = 1;
+      layout.fixed[pads[i]] = 1;
+    }
   };
   spread(nl.inputs(), true);
   spread(nl.outputs(), false);

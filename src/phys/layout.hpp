@@ -118,8 +118,8 @@ struct Layout {
 // Order-sensitive 64-bit digest of everything placement and routing
 // produced: positions, placed/fixed flags, and the full route geometry
 // (segments, vias, hop lists). Two layouts with equal fingerprints are
-// bit-identical for every consumer in the library; the parallel-phys tests
-// and bench_phys use it to assert the determinism contract.
+// bit-identical for every consumer in the library; the golden and
+// pool-width tests in test_phys_parallel pin it, and bench_phys records it.
 uint64_t LayoutFingerprint(const Layout& layout);
 
 }  // namespace splitlock::phys

@@ -1,11 +1,11 @@
 #include "phys/placer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <vector>
 
-#include "exec/parallel.hpp"
 #include "exec/stream_rng.hpp"
 #include "netlist/libcell.hpp"
 #include "phys/floorplan.hpp"
@@ -16,38 +16,12 @@ namespace {
 // A move touches at most the active nets of two gates.
 constexpr size_t kMaxTouchedNets = 2 * (kMaxFanin + 1);
 
-// Speculative batch-size bounds and parallel evaluation chunk. Batch size
-// has NO effect on the result (clean moves reproduce the sequential
-// decision, conflicted moves are re-evaluated in sequential order); it only
-// trades snapshot staleness against scheduling overhead. High-acceptance
-// batches invalidate most far-ahead speculation (wasted re-evaluation);
-// low-acceptance batches leave the snapshot fresh, so long batches amortize
-// scheduling. Instead of guessing from the step index, the ramp below is
-// steered by the *measured* acceptance rate of each resolved batch: halve
-// on hot batches, double on cold ones. The measurement folds into the
-// deterministic per-batch state — acceptance decisions come out of the
-// serial resolution pass and are bit-identical at any thread count — so
-// the batch-size trajectory, like the placement itself, is deterministic.
-constexpr int64_t kSpeculativeMinBatch = 32;
-constexpr int64_t kSpeculativeMaxBatch = 256;
-constexpr size_t kSpeculativeGrain = 16;
-// Acceptance-rate thresholds for the adaptive ramp: above kHotAcceptance
-// the batch halves, below kColdAcceptance it doubles, in between it holds.
-constexpr double kHotAcceptance = 0.5;
-constexpr double kColdAcceptance = 0.15;
-
-// Slot candidates pre-drawn per TIE cell by the parallel prefix. At sane
-// utilization the chance that all eight are occupied is negligible; the
-// serial fallback reconstructs the same stream and keeps drawing.
-constexpr size_t kTieDrawBatch = 8;
-constexpr size_t kPrefixGrain = 64;
-
-// Per-chunk tally for the initial-temperature estimate; combined in chunk
-// order so the delta sum is bit-identical at any thread count.
-struct TempTally {
-  double delta_sum = 0.0;
-  int samples = 0;
-};
+// Random swaps sampled for the initial-temperature estimate, summed in
+// groups of kTempGroup whose sums are then added in order. The grouping
+// fixes the rounding of the estimate, which every acceptance test reads,
+// so it must not be flattened into one sum.
+constexpr size_t kTempSamples = 64;
+constexpr size_t kTempGroup = 8;
 
 bool IsTieLike(const Gate& g) {
   if (g.HasFlag(kFlagTie)) return true;
@@ -70,27 +44,22 @@ Point SlotCenter(const Layout& layout, int slot) {
                (row + 0.5) * layout.row_height_um};
 }
 
-// One proposed annealing move: swap `g` from slot `src` with whatever
-// occupies `target` (`other`, possibly empty). Draws and evaluation are a
-// pure function of (seed, move index, placement state), so a move can be
-// proposed speculatively against a frozen snapshot and validated later.
-struct SpeculativeMove {
+// One annealing move: swap `g` from slot `src` with whatever occupies
+// `target` (`other`, possibly empty).
+struct Move {
   GateId g = kNullId;
   GateId other = kNullId;
   int src = -1;
   int target = -1;
   double delta = 0.0;
-  double u = 0.0;        // acceptance draw, always consumed
-  bool viable = false;   // false: self-swap or fixed occupant
-  uint32_t num_nets = 0;
-  NetId nets[kMaxTouchedNets];
+  bool viable = false;  // false: self-swap or fixed occupant
 };
 
-// The annealing state PlaceDesign threads through both move loops.
+// The annealing state PlaceDesign threads through the temperature
+// estimate and the move loop.
 struct AnnealState {
   Layout& layout;
   const Netlist& nl;
-  const PlacerOptions& options;
   const std::vector<GateId>& anneal_pool;
   const std::vector<uint8_t>& net_active;
   std::vector<GateId>& gate_at;
@@ -109,8 +78,7 @@ struct AnnealState {
   }
 
   // Net HPWL with the move's two positions overridden (read-only: the same
-  // bounding-box arithmetic as Layout::NetHpwl, so the sequential and the
-  // speculative evaluation produce bit-identical doubles).
+  // bounding-box arithmetic as Layout::NetHpwl).
   double HpwlWith(NetId n, GateId a, Point pa, GateId b, Point pb) const {
     const Net& net = nl.net(n);
     if (net.driver == kNullId || !layout.placed[net.driver]) return 0.0;
@@ -124,56 +92,37 @@ struct AnnealState {
     return box.HalfPerimeter();
   }
 
-  // Fills nets/delta of a viable move against the current state; reads only.
-  void Evaluate(SpeculativeMove* mv) const {
-    size_t cnt = ActiveNetsOf(mv->g, mv->nets);
-    if (mv->other != kNullId) {
-      cnt += ActiveNetsOf(mv->other, mv->nets + cnt);
-    }
-    std::sort(mv->nets, mv->nets + cnt);
-    cnt = static_cast<size_t>(std::unique(mv->nets, mv->nets + cnt) -
-                              mv->nets);
-    mv->num_nets = static_cast<uint32_t>(cnt);
-    const Point src_center = layout.position[mv->g];
-    const Point dst_center = SlotCenter(layout, mv->target);
+  // HPWL change of the nets the move touches, each net counted once.
+  double Delta(const Move& mv) const {
+    std::array<NetId, kMaxTouchedNets> nets;
+    size_t cnt = ActiveNetsOf(mv.g, nets.data());
+    if (mv.other != kNullId) cnt += ActiveNetsOf(mv.other, nets.data() + cnt);
+    std::sort(nets.begin(), nets.begin() + cnt);
+    cnt = static_cast<size_t>(std::unique(nets.begin(), nets.begin() + cnt) -
+                              nets.begin());
+    const Point src_center = layout.position[mv.g];
+    const Point dst_center = SlotCenter(layout, mv.target);
     double before = 0.0;
     double after = 0.0;
     for (size_t i = 0; i < cnt; ++i) {
-      before += layout.NetHpwl(mv->nets[i]);
-      after += HpwlWith(mv->nets[i], mv->g, dst_center, mv->other, src_center);
+      before += layout.NetHpwl(nets[i]);
+      after += HpwlWith(nets[i], mv.g, dst_center, mv.other, src_center);
     }
-    mv->delta = after - before;
+    return after - before;
   }
 
-  // Draw + evaluate move `index` against the current state. Each move owns
-  // stream (seed, kPlacerMove, index): any thread can reconstruct exactly
-  // its draws, which is what makes speculative batching deterministic.
-  SpeculativeMove Propose(uint64_t index) const {
-    SpeculativeMove mv;
-    exec::StreamRng rng(options.seed, exec::StreamDomain::kPlacerMove, index);
+  // Draws a move's gate and target slot from `rng` and evaluates it
+  // against the current state when it is viable.
+  Move Draw(exec::StreamRng& rng) const {
+    Move mv;
     mv.g = anneal_pool[rng.NextUint(anneal_pool.size())];
     mv.target = static_cast<int>(rng.NextUint(num_slots));
-    mv.u = rng.NextDouble();
     mv.src = slot_of[mv.g];
     mv.other = gate_at[mv.target];
-    if (mv.other == mv.g ||
-        (mv.other != kNullId && layout.fixed[mv.other])) {
-      return mv;
-    }
-    mv.viable = true;
-    Evaluate(&mv);
+    mv.viable = !(mv.other == mv.g ||
+                  (mv.other != kNullId && layout.fixed[mv.other]));
+    if (mv.viable) mv.delta = Delta(mv);
     return mv;
-  }
-
-  // Re-derives occupancy-dependent fields against the *current* state (the
-  // conflicted-move path of the resolution pass).
-  void Revalidate(SpeculativeMove* mv) const {
-    mv->src = slot_of[mv->g];
-    mv->other = gate_at[mv->target];
-    mv->num_nets = 0;
-    mv->viable = !(mv->other == mv->g ||
-                   (mv->other != kNullId && layout.fixed[mv->other]));
-    if (mv->viable) Evaluate(mv);
   }
 
   static bool Accept(double delta, double u, double temperature) {
@@ -181,7 +130,7 @@ struct AnnealState {
            (temperature > 0.0 && u < std::exp(-delta / temperature));
   }
 
-  void Apply(const SpeculativeMove& mv) {
+  void Apply(const Move& mv) {
     const Point src_center = layout.position[mv.g];
     layout.position[mv.g] = SlotCenter(layout, mv.target);
     if (mv.other != kNullId) layout.position[mv.other] = src_center;
@@ -190,65 +139,6 @@ struct AnnealState {
     slot_of[mv.g] = mv.target;
     if (mv.other != kNullId) slot_of[mv.other] = mv.src;
   }
-};
-
-// Marks state touched by applied moves within one speculative batch, so the
-// resolution pass can tell which frozen evaluations are still exact.
-class DirtyTracker {
- public:
-  DirtyTracker(size_t num_gates, size_t num_slots, size_t num_nets)
-      : gate_(num_gates, 0), slot_(num_slots, 0), net_(num_nets, 0) {}
-
-  void MarkApplied(const SpeculativeMove& mv) {
-    MarkGate(mv.g);
-    if (mv.other != kNullId) MarkGate(mv.other);
-    MarkSlot(mv.src);
-    MarkSlot(mv.target);
-    for (uint32_t i = 0; i < mv.num_nets; ++i) {
-      if (!net_[mv.nets[i]]) {
-        net_[mv.nets[i]] = 1;
-        net_log_.push_back(mv.nets[i]);
-      }
-    }
-  }
-
-  // A move is clean when nothing its frozen evaluation read — the two
-  // gates, the two slots' occupancy, the touched nets' pin positions —
-  // was modified by an earlier applied move of the same batch.
-  bool IsClean(const SpeculativeMove& mv) const {
-    if (gate_[mv.g] || slot_[mv.target] || slot_[mv.src]) return false;
-    if (mv.other != kNullId && gate_[mv.other]) return false;
-    for (uint32_t i = 0; i < mv.num_nets; ++i) {
-      if (net_[mv.nets[i]]) return false;
-    }
-    return true;
-  }
-
-  void Reset() {
-    for (uint32_t g : gate_log_) gate_[g] = 0;
-    for (uint32_t s : slot_log_) slot_[s] = 0;
-    for (uint32_t n : net_log_) net_[n] = 0;
-    gate_log_.clear();
-    slot_log_.clear();
-    net_log_.clear();
-  }
-
- private:
-  void MarkGate(GateId g) {
-    if (!gate_[g]) {
-      gate_[g] = 1;
-      gate_log_.push_back(g);
-    }
-  }
-  void MarkSlot(int s) {
-    if (!slot_[s]) {
-      slot_[s] = 1;
-      slot_log_.push_back(static_cast<uint32_t>(s));
-    }
-  }
-
-  std::vector<uint8_t> gate_, slot_, net_;
-  std::vector<uint32_t> gate_log_, slot_log_, net_log_;
 };
 
 }  // namespace
@@ -306,79 +196,40 @@ Layout PlaceDesign(const Netlist& nl, const Tech& tech,
   std::vector<GateId> anneal_pool = movable;
   if (!options.randomize_tie_cells) {
     anneal_pool.insert(anneal_pool.end(), tie_cells.begin(), tie_cells.end());
-  }
-  if (options.randomize_tie_cells) {
-    // Each TIE cell owns stream (seed, kPlacerTie, index): candidate slots
-    // are pre-drawn concurrently, then resolved serially in TIE order
-    // against the evolving occupancy. Occupancy only grows here, so a
-    // candidate rejected at resolution time could never have been taken —
-    // the outcome is a pure function of (seed, tie_cells) at any thread
-    // count.
-    std::vector<uint32_t> candidates(tie_cells.size() * kTieDrawBatch);
-    exec::ParallelFor(tie_cells.size(), kPrefixGrain,
-                      [&](size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i) {
-                          exec::StreamRng trng(options.seed,
-                                               exec::StreamDomain::kPlacerTie,
-                                               i);
-                          for (size_t d = 0; d < kTieDrawBatch; ++d) {
-                            candidates[i * kTieDrawBatch + d] =
-                                static_cast<uint32_t>(
-                                    trng.NextUint(num_slots));
-                          }
-                        }
-                      });
+  } else {
+    // TIE cell i draws from stream (seed, kPlacerTie, i) until it hits a
+    // free slot.
     for (size_t i = 0; i < tie_cells.size(); ++i) {
-      int slot = -1;
-      for (size_t d = 0; d < kTieDrawBatch && slot < 0; ++d) {
-        const int s = static_cast<int>(candidates[i * kTieDrawBatch + d]);
-        if (gate_at[s] == kNullId) slot = s;
-      }
-      if (slot < 0) {
-        // All pre-drawn candidates taken: reconstruct stream i, skip the
-        // batch draws already consumed, continue the rejection loop.
-        exec::StreamRng trng(options.seed, exec::StreamDomain::kPlacerTie, i);
-        for (size_t d = 0; d < kTieDrawBatch; ++d) trng.NextWord();
-        do {
-          slot = static_cast<int>(trng.NextUint(num_slots));
-        } while (gate_at[slot] != kNullId);
-      }
+      exec::StreamRng trng(options.seed, exec::StreamDomain::kPlacerTie, i);
+      int slot;
+      do {
+        slot = static_cast<int>(trng.NextUint(num_slots));
+      } while (gate_at[slot] != kNullId);
       occupy(tie_cells[i], slot);
       layout.fixed[tie_cells[i]] = 1;
     }
   }
 
-  // Random initial placement of the annealing pool: a deterministic
-  // parallel shuffle. Every free slot is keyed by its own counter stream
-  // and the slots are sorted by key — unique slot ids break key ties, so
-  // the permutation is a pure function of (seed, free-slot set).
+  // Random initial placement of the annealing pool: every free slot is
+  // keyed by its own (seed, kPlacerInit, slot) stream and the slots are
+  // sorted by key — unique slot ids break key ties, so the permutation is a
+  // pure function of (seed, free-slot set).
   {
-    std::vector<int> free_slots;
-    free_slots.reserve(num_slots);
+    std::vector<std::pair<uint64_t, int>> keyed;
+    keyed.reserve(num_slots);
     for (int s = 0; s < num_slots; ++s) {
-      if (gate_at[s] == kNullId) free_slots.push_back(s);
+      if (gate_at[s] != kNullId) continue;
+      keyed.emplace_back(
+          exec::StreamRng(options.seed, exec::StreamDomain::kPlacerInit,
+                          static_cast<uint64_t>(s))
+              .NextWord(),
+          s);
     }
-    assert(free_slots.size() >= anneal_pool.size());
-    std::vector<std::pair<uint64_t, int>> keyed(free_slots.size());
-    exec::ParallelFor(
-        free_slots.size(), kPrefixGrain, [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) {
-            keyed[i] = {
-                exec::StreamRng(options.seed,
-                                exec::StreamDomain::kPlacerInit,
-                                static_cast<uint64_t>(free_slots[i]))
-                    .NextWord(),
-                free_slots[i]};
-          }
-        });
+    assert(keyed.size() >= anneal_pool.size());
     std::sort(keyed.begin(), keyed.end());
-    // occupy() writes are disjoint across i (distinct gate, distinct slot).
-    exec::ParallelFor(anneal_pool.size(), kPrefixGrain,
-                      [&](size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i) {
-                          occupy(anneal_pool[i], keyed[i].second);
-                        }
-                      });
+    for (size_t i = 0; i < anneal_pool.size(); ++i) {
+      occupy(anneal_pool[i], keyed[i].second);
+    }
   }
 
   // Nets considered by the cost function. In secure mode, nets driven by
@@ -393,42 +244,26 @@ Layout PlaceDesign(const Netlist& nl, const Tech& tech,
 
   if (anneal_pool.empty()) return layout;
 
-  AnnealState state{layout,     nl,      options, anneal_pool,
-                    net_active, gate_at, slot_of, num_slots};
+  AnnealState state{layout,  nl,      anneal_pool, net_active,
+                    gate_at, slot_of, num_slots};
 
   // Estimate the initial temperature from the cost spread of random swaps
-  // (read-only trial evaluations; runs before — and independent of — the
-  // move loop, so both move strategies see the same temperature). Each
-  // sample owns stream (seed, kPlacerTemp, index), and the chunk-order
-  // reduction keeps the delta sum bit-identical at any thread count.
-  const TempTally tally = exec::ParallelReduce<TempTally>(
-      64, 8, TempTally{},
-      [&](size_t lo, size_t hi) {
-        TempTally t;
-        for (size_t i = lo; i < hi; ++i) {
-          exec::StreamRng srng(options.seed, exec::StreamDomain::kPlacerTemp,
-                               i);
-          SpeculativeMove mv;
-          mv.g = anneal_pool[srng.NextUint(anneal_pool.size())];
-          mv.target = static_cast<int>(srng.NextUint(num_slots));
-          mv.src = slot_of[mv.g];
-          mv.other = gate_at[mv.target];
-          if (mv.other == mv.g ||
-              (mv.other != kNullId && layout.fixed[mv.other])) {
-            continue;
-          }
-          state.Evaluate(&mv);
-          t.delta_sum += std::abs(mv.delta);
-          ++t.samples;
-        }
-        return t;
-      },
-      [](TempTally a, TempTally b) {
-        return TempTally{a.delta_sum + b.delta_sum, a.samples + b.samples};
-      });
-  double temperature = tally.samples == 0
-                           ? 1.0
-                           : 4.0 * tally.delta_sum / std::max(1, tally.samples);
+  // (read-only trial evaluations). Sample i owns stream
+  // (seed, kPlacerTemp, i).
+  double delta_sum = 0.0;
+  int samples = 0;
+  for (size_t group = 0; group < kTempSamples; group += kTempGroup) {
+    double group_sum = 0.0;
+    for (size_t i = group; i < group + kTempGroup; ++i) {
+      exec::StreamRng srng(options.seed, exec::StreamDomain::kPlacerTemp, i);
+      const Move mv = state.Draw(srng);
+      if (!mv.viable) continue;
+      group_sum += std::abs(mv.delta);
+      ++samples;
+    }
+    delta_sum += group_sum;
+  }
+  double temperature = samples == 0 ? 1.0 : 4.0 * delta_sum / samples;
   if (temperature <= 0.0) temperature = 1.0;
 
   const int64_t total_moves =
@@ -440,71 +275,19 @@ Layout PlaceDesign(const Netlist& nl, const Tech& tech,
   const double cooling =
       std::pow(1e-4, 1.0 / static_cast<double>(steps));  // T -> T * 1e-4
 
-  if (!options.parallel_moves) {
-    // Sequential reference annealer: one move at a time, in move-index
-    // order. This is the semantics the speculative path below must (and
-    // does) reproduce bit-exactly.
-    uint64_t move_index = 0;
-    for (int step = 0; step < steps; ++step) {
-      for (int64_t m = 0; m < moves_per_step; ++m) {
-        SpeculativeMove mv = state.Propose(move_index++);
-        if (!mv.viable) continue;
-        if (AnnealState::Accept(mv.delta, mv.u, temperature)) {
-          state.Apply(mv);
-        }
-      }
-      temperature *= cooling;
-    }
-    return layout;
-  }
-
-  // Speculative batched annealing. Each batch proposes and evaluates
-  // kSpeculativeBatch moves concurrently against the frozen batch-entry
-  // snapshot, then a serial resolution pass walks them in move-index order:
-  // a move whose inputs no earlier applied move touched ("clean") carries
-  // its frozen decision over unchanged — it is exactly what the sequential
-  // annealer would have computed — and a conflicted move is re-evaluated
-  // on the spot against the current state, which again matches the
-  // sequential computation. The outcome is therefore bit-identical to the
-  // reference path above at every thread count and batch size.
-  std::vector<SpeculativeMove> batch(static_cast<size_t>(
-      std::min<int64_t>(kSpeculativeMaxBatch, moves_per_step)));
-  DirtyTracker dirty(nl.NumGates(), num_slots, nl.NumNets());
-  uint64_t move_base = 0;
-  // Adaptive ramp state: hot early steps accept most moves and quickly
-  // drive the batch to the minimum; as the anneal cools and acceptance
-  // drops the batch grows back toward the maximum.
-  int64_t batch_moves = kSpeculativeMinBatch;
+  // One move at a time in move-index order; move k owns stream
+  // (seed, kPlacerMove, k), drawing gate, target slot and acceptance.
+  uint64_t move_index = 0;
   for (int step = 0; step < steps; ++step) {
-    for (int64_t base = 0; base < moves_per_step;) {
-      const size_t bn = static_cast<size_t>(
-          std::min<int64_t>(batch_moves, moves_per_step - base));
-      exec::ParallelFor(bn, kSpeculativeGrain, [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          batch[i] = state.Propose(move_base + base + i);
-        }
-      });
-      size_t accepted = 0;
-      for (size_t i = 0; i < bn; ++i) {
-        SpeculativeMove& mv = batch[i];
-        if (!dirty.IsClean(mv)) state.Revalidate(&mv);
-        if (mv.viable && AnnealState::Accept(mv.delta, mv.u, temperature)) {
-          state.Apply(mv);
-          dirty.MarkApplied(mv);
-          ++accepted;
-        }
-      }
-      dirty.Reset();
-      base += static_cast<int64_t>(bn);
-      const double rate =
-          static_cast<double>(accepted) / static_cast<double>(bn);
-      if (rate > kHotAcceptance) {
-        batch_moves = std::max(kSpeculativeMinBatch, batch_moves / 2);
-      } else if (rate < kColdAcceptance) {
-        batch_moves = std::min(kSpeculativeMaxBatch, batch_moves * 2);
+    for (int64_t m = 0; m < moves_per_step; ++m) {
+      exec::StreamRng rng(options.seed, exec::StreamDomain::kPlacerMove,
+                          move_index++);
+      const Move mv = state.Draw(rng);
+      const double u = rng.NextDouble();  // drawn for every move
+      if (mv.viable && AnnealState::Accept(mv.delta, u, temperature)) {
+        state.Apply(mv);
       }
     }
-    move_base += moves_per_step;
     temperature *= cooling;
   }
   return layout;

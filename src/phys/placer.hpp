@@ -11,6 +11,11 @@
 //     behaviour of commercial placers that proximity attacks exploit.
 // Naive mode (the Fig. 2(a) strawman) treats TIE cells and key-nets like
 // any other cell/net, which is what the ablation bench attacks.
+//
+// Placement runs on the calling thread. Every random draw comes from a
+// counter-based stream keyed by TIE index, slot, sample or move index
+// (exec/stream_rng.hpp), so a layout is a pure function of the netlist and
+// the options.
 #pragma once
 
 #include <cstdint>
@@ -27,17 +32,6 @@ struct PlacerOptions {
   int moves_per_cell = 60;
   int temperature_steps = 40;
   bool randomize_tie_cells = true;  // secure flow; false = naive layout
-  // Speculative batched move evaluation on the exec pool (the production
-  // path): each temperature step proposes chunks of moves concurrently from
-  // per-move counter-based streams, evaluates them against the frozen
-  // batch-entry snapshot, and a serial lowest-index-wins resolution pass
-  // adopts clean decisions and re-evaluates conflicted moves in order. The
-  // batch size adapts to each batch's measured acceptance rate (halve when
-  // hot, double when cold), which is itself a deterministic product of the
-  // serial resolution pass. Bit-identical to the sequential reference
-  // annealer (false) at any thread count — a pure performance knob,
-  // deliberately absent from core::FlowOptionsCanonical.
-  bool parallel_moves = true;
   // Future-work mode (paper Sec. V): key inputs become I/O pads on the die
   // boundary instead of on-die TIE cells; the key is tied to fixed logic
   // in the (trusted) package routing.

@@ -4,16 +4,11 @@
 #include <cassert>
 #include <cmath>
 
-#include "exec/parallel.hpp"
 #include "exec/stream_rng.hpp"
 #include "netlist/libcell.hpp"
 
 namespace splitlock::phys {
 namespace {
-
-// Per-net work in this file is a handful of geometry pushes; chunk enough
-// nets together that task overhead stays negligible.
-constexpr size_t kNetGrain = 64;
 
 bool IsTieLikeOp(const Gate& g) {
   if (g.HasFlag(kFlagTie)) return true;
@@ -83,9 +78,8 @@ ConnRoute MakeLRoute(Pin sink, Point src, Point dst, int h_layer, int v_layer,
   return conn;
 }
 
-// Chooses the (horizontal, vertical) metal pair for a regular net by span.
-// Draws come from the net's own counter-based stream, so nets are routable
-// in any order (and concurrently) with bit-identical results.
+// Chooses the (horizontal, vertical) metal pair for a regular net by span,
+// drawing the congestion jitter from the net's own stream.
 void LayerPairForSpan(const Tech& tech, const RouterOptions& options,
                       double span, exec::StreamRng& rng, int* h_layer,
                       int* v_layer) {
@@ -182,31 +176,28 @@ void RouteDesign(Layout& layout, const RouterOptions& options) {
     for (NetId n : KeyNetsOf(nl)) is_key_net[n] = 1;
   }
 
-  // Nets are independent: each writes only its own layout.routes[n] and
-  // draws only from its own (seed, kRouteNet, n) stream.
-  exec::ParallelFor(nl.NumNets(), kNetGrain, [&](size_t lo, size_t hi) {
-    for (NetId n = static_cast<NetId>(lo); n < hi; ++n) {
-      NetRoute& route = layout.routes[n];
-      route = NetRoute{};
-      const Net& net = nl.net(n);
-      if (net.driver == kNullId || net.sinks.empty()) continue;
-      if (!layout.placed[net.driver]) continue;
-      if (is_key_net[n]) continue;  // lifted separately
+  // Net n draws only from its own (seed, kRouteNet, n) stream.
+  for (NetId n = 0; n < nl.NumNets(); ++n) {
+    NetRoute& route = layout.routes[n];
+    route = NetRoute{};
+    const Net& net = nl.net(n);
+    if (net.driver == kNullId || net.sinks.empty()) continue;
+    if (!layout.placed[net.driver]) continue;
+    if (is_key_net[n]) continue;  // lifted separately
 
-      exec::StreamRng rng(options.seed, exec::StreamDomain::kRouteNet, n);
-      const Point src = layout.PinOf(net.driver);
-      int h_layer;
-      int v_layer;
-      LayerPairForSpan(layout.tech, options, layout.NetHpwl(n), rng, &h_layer,
-                       &v_layer);
-      for (const Pin& p : net.sinks) {
-        if (!layout.placed[p.gate]) continue;
-        route.conns.push_back(MakeLRoute(p, src, layout.PinOf(p.gate),
-                                         h_layer, v_layer, rng.NextBool()));
-      }
-      route.routed = true;
+    exec::StreamRng rng(options.seed, exec::StreamDomain::kRouteNet, n);
+    const Point src = layout.PinOf(net.driver);
+    int h_layer;
+    int v_layer;
+    LayerPairForSpan(layout.tech, options, layout.NetHpwl(n), rng, &h_layer,
+                     &v_layer);
+    for (const Pin& p : net.sinks) {
+      if (!layout.placed[p.gate]) continue;
+      route.conns.push_back(MakeLRoute(p, src, layout.PinOf(p.gate), h_layer,
+                                       v_layer, rng.NextBool()));
     }
-  });
+    route.routed = true;
+  }
 }
 
 void LiftNetsAbove(Layout& layout, std::span<const NetId> nets,
@@ -218,23 +209,20 @@ void LiftNetsAbove(Layout& layout, std::span<const NetId> nets,
       tech.IsHorizontal(lift_layer) ? lift_layer : lift_layer + 1;
   const int v_layer =
       tech.IsHorizontal(lift_layer) ? lift_layer + 1 : lift_layer;
-  exec::ParallelFor(nets.size(), kNetGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const NetId n = nets[i];
-      NetRoute& route = layout.routes[n];
-      route = NetRoute{};
-      const Net& net = nl.net(n);
-      if (net.driver == kNullId || !layout.placed[net.driver]) continue;
-      exec::StreamRng rng(seed, exec::StreamDomain::kLiftNet, n);
-      const Point src = layout.PinOf(net.driver);
-      for (const Pin& p : net.sinks) {
-        if (!layout.placed[p.gate]) continue;
-        route.conns.push_back(MakeLRoute(p, src, layout.PinOf(p.gate),
-                                         h_layer, v_layer, rng.NextBool()));
-      }
-      route.routed = true;
+  for (const NetId n : nets) {
+    NetRoute& route = layout.routes[n];
+    route = NetRoute{};
+    const Net& net = nl.net(n);
+    if (net.driver == kNullId || !layout.placed[net.driver]) continue;
+    exec::StreamRng rng(seed, exec::StreamDomain::kLiftNet, n);
+    const Point src = layout.PinOf(net.driver);
+    for (const Pin& p : net.sinks) {
+      if (!layout.placed[p.gate]) continue;
+      route.conns.push_back(MakeLRoute(p, src, layout.PinOf(p.gate), h_layer,
+                                       v_layer, rng.NextBool()));
     }
-  });
+    route.routed = true;
+  }
 }
 
 LiftStats LiftKeyNets(Layout& layout, Netlist& mutable_netlist,
@@ -254,35 +242,14 @@ LiftStats LiftKeyNets(Layout& layout, Netlist& mutable_netlist,
   std::vector<uint8_t> is_key_net(nl.NumNets(), 0);
   for (NetId n : key_nets) is_key_net[n] = 1;
 
-  // Lift every key-net concurrently (per-net routes + per-net streams), then
-  // fold the per-net stats serially in key-net order so the floating-point
-  // wirelength sum is bit-identical at any thread count.
-  std::vector<size_t> vias_of(key_nets.size(), 0);
-  std::vector<double> length_of(key_nets.size(), 0.0);
-  exec::ParallelFor(key_nets.size(), kNetGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const NetId n = key_nets[i];
-      NetRoute& route = layout.routes[n];
-      route = NetRoute{};
-      const Net& net = nl.net(n);
-      if (!layout.placed[net.driver]) continue;
-      exec::StreamRng rng(seed, exec::StreamDomain::kLiftNet, n);
-      const Point src = layout.PinOf(net.driver);
-      for (const Pin& p : net.sinks) {
-        // Whole connection on the lift pair. The endpoint via stacks
-        // (M1 -> lift pair) are exactly the paper's stacked vias on the TIE
-        // output pin and the key-gate input pin.
-        route.conns.push_back(MakeLRoute(p, src, layout.PinOf(p.gate),
-                                         h_layer, v_layer, rng.NextBool()));
-        vias_of[i] += 2;
-      }
-      route.routed = true;
-      length_of[i] = route.TotalLength();
-    }
-  });
-  for (size_t i = 0; i < key_nets.size(); ++i) {
-    stats.stacked_vias += vias_of[i];
-    stats.lifted_wirelength_um += length_of[i];
+  // Whole key-nets on the lift pair. The endpoint via stacks of every
+  // connection (M1 -> lift pair) are exactly the paper's stacked vias on
+  // the TIE output pin and the key-gate input pin. Key-net order fixes the
+  // order of the floating-point wirelength sum.
+  LiftNetsAbove(layout, key_nets, lift_layer, seed);
+  for (const NetId n : key_nets) {
+    stats.stacked_vias += 2 * layout.routes[n].conns.size();
+    stats.lifted_wirelength_um += layout.routes[n].TotalLength();
   }
   stats.key_nets_lifted = key_nets.size();
 
@@ -301,34 +268,19 @@ LiftStats LiftKeyNets(Layout& layout, Netlist& mutable_netlist,
           : std::min(1.0, stats.lifted_wirelength_um * 48.0 /
                               track_capacity_um);
 
-  // Two-phase detour. Mark: every net draws from its own (seed, kEcoDetour,
-  // n) stream, one Bernoulli per connection touching the lift pair, and
-  // records which connections detour. Apply: the marked connections get the
-  // geometry edit. Both phases are per-net independent; the split keeps the
-  // draws (which define the result) apart from the edits.
-  std::vector<std::vector<uint32_t>> marked(nl.NumNets());
-  exec::ParallelFor(nl.NumNets(), kNetGrain, [&](size_t lo, size_t hi) {
-    for (NetId n = static_cast<NetId>(lo); n < hi; ++n) {
-      const NetRoute& route = layout.routes[n];
-      if (!route.routed || is_key_net[n]) continue;
-      exec::StreamRng rng(seed, exec::StreamDomain::kEcoDetour, n);
-      for (uint32_t c = 0; c < route.conns.size(); ++c) {
-        if (LiftPairSegmentIndex(route.conns[c], h_layer, v_layer) < 0) {
-          continue;
-        }
-        if (rng.NextBernoulli(demand_fraction)) marked[n].push_back(c);
-      }
-    }
-  });
-  exec::ParallelFor(nl.NumNets(), kNetGrain, [&](size_t lo, size_t hi) {
-    for (NetId n = static_cast<NetId>(lo); n < hi; ++n) {
-      for (uint32_t c : marked[n]) {
-        ApplyEcoDetour(layout.routes[n].conns[c], tech, h_layer, v_layer);
-      }
-    }
-  });
+  // Net n draws one Bernoulli per connection touching the lift pair from
+  // its own (seed, kEcoDetour, n) stream; every marked connection counts,
+  // whether or not ApplyEcoDetour finds a segment to shift.
   for (NetId n = 0; n < nl.NumNets(); ++n) {
-    stats.regular_nets_detoured += marked[n].size();
+    NetRoute& route = layout.routes[n];
+    if (!route.routed || is_key_net[n]) continue;
+    exec::StreamRng rng(seed, exec::StreamDomain::kEcoDetour, n);
+    for (ConnRoute& conn : route.conns) {
+      if (LiftPairSegmentIndex(conn, h_layer, v_layer) < 0) continue;
+      if (!rng.NextBernoulli(demand_fraction)) continue;
+      ApplyEcoDetour(conn, tech, h_layer, v_layer);
+      ++stats.regular_nets_detoured;
+    }
   }
 
   // Driver upsizing: after the detours, any regular driver whose wire +
@@ -341,23 +293,21 @@ LiftStats LiftKeyNets(Layout& layout, Netlist& mutable_netlist,
   // unlike a single in-order sweep — independent of net order.
   std::vector<uint8_t> bump(nl.NumNets(), 0);
   for (;;) {
-    exec::ParallelFor(nl.NumNets(), kNetGrain, [&](size_t lo, size_t hi) {
-      for (NetId n = static_cast<NetId>(lo); n < hi; ++n) {
-        bump[n] = 0;
-        if (!layout.routes[n].routed || is_key_net[n]) continue;
-        const Net& net = nl.net(n);
-        if (net.driver == kNullId) continue;
-        const Gate& driver = nl.gate(net.driver);
-        if (!IsPhysicalOp(driver.op) || IsTieLikeOp(driver)) continue;
-        if (driver.drive >= 4) continue;
-        double load_ff = layout.NetWireCapFf(n);
-        for (const Pin& p : net.sinks) {
-          const Gate& sink = nl.gate(p.gate);
-          if (IsPhysicalOp(sink.op)) load_ff += CellFor(sink).input_cap_ff;
-        }
-        if (load_ff > CellFor(driver).max_load_ff) bump[n] = 1;
+    for (NetId n = 0; n < nl.NumNets(); ++n) {
+      bump[n] = 0;
+      if (!layout.routes[n].routed || is_key_net[n]) continue;
+      const Net& net = nl.net(n);
+      if (net.driver == kNullId) continue;
+      const Gate& driver = nl.gate(net.driver);
+      if (!IsPhysicalOp(driver.op) || IsTieLikeOp(driver)) continue;
+      if (driver.drive >= 4) continue;
+      double load_ff = layout.NetWireCapFf(n);
+      for (const Pin& p : net.sinks) {
+        const Gate& sink = nl.gate(p.gate);
+        if (IsPhysicalOp(sink.op)) load_ff += CellFor(sink).input_cap_ff;
       }
-    });
+      if (load_ff > CellFor(driver).max_load_ff) bump[n] = 1;
+    }
     size_t bumped = 0;
     for (NetId n = 0; n < nl.NumNets(); ++n) {
       if (!bump[n]) continue;

@@ -15,11 +15,10 @@
 // (added wirelength and vias -> power), and drivers that then miss their
 // load limit are upsized (area/power).
 //
-// Every routing pass is per-net independent: randomness comes from
-// counter-based streams keyed by net id (exec/stream_rng.hpp), never from a
-// shared sequential Rng, and each net writes only its own NetRoute — so the
-// passes run as ParallelFor sweeps over the net space with bit-identical
-// results at any thread count (the library-wide determinism contract).
+// Every pass runs on the calling thread as one loop in net order (key-net
+// order for the lift). Each net draws from its own counter-based stream
+// keyed by net id (exec/stream_rng.hpp) and writes only its own NetRoute,
+// so a net's route does not depend on which other nets a pass visits.
 #pragma once
 
 #include <cstdint>

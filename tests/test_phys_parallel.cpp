@@ -1,13 +1,15 @@
-// Parallel physical design: the determinism contract for the speculative
-// placer and the per-net-stream router, plus regressions for the phys-layer
-// bugs fixed alongside (STA OOB accesses, ECO detour on the wrong segment)
-// and STA's golden digest and pool-width invariance.
+// Physical design determinism: golden digests of place, route and lift,
+// pool-width invariance, and that placement and routing submit nothing to
+// the pool, plus regressions for the phys-layer bugs (STA OOB accesses, ECO
+// detour on the wrong segment) and STA's golden digest and pool-width
+// invariance. (The file name predates the serial placer and router.)
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "circuits/random_circuit.hpp"
@@ -15,6 +17,7 @@
 #include "exec/thread_pool.hpp"
 #include "lock/atpg_lock.hpp"
 #include "lock/key.hpp"
+#include "obs/metrics.hpp"
 #include "phys/placer.hpp"
 #include "phys/router.hpp"
 #include "phys/timing.hpp"
@@ -183,23 +186,22 @@ TEST(PhysGolden, RandomPlacementLayoutDigests) {
                 0x3a42567ddeafa8c3ULL);
 }
 
-TEST(ParallelPlacer, BitIdenticalToSequentialReference) {
-  const Netlist nl = LockedRealized(1);
-  PlacerOptions seq;
-  seq.seed = 11;
-  seq.moves_per_cell = 30;
-  seq.parallel_moves = false;
-  PlacerOptions par = seq;
-  par.parallel_moves = true;
-  const Layout a = PlaceDesign(nl, Tech::Nangate45Like(), seq);
-  const Layout b = PlaceDesign(nl, Tech::Nangate45Like(), par);
-  ASSERT_EQ(a.position.size(), b.position.size());
-  for (GateId g = 0; g < nl.NumGates(); ++g) {
-    EXPECT_EQ(a.position[g], b.position[g]) << "gate " << g;
-    EXPECT_EQ(a.placed[g], b.placed[g]);
-    EXPECT_EQ(a.fixed[g], b.fixed[g]);
-  }
-  EXPECT_EQ(LayoutFingerprint(a), LayoutFingerprint(b));
+TEST(PhysPool, PlaceRouteAndLiftSubmitNoPoolTasks) {
+  // Campaign jobs are the pool's tasks; the physical-design stages inside
+  // a job run on the job's own thread, so a waiting worker never picks up
+  // a foreign job inside flow.place.
+  PoolWidthGuard guard;
+  exec::ThreadPool::SetDefaultThreadCount(4);
+  Netlist nl = LockedB14(true);
+  PlacerOptions popts;
+  popts.seed = 505;
+  popts.moves_per_cell = 10;
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
+  RunStages(std::move(nl), popts, false, 5);
+  const obs::MetricsSnapshot delta = obs::MetricsSnapshot::Delta(
+      before, obs::Registry::Instance().Snapshot());
+  const auto it = delta.counts.find("exec.pool.tasks_run");
+  EXPECT_EQ(it == delta.counts.end() ? 0 : it->second, 0u);
 }
 
 TEST(ParallelPlacer, ThreadCountInvariant) {
@@ -208,7 +210,6 @@ TEST(ParallelPlacer, ThreadCountInvariant) {
   PlacerOptions opts;
   opts.seed = 22;
   opts.moves_per_cell = 20;
-  opts.parallel_moves = true;
   uint64_t reference = 0;
   for (size_t threads : {1u, 2u, 8u}) {
     exec::ThreadPool::SetDefaultThreadCount(threads);
@@ -221,21 +222,6 @@ TEST(ParallelPlacer, ThreadCountInvariant) {
                                << " threads";
     }
   }
-}
-
-TEST(ParallelPlacer, NaiveModeAlsoBitIdentical) {
-  // The naive (TIE cells annealed, key-nets attached) ablation flow must
-  // honor the same contract: it anneals a larger pool over more nets.
-  const Netlist nl = LockedRealized(3);
-  PlacerOptions seq;
-  seq.seed = 33;
-  seq.moves_per_cell = 15;
-  seq.randomize_tie_cells = false;
-  seq.parallel_moves = false;
-  PlacerOptions par = seq;
-  par.parallel_moves = true;
-  EXPECT_EQ(LayoutFingerprint(PlaceDesign(nl, Tech::Nangate45Like(), seq)),
-            LayoutFingerprint(PlaceDesign(nl, Tech::Nangate45Like(), par)));
 }
 
 TEST(ParallelRouter, RouteAndLiftThreadCountInvariant) {
