@@ -36,8 +36,9 @@ uint64_t LockDigest(const AtpgLockResult& r) {
 // Golden locks. Every accepted fault, key bit and rejection decides these
 // bytes, so the lock stage's speedups (early-exit key-bit checks, in-cone
 // cut ordering, LEC proof skipping, vector-based cube merging, hashed
-// structural hashing) must leave them as they were; the values predate
-// those speedups. A deliberate change to the locks needs new values and a
+// structural hashing) must leave them as they were; the b14/b15/c432
+// values predate those speedups, and the b20/b21 values predate the
+// cone-local apply. A deliberate change to the locks needs new values and a
 // kResultSchemaVersion bump (locks are stored in flow artifacts).
 TEST(AtpgLock, GoldenLockDigests) {
   struct Golden {
@@ -50,6 +51,8 @@ TEST(AtpgLock, GoldenLockDigests) {
       // ITC'99 at scale 0.1 and flow seed 5, as a 128-bit campaign lock.
       {"b14", 128, 5, 0x64376c1844176e92ULL},
       {"b15", 128, 5, 0x9df75b75ca5177f9ULL},
+      {"b20", 128, 5, 0xec30af1ce52cdaf4ULL},
+      {"b21", 128, 5, 0x9b2046be7196ed97ULL},
       // ISCAS'85 with a 64-bit key at lock seed 1.
       {"c432", 64, 1, 0xf8771e3602aabae4ULL},
   };
