@@ -17,13 +17,15 @@ namespace {
 struct LecMetrics {
   obs::Counter* proofs;          // ProveEqual calls
   obs::Counter* proofs_skipped;  // matches already on the golden side
+  obs::Counter* proofs_refuted;  // candidates a stored counterexample splits
 };
 
 LecMetrics& Metrics() {
   static LecMetrics m = [] {
     obs::Registry& r = obs::Registry::Instance();
     return LecMetrics{r.RegisterCounter("lec.proofs"),
-                      r.RegisterCounter("lec.proofs_skipped")};
+                      r.RegisterCounter("lec.proofs_skipped"),
+                      r.RegisterCounter("lec.proofs_refuted")};
   }();
   return m;
 }
@@ -45,44 +47,49 @@ Signature Complement(Signature s) {
   return s;
 }
 
-// Per-net signatures over shared random input words.
+// Per-net signatures over shared random input words. `sim` must have its
+// key bits bound.
 std::vector<Signature> ComputeSignatures(
-    const Netlist& nl, const std::vector<std::vector<uint64_t>>& pi_words,
-    std::span<const uint8_t> key) {
-  Simulator sim(nl);
-  if (!key.empty()) sim.SetKeyBits(key);
-  std::vector<Signature> sigs(nl.NumNets());
+    Simulator& sim, const std::vector<std::vector<uint64_t>>& pi_words) {
+  const size_t num_nets = sim.netlist().NumNets();
+  std::vector<Signature> sigs(num_nets);
   for (size_t w = 0; w < kSigWords; ++w) {
     sim.SetInputWords(pi_words[w]);
     sim.Run();
-    for (NetId n = 0; n < nl.NumNets(); ++n) sigs[n][w] = sim.NetWord(n);
+    for (NetId n = 0; n < num_nets; ++n) sigs[n][w] = sim.NetWord(n);
   }
   return sigs;
 }
 
-// Proves lit_a == lit_b under the current clause database. Returns true on
-// success (adds the equality clauses to help later proofs), false when SAT
-// found a difference or the conflict budget ran out (`*budget_blown`).
-bool ProveEqual(sat::Solver& solver, sat::Lit a, sat::Lit b,
-                uint64_t conflict_limit, bool* budget_blown) {
-  const std::array<sat::Lit, 2> case1{a, sat::Negate(b)};
-  const sat::SolveResult r1 = solver.Solve(case1, conflict_limit);
-  if (r1 == sat::SolveResult::kUnknown) {
-    *budget_blown = true;
-    return false;
+// A signature match on the golden side: its literal and the net it encodes.
+struct GoldenNode {
+  sat::Lit lit;
+  NetId net;
+};
+
+// Model value of `lit`, valid after kSat.
+bool LitValue(const sat::Solver& solver, sat::Lit lit) {
+  return solver.ModelValue(sat::VarOf(lit)) != sat::IsNegated(lit);
+}
+
+// Proves a == b under the current clause database, spending at most
+// `conflict_limit` conflicts (0 = unlimited) across both polarities.
+// kUnsat: proven (the equality clauses are added to help later proofs);
+// kSat: the model distinguishes a and b; kUnknown: the budget ran out.
+sat::SolveResult ProveEqual(sat::Solver& solver, sat::Lit a, sat::Lit b,
+                            uint64_t conflict_limit) {
+  const uint64_t limit =
+      conflict_limit == 0 ? 0 : solver.conflicts() + conflict_limit;
+  for (const std::array<sat::Lit, 2>& differ :
+       {std::array<sat::Lit, 2>{a, sat::Negate(b)},
+        std::array<sat::Lit, 2>{sat::Negate(a), b}}) {
+    const sat::SolveResult r = solver.Solve(differ, limit);
+    if (r != sat::SolveResult::kUnsat) return r;
   }
-  if (r1 == sat::SolveResult::kSat) return false;
-  const std::array<sat::Lit, 2> case2{sat::Negate(a), b};
-  const sat::SolveResult r2 = solver.Solve(case2, conflict_limit);
-  if (r2 == sat::SolveResult::kUnknown) {
-    *budget_blown = true;
-    return false;
-  }
-  if (r2 == sat::SolveResult::kSat) return false;
   // Lock in the equivalence for future propagation.
   solver.AddBinary(sat::Negate(a), b);
   solver.AddBinary(a, sat::Negate(b));
-  return true;
+  return sat::SolveResult::kUnsat;
 }
 
 }  // namespace
@@ -120,15 +127,21 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
     w.resize(golden.inputs().size());
     for (auto& v : w) v = rng.NextWord();
   }
+  // The simulators outlive the signatures: after a failed proof they
+  // re-simulate its counterexample (see the sweep below).
+  Simulator golden_sim(golden);
+  Simulator revised_sim(revised);
+  if (!golden_key.empty()) golden_sim.SetKeyBits(golden_key);
+  if (!revised_key.empty()) revised_sim.SetKeyBits(revised_key);
   const std::vector<Signature> golden_sigs =
-      ComputeSignatures(golden, pi_words, golden_key);
+      ComputeSignatures(golden_sim, pi_words);
   const std::vector<Signature> revised_sigs =
-      ComputeSignatures(revised, pi_words, revised_key);
+      ComputeSignatures(revised_sim, pi_words);
 
   // Encode the golden netlist outright and index its literals by signature.
   const std::vector<sat::Lit> golden_outs =
       enc.EncodeNetlist(golden, inputs, gk);
-  std::unordered_map<Signature, sat::Lit, SignatureHash> by_signature;
+  std::unordered_map<Signature, GoldenNode, SignatureHash> by_signature;
   {
     std::vector<sat::Lit> net_lit(golden.NumNets(), -1);
     // Recover per-net literals by re-encoding (cache hits make this free).
@@ -150,7 +163,7 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
       for (NetId n : gate.fanins) fanin_lits.push_back(net_lit[n]);
       const sat::Lit lit = enc.EncodeOp(gate.op, fanin_lits);
       net_lit[gate.out] = lit;
-      by_signature.emplace(golden_sigs[gate.out], lit);
+      by_signature.emplace(golden_sigs[gate.out], GoldenNode{lit, gate.out});
     }
   }
 
@@ -168,10 +181,19 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
   // folded it onto the golden encoding) is merged; its proof is skipped.
   // Skipping only forgoes a substitution, never makes one, so the final
   // miter below still decides the exact answer.
+  //
+  // A failed proof's model is an input pattern that tells the pair apart.
+  // Its input values go into a free lane of `cex_words`, and both netlists
+  // are re-simulated on that word. A later candidate whose two nets differ
+  // on a filled lane is refuted without a proof: the CNF is a full Tseitin
+  // encoding, so that input pattern satisfies the proof's "differ" query
+  // and ProveEqual would fail too. The substitutions, and so the miter,
+  // stay the same (Mishchenko et al., ICCAD'06).
   LecMetrics& metrics = Metrics();
   const uint64_t per_proof_limit =
       conflict_limit == 0 ? 200000 : conflict_limit;
-  bool budget_blown = false;
+  std::vector<uint64_t> cex_words(inputs.size(), 0);
+  uint64_t cex_lanes = 0;  // filled lanes of cex_words
   std::vector<sat::Lit> revised_lit(revised.NumNets(), -1);
   for (size_t i = 0; i < revised.inputs().size(); ++i) {
     revised_lit[revised.gate(revised.inputs()[i]).out] = inputs[i];
@@ -200,14 +222,36 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
       negated_candidate = true;
     }
     if (it != by_signature.end()) {
+      const GoldenNode& node = it->second;
       const sat::Lit target =
-          negated_candidate ? sat::Negate(it->second) : it->second;
-      if (lit != target && sat::VarOf(lit) < golden_vars) {
+          negated_candidate ? sat::Negate(node.lit) : node.lit;
+      const uint64_t differ_on_cex =
+          (revised_sim.NetWord(gate.out) ^ golden_sim.NetWord(node.net) ^
+           (negated_candidate ? ~0ULL : 0ULL)) &
+          cex_lanes;
+      if (lit == target) {
+        // Structural hashing already merged the pair.
+      } else if (sat::VarOf(lit) < golden_vars) {
         metrics.proofs_skipped->Add(1);
-      } else if (lit != target) {
+      } else if (differ_on_cex != 0) {
+        metrics.proofs_refuted->Add(1);
+      } else {
         metrics.proofs->Add(1);
-        if (ProveEqual(solver, lit, target, per_proof_limit, &budget_blown)) {
+        const sat::SolveResult r =
+            ProveEqual(solver, lit, target, per_proof_limit);
+        if (r == sat::SolveResult::kUnsat) {
           lit = target;  // substitute: downstream folds onto the golden side
+        } else if (r == sat::SolveResult::kSat && cex_lanes != ~0ULL) {
+          // Lanes fill from bit 0 up, so this is the lowest free one.
+          const uint64_t lane = cex_lanes + 1;
+          for (size_t i = 0; i < inputs.size(); ++i) {
+            if (LitValue(solver, inputs[i])) cex_words[i] |= lane;
+          }
+          cex_lanes |= lane;
+          golden_sim.SetInputWords(cex_words);
+          golden_sim.Run();
+          revised_sim.SetInputWords(cex_words);
+          revised_sim.Run();
         }
       }
     }
@@ -235,7 +279,8 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
   }
   solver.AddClause(diffs);
 
-  const sat::SolveResult sr = solver.Solve({}, conflict_limit);
+  const sat::SolveResult sr = solver.Solve(
+      {}, conflict_limit == 0 ? 0 : solver.conflicts() + conflict_limit);
   result.conflicts = solver.conflicts();
   if (sr == sat::SolveResult::kUnknown) return result;
   result.proven = true;
@@ -247,13 +292,11 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
   result.equivalent = false;
   result.counterexample.resize(inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
-    const bool v = solver.ModelValue(sat::VarOf(inputs[i]));
     result.counterexample[i] =
-        static_cast<uint8_t>(sat::IsNegated(inputs[i]) ? !v : v);
+        static_cast<uint8_t>(LitValue(solver, inputs[i]));
   }
   for (size_t d = 0; d < diffs.size(); ++d) {
-    const bool v = solver.ModelValue(sat::VarOf(diffs[d]));
-    if (sat::IsNegated(diffs[d]) ? !v : v) {
+    if (LitValue(solver, diffs[d])) {
       result.differing_output = diff_output_index[d];
       break;
     }

@@ -23,13 +23,16 @@ struct LecResult {
   // and the index of a differing output.
   std::vector<uint8_t> counterexample;
   size_t differing_output = 0;
-  uint64_t conflicts = 0;
+  uint64_t conflicts = 0;  // over every proof and the miter
 };
 
 // Checks functional equivalence of `golden` and `revised` (same PI/PO
 // counts, matched by position). Key inputs of either design are bound to the
-// given constant key bits (KeyInputs() order). `conflict_limit` bounds the
-// SAT effort per check (0 = unlimited).
+// given constant key bits (KeyInputs() order). `conflict_limit` caps each
+// SAT-sweeping proof and the final miter solve separately, counted from the
+// solver's conflict count when that proof or solve starts; 0 leaves the
+// miter unlimited and caps each proof at 200,000. A proof that runs out
+// only forgoes a merge; a miter that runs out leaves `proven` false.
 LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
                            std::span<const uint8_t> golden_key = {},
                            std::span<const uint8_t> revised_key = {},

@@ -35,6 +35,9 @@ struct LockMetrics {
   obs::Counter* rejected_degenerate;  // a cube without care literals
   obs::Counter* rejected_gain;        // restore logic outweighs the cone
   obs::Counter* rejected_prescreen;   // a literal dead on the shared samples
+  // Applies by path: the O(cone) sweep, or a full OptimizeArea.
+  obs::Counter* apply_local;
+  obs::Counter* apply_full;
   // Faults applied and then rolled back because a key bit was dead.
   obs::Counter* rollbacks;
   obs::Counter* key_bit_checks;  // per-bit activity checks run
@@ -52,6 +55,8 @@ LockMetrics& Metrics() {
         r.RegisterCounter("lock.rejected.degenerate"),
         r.RegisterCounter("lock.rejected.gain"),
         r.RegisterCounter("lock.rejected.prescreen"),
+        r.RegisterCounter("lock.apply.local"),
+        r.RegisterCounter("lock.apply.full"),
         r.RegisterCounter("lock.rollbacks"),
         r.RegisterCounter("lock.key_bit_checks"),
         r.RegisterCounter("lock.check_words"),
@@ -157,7 +162,35 @@ bool KeyBitsActive(Simulator& original_sim, Simulator& nl_sim,
   return true;
 }
 
+// True when some sink of `net` is an INV that SimplifyLocal may fold.
+bool HasFoldableInvSink(const Netlist& nl, NetId net) {
+  for (const Pin& p : nl.net(net).sinks) {
+    const Gate& sink = nl.gate(p.gate);
+    if (sink.op == GateOp::kInv && !sink.HasFlag(kFlagDontTouch)) return true;
+  }
+  return false;
+}
+
 }  // namespace
+
+RestoreResult ApplyFault(Netlist& nl, const atpg::Cut& cut, bool stuck_value,
+                         std::span<const atpg::Cube> cubes, Rng& rng,
+                         size_t next_key_index, bool* at_fixed_point) {
+  const bool local =
+      *at_fixed_point && !(stuck_value && HasFoldableInvSink(nl, cut.root));
+  const GateId old_driver = nl.DriverOf(cut.root);
+  RestoreResult restore =
+      BuildRestore(nl, cut, stuck_value, cubes, rng, next_key_index);
+  nl.ReplaceAllUses(cut.root, restore.restored_net);
+  if (local) {
+    SweepDeadCone(nl, old_driver);
+    Metrics().apply_local->Add(1);
+  } else {
+    *at_fixed_point = OptimizeArea(nl).converged;
+    Metrics().apply_full->Add(1);
+  }
+  return restore;
+}
 
 AtpgLockResult LockWithAtpg(const Netlist& original,
                             const AtpgLockOptions& options) {
@@ -177,6 +210,9 @@ AtpgLockResult LockWithAtpg(const Netlist& original,
 
   size_t bits = 0;
   size_t next_key_index = 0;
+  // The compacted original is not at OptimizeArea's fixed point; the first
+  // apply's full pass brings it there.
+  bool at_fixed_point = false;
   bool progress = true;
   // Nets whose fault was tried and rejected; never re-attempted (the
   // rejection reasons — cut size, on-set shape, dead key bits — do not go
@@ -330,19 +366,19 @@ AtpgLockResult LockWithAtpg(const Netlist& original,
         continue;
       }
 
-      // Apply: build restore, swap it in, let optimization sweep the cone.
-      // Keep a backup: the fault is rolled back if any of its key bits
-      // turns out to be functionally dead.
+      // Apply: build restore, swap it in, sweep the cone. Keep a backup:
+      // the fault is rolled back if any of its key bits turns out to be
+      // functionally dead.
       const Netlist backup = nl;
+      const bool backup_at_fixed_point = at_fixed_point;
       const size_t saved_key_index = next_key_index;
       std::vector<uint8_t> key_so_far = result.key;
       {
         obs::Span span("lock.apply");
-        RestoreResult restore =
-            BuildRestore(nl, cut, cand.majority, cubes, rng, next_key_index);
+        const RestoreResult restore =
+            ApplyFault(nl, cut, cand.majority, cubes, rng, next_key_index,
+                       &at_fixed_point);
         next_key_index += restore.key_bits_used;
-        nl.ReplaceAllUses(cand.net, restore.restored_net);
-        OptimizeArea(nl);
         key_so_far.insert(key_so_far.end(), restore.key_values.begin(),
                           restore.key_values.end());
       }
@@ -366,6 +402,7 @@ AtpgLockResult LockWithAtpg(const Netlist& original,
       }
       if (!all_bits_active) {
         nl = backup;
+        at_fixed_point = backup_at_fixed_point;
         next_key_index = saved_key_index;
         rejected.insert(cand.net);
         metrics.rollbacks->Add(1);

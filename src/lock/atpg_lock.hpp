@@ -11,8 +11,8 @@
 //      patterns of "net stuck-at majority-value" are enumerated exactly over
 //      the cut and compacted into cubes (the ATPG step, cf. Atalanta-M).
 //   3. The circuit is re-synthesized with the fault injected: the fault
-//      site's fanin cone is disconnected (and swept by OptimizeArea),
-//      removing logic — the source of the paper's area savings.
+//      site's fanin cone is disconnected and swept (ApplyFault), removing
+//      logic — the source of the paper's area savings.
 //   4. Restore circuitry (cube comparators with key-obfuscated literals)
 //      re-creates the exact net value; equivalence is verified by random
 //      simulation per fault and formal LEC at the end ("LEC -> Reject").
@@ -25,10 +25,15 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "atpg/cube.hpp"
+#include "atpg/cut.hpp"
+#include "lock/restore.hpp"
 #include "netlist/netlist.hpp"
+#include "util/rng.hpp"
 
 namespace splitlock::lock {
 
@@ -80,6 +85,22 @@ struct AtpgLockResult {
                      original_area_um2;
   }
 };
+
+// The lock's apply step for the fault "cut.root stuck-at `stuck_value`":
+// BuildRestore, every use of cut.root moved onto the restored net, then
+// re-synthesis. The result is byte-identical to running OptimizeArea after
+// the move. `*at_fixed_point` says whether `nl` is at OptimizeArea's fixed
+// point, and is updated.
+//
+// At the fixed point the restore logic matches no fold, simplify or merge
+// rule, so the only work left is sweeping the cone the move killed, which
+// takes O(cone) instead of a whole-design OptimizeArea. The one exception:
+// a stuck-at-1 restore ends in an INV, and a non-dont-touch INV sink of
+// cut.root then folds INV(INV(x)); that apply, and any apply off the fixed
+// point, runs the full OptimizeArea.
+RestoreResult ApplyFault(Netlist& nl, const atpg::Cut& cut, bool stuck_value,
+                         std::span<const atpg::Cube> cubes, Rng& rng,
+                         size_t next_key_index, bool* at_fixed_point);
 
 // Locks `original` with exactly options.key_bits key bits.
 AtpgLockResult LockWithAtpg(const Netlist& original,

@@ -67,6 +67,18 @@ struct GateKeyHash {
   }
 };
 
+// The sweep's deletion rule: a live, unprotected gate whose output nobody
+// reads. Primary inputs, outputs and key inputs always survive.
+bool IsDead(const Netlist& nl, GateId g) {
+  const Gate& gate = nl.gate(g);
+  if (gate.op == GateOp::kDeleted || gate.op == GateOp::kInput ||
+      gate.op == GateOp::kOutput || gate.op == GateOp::kKeyIn) {
+    return false;
+  }
+  if (gate.HasFlag(kFlagDontTouch)) return false;
+  return gate.out != kNullId && nl.net(gate.out).sinks.empty();
+}
+
 // Returns the net holding constant `value`, creating a source if needed.
 // May grow the gate vector; callers must not hold Gate references across it.
 NetId ConstNet(Netlist& nl, bool value) {
@@ -312,18 +324,31 @@ OptStats SweepDeadLogic(Netlist& nl) {
   while (changed) {
     changed = false;
     for (GateId g = 0; g < nl.NumGates(); ++g) {
-      const Gate& gate = nl.gate(g);
-      if (gate.op == GateOp::kDeleted || gate.op == GateOp::kInput ||
-          gate.op == GateOp::kOutput || gate.op == GateOp::kKeyIn) {
-        continue;
-      }
-      if (gate.HasFlag(kFlagDontTouch)) continue;
-      if (gate.out != kNullId && nl.net(gate.out).sinks.empty()) {
+      if (IsDead(nl, g)) {
         nl.DeleteGate(g);
         ++stats.swept;
         changed = true;
       }
     }
+  }
+  return stats;
+}
+
+OptStats SweepDeadCone(Netlist& nl, GateId root) {
+  OptStats stats;
+  std::vector<GateId> worklist{root};
+  while (!worklist.empty()) {
+    const GateId g = worklist.back();
+    worklist.pop_back();
+    // A driver feeding the cone on several pins is pushed once per pin;
+    // the visit after its last sink is deleted deletes it.
+    if (!IsDead(nl, g)) continue;
+    for (NetId n : nl.gate(g).fanins) {
+      const GateId d = nl.DriverOf(n);
+      if (d != kNullId) worklist.push_back(d);
+    }
+    nl.DeleteGate(g);
+    ++stats.swept;
   }
   return stats;
 }
@@ -337,7 +362,10 @@ OptStats OptimizeArea(Netlist& nl) {
     round_stats += StructuralHash(nl);
     round_stats += SweepDeadLogic(nl);
     total += round_stats;
-    if (round_stats.Total() == 0) break;
+    if (round_stats.Total() == 0) {
+      total.converged = true;
+      break;
+    }
   }
   return total;
 }

@@ -21,6 +21,9 @@ struct OptStats {
   size_t simplified = 0;
   size_t merged = 0;   // duplicates removed by structural hashing
   size_t swept = 0;    // dead gates removed
+  // Set by OptimizeArea only: its last round changed nothing, so the
+  // netlist is at the passes' fixed point. Not summed by +=.
+  bool converged = false;
 
   size_t Total() const { return folded + simplified + merged + swept; }
   OptStats& operator+=(const OptStats& o) {
@@ -46,7 +49,16 @@ OptStats StructuralHash(Netlist& nl);
 // inputs, and don't-touch gates survive.
 OptStats SweepDeadLogic(Netlist& nl);
 
-// Runs the passes above to a fixpoint (bounded number of rounds).
+// SweepDeadLogic restricted to the cone that dies with `root`: deletes
+// `root` if it is dead, then every fanin driver left dead by a deletion,
+// by the same rule. On a netlist whose only dead gates are in that cone
+// the result is byte-identical to SweepDeadLogic's: DeleteGate detaches
+// pins order-preservingly, so sink lists do not depend on deletion order.
+// Costs O(cone) instead of whole-netlist passes.
+OptStats SweepDeadCone(Netlist& nl, GateId root);
+
+// Runs the passes above to a fixpoint (bounded number of rounds); sets
+// `converged` when the bound was not what stopped it.
 OptStats OptimizeArea(Netlist& nl);
 
 }  // namespace splitlock

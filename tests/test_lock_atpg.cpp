@@ -6,6 +6,9 @@
 #include "lock/atpg_lock.hpp"
 #include "lock/key.hpp"
 #include "netlist/libcell.hpp"
+#include "obs/metrics.hpp"
+#include "opt/mffc.hpp"
+#include "opt/optimizer.hpp"
 #include "sim/metrics.hpp"
 #include "store/artifact_io.hpp"
 #include "util/hash.hpp"
@@ -33,12 +36,24 @@ uint64_t LockDigest(const AtpgLockResult& r) {
   return util::Fnv1a(w.bytes());
 }
 
+std::string NetlistBytes(const Netlist& nl) {
+  store::ArtifactWriter w;
+  store::EncodeNetlist(w, nl);
+  return w.bytes();
+}
+
+uint64_t Count(const obs::MetricsSnapshot& snap, const std::string& name) {
+  const auto it = snap.counts.find(name);
+  return it == snap.counts.end() ? 0 : it->second;
+}
+
 // Golden locks. Every accepted fault, key bit and rejection decides these
 // bytes, so the lock stage's speedups (early-exit key-bit checks, in-cone
 // cut ordering, LEC proof skipping, vector-based cube merging, hashed
-// structural hashing) must leave them as they were; the b14/b15/c432
-// values predate those speedups, and the b20/b21 values predate the
-// cone-local apply. A deliberate change to the locks needs new values and a
+// structural hashing, the cone-local apply, counterexample refutation in
+// the LEC) must leave them as they were; the b14/b15/c432 values predate
+// the first of those, and the b20/b21 values predate the cone-local apply.
+// A deliberate change to the locks needs new values and a
 // kResultSchemaVersion bump (locks are stored in flow artifacts).
 TEST(AtpgLock, GoldenLockDigests) {
   struct Golden {
@@ -56,6 +71,7 @@ TEST(AtpgLock, GoldenLockDigests) {
       // ISCAS'85 with a 64-bit key at lock seed 1.
       {"c432", 64, 1, 0xf8771e3602aabae4ULL},
   };
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   for (const Golden& g : goldens) {
     const bool itc = g.circuit[0] == 'b';
     const Netlist original = itc ? circuits::MakeItc99(g.circuit, 0.1)
@@ -68,6 +84,104 @@ TEST(AtpgLock, GoldenLockDigests) {
     EXPECT_TRUE(r.lec_proven) << g.circuit;
     EXPECT_TRUE(r.lec_equivalent) << g.circuit;
   }
+  // The pins cover every apply path and the LEC refutation. The 8 full
+  // passes are the five first applies (the compacted original is not at
+  // OptimizeArea's fixed point), the apply after b14's rolled-back first
+  // apply, and two INV(INV(x)) fallbacks (b14 and b21).
+  const obs::MetricsSnapshot delta = obs::MetricsSnapshot::Delta(
+      before, obs::Registry::Instance().Snapshot());
+  EXPECT_EQ(Count(delta, "lock.apply.local"), 36u);
+  EXPECT_EQ(Count(delta, "lock.apply.full"), 8u);
+  EXPECT_GT(Count(delta, "lec.proofs_refuted"), 0u);
+}
+
+// A fixed-point random circuit for the differential apply test.
+Netlist FixedPointCircuit(uint64_t seed) {
+  Netlist nl = BiasedCircuit(seed, 300).Compacted();
+  EXPECT_TRUE(OptimizeArea(nl).converged);
+  return nl;
+}
+
+// ApplyFault against the definition it shortcuts: BuildRestore, move the
+// uses, OptimizeArea. Runs the lock's candidate path (MFFC, cut, failing
+// minterms, cubes) on every eligible net of fixed-point circuits, with both
+// stuck values, and chains the applies the way a lock does. Nets with INV
+// sinks take the fallback at stuck-at-1 and the local path at stuck-at-0.
+TEST(AtpgLock, ApplyFaultMatchesFullOptimizeArea) {
+  const AtpgLockOptions defaults;
+  size_t local = 0;
+  size_t inv_fallback = 0;
+  size_t inv_sink_local = 0;
+  for (uint64_t seed : {21, 22}) {
+    Netlist nl = FixedPointCircuit(seed);
+    bool at_fixed_point = true;
+    size_t key_index = 0;
+    const size_t num_gates = nl.NumGates();
+    for (GateId g = 0; g < num_gates; ++g) {
+      const Gate& gate = nl.gate(g);
+      if (gate.op == GateOp::kDeleted || IsSourceOp(gate.op) ||
+          gate.op == GateOp::kOutput || gate.HasFlag(kFlagDontTouch) ||
+          nl.net(gate.out).sinks.empty()) {
+        continue;
+      }
+      const NetId net = gate.out;
+      bool inv_sink = false;
+      for (const Pin& p : nl.net(net).sinks) {
+        inv_sink |= nl.gate(p.gate).op == GateOp::kInv;
+      }
+      const atpg::Cut cut = atpg::CutFromCone(nl, net, MffcOf(nl, g),
+                                              defaults.max_cut_leaves);
+      if (cut.root == kNullId) continue;
+      Netlist chosen;
+      bool chosen_at_fixed_point = false;
+      for (bool stuck : {false, true}) {
+        const auto minterms = atpg::EnumerateConeMinterms(
+            nl, cut, !stuck, defaults.max_minterms);
+        if (!minterms || minterms->empty()) continue;
+        const std::vector<atpg::Cube> cubes =
+            atpg::MintermsToCubes(*minterms, cut.leaves.size());
+        bool degenerate = cubes.empty() || cubes.size() > defaults.max_cubes;
+        for (const atpg::Cube& c : cubes) degenerate |= c.CareCount() == 0;
+        if (degenerate) continue;
+
+        Netlist full = nl;
+        Rng full_rng(seed * 1000 + g);
+        const RestoreResult restore =
+            BuildRestore(full, cut, stuck, cubes, full_rng, key_index);
+        full.ReplaceAllUses(net, restore.restored_net);
+        const bool converged = OptimizeArea(full).converged;
+
+        Netlist applied = nl;
+        Rng rng(seed * 1000 + g);
+        bool fixed_point = at_fixed_point;
+        const obs::MetricsSnapshot before =
+            obs::Registry::Instance().Snapshot();
+        ApplyFault(applied, cut, stuck, cubes, rng, key_index, &fixed_point);
+        const obs::MetricsSnapshot delta = obs::MetricsSnapshot::Delta(
+            before, obs::Registry::Instance().Snapshot());
+        const bool took_local = Count(delta, "lock.apply.local") == 1;
+
+        ASSERT_EQ(NetlistBytes(applied), NetlistBytes(full))
+            << "seed " << seed << " net " << nl.net(net).name << " stuck-at "
+            << stuck;
+        EXPECT_EQ(fixed_point, converged);
+        local += took_local ? 1 : 0;
+        if (inv_sink && stuck && !took_local) ++inv_fallback;
+        if (inv_sink && !stuck && took_local) ++inv_sink_local;
+        chosen = std::move(applied);
+        chosen_at_fixed_point = fixed_point;
+      }
+      // Chain: continue from the last applied fault, as the lock does.
+      if (chosen.NumGates() != 0) {
+        nl = std::move(chosen);
+        at_fixed_point = chosen_at_fixed_point;
+        key_index = nl.KeyInputs().size();
+      }
+    }
+  }
+  EXPECT_GT(local, 0u);
+  EXPECT_GT(inv_fallback, 0u);
+  EXPECT_GT(inv_sink_local, 0u);
 }
 
 TEST(AtpgLock, ExactKeyLengthAndLec) {

@@ -5,6 +5,7 @@
 #include "netlist/netlist.hpp"
 #include "opt/optimizer.hpp"
 #include "sim/metrics.hpp"
+#include "store/artifact_io.hpp"
 
 namespace splitlock {
 namespace {
@@ -152,6 +153,43 @@ TEST(SweepDeadLogic, KeyInputsSurvive) {
   nl.AddOutput(a, "y");
   SweepDeadLogic(nl);
   EXPECT_EQ(nl.KeyInputs().size(), 1u);
+}
+
+std::string NetlistBytes(const Netlist& nl) {
+  store::ArtifactWriter w;
+  store::EncodeNetlist(w, nl);
+  return w.bytes();
+}
+
+// The cone sweep deletes what SweepDeadLogic deletes when the only dead
+// logic is the root's cone, with the same bytes. The cone holds a MUX with
+// a constant data input (the constant dies with it), a driver feeding it
+// on two pins, and a gate it shares with live logic (which survives).
+TEST(SweepDeadCone, MatchesSweepDeadLogic) {
+  Netlist nl("f");
+  const NetId a = nl.AddInput("a");
+  const NetId b = nl.AddInput("b");
+  const NetId shared = nl.AddGate(GateOp::kOr, {a, b});
+  const NetId twice = nl.AddGate(GateOp::kNand, {a, b});
+  const NetId both_pins = nl.AddGate(GateOp::kXor, {twice, shared});
+  const NetId also = nl.AddGate(GateOp::kAnd, {twice, b});
+  const NetId zero = nl.AddGate(GateOp::kConst0, {});
+  const NetId mux = nl.AddGate(GateOp::kMux, {both_pins, zero, also});
+  const NetId root = nl.AddGate(GateOp::kInv, {mux});
+  const NetId live = nl.AddGate(GateOp::kAnd, {shared, a});
+  nl.AddOutput(root, "y");
+  nl.AddOutput(live, "z");
+  EXPECT_TRUE(OptimizeArea(nl).converged);
+
+  // Kill the cone: the output now reads `live` instead of `root`.
+  nl.ReplaceAllUses(root, live);
+  Netlist swept = nl;
+  const OptStats cone = SweepDeadCone(nl, nl.DriverOf(root));
+  const OptStats full = SweepDeadLogic(swept);
+  EXPECT_EQ(cone.swept, 6u);  // root, mux, zero, both_pins, also, twice
+  EXPECT_EQ(cone.swept, full.swept);
+  EXPECT_EQ(NetlistBytes(nl), NetlistBytes(swept));
+  EXPECT_EQ(nl.gate(nl.DriverOf(shared)).op, GateOp::kOr);
 }
 
 // Property: OptimizeArea never changes functionality and never grows area.

@@ -2,8 +2,11 @@
 
 #include "circuits/c17.hpp"
 #include "circuits/random_circuit.hpp"
+#include "circuits/suites.hpp"
 #include "lec/lec.hpp"
+#include "lock/atpg_lock.hpp"
 #include "netlist/netlist.hpp"
+#include "obs/metrics.hpp"
 #include "opt/optimizer.hpp"
 #include "sat/tseitin.hpp"
 #include "sim/simulator.hpp"
@@ -245,6 +248,60 @@ TEST(Lec, OptimizedNetlistStaysEquivalent) {
   const LecResult r = CheckEquivalence(original, optimized);
   EXPECT_TRUE(r.proven);
   EXPECT_TRUE(r.equivalent);
+}
+
+// The LEC a campaign lock ends with: ITC'99 b20 at scale 0.1 against its
+// 128-bit seed-5 ATPG lock (pinned by AtpgLock.GoldenLockDigests).
+struct B20Lock {
+  Netlist original = circuits::MakeItc99("b20", 0.1);
+  lock::AtpgLockResult lock = [this] {
+    lock::AtpgLockOptions opts;
+    opts.key_bits = 128;
+    opts.seed = 5;
+    opts.verify_lec = false;
+    return lock::LockWithAtpg(original, opts);
+  }();
+};
+
+uint64_t Count(const obs::MetricsSnapshot& snap, const std::string& name) {
+  const auto it = snap.counts.find(name);
+  return it == snap.counts.end() ? 0 : it->second;
+}
+
+// conflict_limit caps each sweeping proof and the final miter on its own.
+// The b20 LEC spends a few hundred conflicts over its solves, but under 100
+// in any one proof; a 200-conflict cap shared by all of them would run out
+// and leave the check unproven.
+TEST(Lec, ConflictLimitIsPerProof) {
+  const B20Lock b20;
+  const LecResult unlimited =
+      CheckEquivalence(b20.original, b20.lock.locked, {}, b20.lock.key);
+  ASSERT_TRUE(unlimited.proven);
+  ASSERT_TRUE(unlimited.equivalent);
+  ASSERT_GT(unlimited.conflicts, 200u);
+  const LecResult capped =
+      CheckEquivalence(b20.original, b20.lock.locked, {}, b20.lock.key, 200);
+  EXPECT_TRUE(capped.proven);
+  EXPECT_TRUE(capped.equivalent);
+}
+
+// A stored counterexample may only skip proofs that would fail. Then every
+// substitution stays as it was, and so does the number of candidates that
+// reach the proof stage: 203 on the b20 LEC, the lec.proofs count before
+// refutation existed.
+TEST(Lec, CounterexamplesRefuteOnlyFailingProofs) {
+  const B20Lock b20;
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
+  const LecResult r =
+      CheckEquivalence(b20.original, b20.lock.locked, {}, b20.lock.key);
+  const obs::MetricsSnapshot delta = obs::MetricsSnapshot::Delta(
+      before, obs::Registry::Instance().Snapshot());
+  EXPECT_TRUE(r.proven);
+  EXPECT_TRUE(r.equivalent);
+  EXPECT_GT(Count(delta, "lec.proofs_refuted"), 0u);
+  EXPECT_EQ(Count(delta, "lec.proofs") + Count(delta, "lec.proofs_refuted"),
+            203u);
+  EXPECT_EQ(Count(delta, "lec.proofs_skipped"), 469u);
 }
 
 }  // namespace
