@@ -187,8 +187,9 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
   // are re-simulated on that word. A later candidate whose two nets differ
   // on a filled lane is refuted without a proof: the CNF is a full Tseitin
   // encoding, so that input pattern satisfies the proof's "differ" query
-  // and ProveEqual would fail too. The substitutions, and so the miter,
-  // stay the same (Mishchenko et al., ICCAD'06).
+  // and ProveEqual would fail too. Unless a proof runs out of budget, the
+  // substitutions, and so the miter, stay the same (Mishchenko et al.,
+  // ICCAD'06).
   LecMetrics& metrics = Metrics();
   const uint64_t per_proof_limit =
       conflict_limit == 0 ? 200000 : conflict_limit;
