@@ -52,8 +52,9 @@ uint64_t Solver::NextDiversificationWord() {
 }
 
 Var Solver::NewVar() {
-  const Var v = static_cast<Var>(assign_.size());
-  assign_.push_back(kUndef);
+  const Var v = NumVars();
+  value_.push_back(kUndef);
+  value_.push_back(kUndef);
   model_.push_back(kUndef);
   phase_.push_back(kFalse);
   level_.push_back(0);
@@ -101,9 +102,8 @@ bool Solver::AddClause(std::vector<Lit> lits) {
 }
 
 Solver::ClauseRef Solver::AttachClause(std::span<const Lit> lits) {
-  const ClauseRef ref = static_cast<ClauseRef>(clauses_.size());
-  clauses_.push_back(Clause{static_cast<uint32_t>(arena_.size()),
-                            static_cast<uint32_t>(lits.size())});
+  const ClauseRef ref = static_cast<ClauseRef>(arena_.size());
+  arena_.push_back(static_cast<Lit>(lits.size()));
   arena_.insert(arena_.end(), lits.begin(), lits.end());
   const auto cl = LitsOf(ref);
   watches_[Negate(cl[0])].push_back(Watcher{ref, cl[1]});
@@ -113,8 +113,9 @@ Solver::ClauseRef Solver::AttachClause(std::span<const Lit> lits) {
 
 void Solver::Enqueue(Lit l, ClauseRef reason) {
   const Var v = VarOf(l);
-  assert(assign_[v] == kUndef);
-  assign_[v] = IsNegated(l) ? kFalse : kTrue;
+  assert(value_[l] == kUndef);
+  value_[l] = kTrue;
+  value_[Negate(l)] = kFalse;
   level_[v] = DecisionLevel();
   reason_[v] = reason;
   trail_.push_back(l);
@@ -244,8 +245,9 @@ void Solver::BacktrackTo(int target_level) {
   const int bound = trail_limits_[target_level];
   for (int i = static_cast<int>(trail_.size()) - 1; i >= bound; --i) {
     const Var v = VarOf(trail_[i]);
-    phase_[v] = assign_[v];
-    assign_[v] = kUndef;
+    phase_[v] = value_[MakeLit(v)];
+    value_[MakeLit(v)] = kUndef;
+    value_[MakeLit(v, true)] = kUndef;
     reason_[v] = kNoReason;
     if (heap_pos_[v] < 0) HeapInsert(v);
   }
@@ -276,12 +278,12 @@ Lit Solver::PickBranchLit() {
       // falls through to the activity order (keeps the stream's draw count
       // a pure function of the search path).
       const Var v = heap_[NextDiversificationWord() % heap_.size()];
-      if (assign_[v] == kUndef) return MakeLit(v, !branch_true(v));
+      if (value_[MakeLit(v)] == kUndef) return MakeLit(v, !branch_true(v));
     }
   }
   while (!heap_.empty()) {
     const Var v = HeapPop();
-    if (assign_[v] == kUndef) {
+    if (value_[MakeLit(v)] == kUndef) {
       return MakeLit(v, !branch_true(v));
     }
   }
@@ -366,7 +368,7 @@ SolveResult Solver::Solve(std::span<const Lit> assumptions,
     const Lit next = PickBranchLit();
     if (next < 0) {
       // Full assignment: record the model.
-      model_ = assign_;
+      for (Var v = 0; v < NumVars(); ++v) model_[v] = value_[MakeLit(v)];
       BacktrackTo(0);
       return SolveResult::kSat;
     }

@@ -77,7 +77,7 @@ class Solver {
   void SetAbortFlag(const std::atomic<bool>* flag) { abort_flag_ = flag; }
 
   Var NewVar();
-  int NumVars() const { return static_cast<int>(assign_.size()); }
+  int NumVars() const { return static_cast<int>(model_.size()); }
 
   // Adds a clause (empty clause makes the instance trivially UNSAT).
   // Returns false when the formula is already unsatisfiable at root level.
@@ -101,23 +101,17 @@ class Solver {
  private:
   enum : int8_t { kUndef = -1, kFalse = 0, kTrue = 1 };
 
-  struct Clause {
-    uint32_t offset;  // into literal arena
-    uint32_t size;
-  };
-  using ClauseRef = int32_t;
-  static constexpr ClauseRef kNoReason = -1;
+  // A clause is its size header followed inline by its literals in
+  // arena_; its ClauseRef is the offset of the header.
+  using ClauseRef = uint32_t;
+  static constexpr ClauseRef kNoReason = ~ClauseRef{0};
 
   struct Watcher {
     ClauseRef clause;
     Lit blocker;
   };
 
-  int8_t ValueOfLit(Lit l) const {
-    const int8_t v = assign_[VarOf(l)];
-    if (v == kUndef) return kUndef;
-    return IsNegated(l) ? static_cast<int8_t>(1 - v) : v;
-  }
+  int8_t ValueOfLit(Lit l) const { return value_[l]; }
 
   void Enqueue(Lit l, ClauseRef reason);
   ClauseRef Propagate();
@@ -128,7 +122,7 @@ class Solver {
   void DecayActivities();
   ClauseRef AttachClause(std::span<const Lit> lits);
   std::span<Lit> LitsOf(ClauseRef c) {
-    return {arena_.data() + clauses_[c].offset, clauses_[c].size};
+    return {arena_.data() + c + 1, static_cast<size_t>(arena_[c])};
   }
 
   // Heap-based VSIDS priority queue.
@@ -137,11 +131,10 @@ class Solver {
   void HeapDecrease(Var v);
   void HeapSwap(int i, int j);
 
-  std::vector<Lit> arena_;
-  std::vector<Clause> clauses_;
+  std::vector<Lit> arena_;                     // clause headers + literals
   std::vector<std::vector<Watcher>> watches_;  // indexed by Lit
 
-  std::vector<int8_t> assign_;    // per var
+  std::vector<int8_t> value_;     // per literal: kTrue, kFalse or kUndef
   std::vector<int8_t> model_;     // per var, snapshot at SAT
   std::vector<int8_t> phase_;     // saved phases
   std::vector<int> level_;        // per var
