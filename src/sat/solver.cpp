@@ -97,17 +97,23 @@ bool Solver::AddClause(std::vector<Lit> lits) {
     }
     return true;
   }
-  AttachClause(out);
+  AttachClause(out, /*learnt=*/false);
   return true;
 }
 
-Solver::ClauseRef Solver::AttachClause(std::span<const Lit> lits) {
+Solver::ClauseRef Solver::AttachClause(std::span<const Lit> lits,
+                                       bool learnt, uint32_t lbd) {
   const ClauseRef ref = static_cast<ClauseRef>(arena_.size());
-  arena_.push_back(static_cast<Lit>(lits.size()));
+  // Watchers keep the ref in 31 bits.
+  assert(arena_.size() + 2 + lits.size() < (size_t{1} << 31));
+  arena_.push_back(static_cast<Lit>(
+      (static_cast<uint32_t>(lits.size()) << kSizeShift) |
+      (learnt ? kLearntBit : 0)));
+  if (learnt) arena_.push_back(static_cast<Lit>(lbd));
   arena_.insert(arena_.end(), lits.begin(), lits.end());
-  const auto cl = LitsOf(ref);
-  watches_[Negate(cl[0])].push_back(Watcher{ref, cl[1]});
-  watches_[Negate(cl[1])].push_back(Watcher{ref, cl[0]});
+  const bool binary = lits.size() == 2;
+  watches_[Negate(lits[0])].push_back(Watcher::Of(ref, binary, lits[1]));
+  watches_[Negate(lits[1])].push_back(Watcher::Of(ref, binary, lits[0]));
   return ref;
 }
 
@@ -128,16 +134,28 @@ Solver::ClauseRef Solver::Propagate() {
     size_t keep = 0;
     for (size_t i = 0; i < ws.size(); ++i) {
       const Watcher w = ws[i];
-      if (ValueOfLit(w.blocker) == kTrue) {
+      const int8_t blocker_value = ValueOfLit(w.blocker);
+      if (blocker_value == kTrue) {
         ws[keep++] = w;
         continue;
       }
-      auto cl = LitsOf(w.clause);
+      if (w.binary()) {
+        // The blocker is the clause's other literal.
+        if (blocker_value == kFalse) {
+          for (size_t j = i; j < ws.size(); ++j) ws[keep++] = ws[j];
+          ws.resize(keep);
+          return w.clause();
+        }
+        ws[keep++] = w;
+        Enqueue(w.blocker, w.clause());
+        continue;
+      }
+      auto cl = LitsOf(w.clause());
       // Ensure the falsified literal is cl[1].
       const Lit not_p = Negate(p);
       if (cl[0] == not_p) std::swap(cl[0], cl[1]);
       if (ValueOfLit(cl[0]) == kTrue) {
-        ws[keep++] = Watcher{w.clause, cl[0]};
+        ws[keep++] = Watcher::Of(w.clause(), false, cl[0]);
         continue;
       }
       // Search a replacement watch.
@@ -145,7 +163,8 @@ Solver::ClauseRef Solver::Propagate() {
       for (size_t k = 2; k < cl.size(); ++k) {
         if (ValueOfLit(cl[k]) != kFalse) {
           std::swap(cl[1], cl[k]);
-          watches_[Negate(cl[1])].push_back(Watcher{w.clause, cl[0]});
+          watches_[Negate(cl[1])].push_back(
+              Watcher::Of(w.clause(), false, cl[0]));
           moved = true;
           break;
         }
@@ -156,10 +175,10 @@ Solver::ClauseRef Solver::Propagate() {
         // Conflict: restore remaining watchers and report.
         for (size_t j = i; j < ws.size(); ++j) ws[keep++] = ws[j];
         ws.resize(keep);
-        return w.clause;
+        return w.clause();
       }
-      ws[keep++] = Watcher{w.clause, cl[0]};
-      Enqueue(cl[0], w.clause);
+      ws[keep++] = Watcher::Of(w.clause(), false, cl[0]);
+      Enqueue(cl[0], w.clause());
     }
     ws.resize(keep);
   }
@@ -186,10 +205,9 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* learnt,
   size_t trail_index = trail_.size();
   ClauseRef reason = conflict;
   do {
-    auto cl = LitsOf(reason);
-    const size_t start = (p == -1) ? 0 : 1;
-    for (size_t i = start; i < cl.size(); ++i) {
-      const Lit q = cl[i];
+    if (IsLearnt(reason)) SetFlag(reason, kUsedBit);
+    for (const Lit q : LitsOf(reason)) {
+      if (q == p) continue;  // the literal this reason implied
       const Var v = VarOf(q);
       if (seen_[v] != 0 || level_[v] == 0) continue;
       seen_[v] = 1;
@@ -208,22 +226,26 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* learnt,
     seen_[VarOf(p)] = 0;
     reason = reason_[VarOf(p)];
     --counter;
-    if (counter > 0) {
-      // The reason's first literal is p itself; skip it via start=1 above.
-      assert(reason != kNoReason);
-      // Move p to the front of its reason clause for the convention above.
-      auto rcl = LitsOf(reason);
-      if (rcl[0] != p) {
-        for (size_t i = 1; i < rcl.size(); ++i) {
-          if (rcl[i] == p) {
-            std::swap(rcl[0], rcl[i]);
-            break;
-          }
-        }
-      }
-    }
+    assert(counter == 0 || reason != kNoReason);
   } while (counter > 0);
   (*learnt)[0] = Negate(p);
+
+  // Recursive minimization (Sorensson & Biere, SAT'09; MiniSat's ccmin
+  // mode 2): drop every literal implied by the others through the
+  // implication graph.
+  analyze_toclear_ = *learnt;
+  uint32_t abstract_levels = 0;
+  for (size_t i = 1; i < learnt->size(); ++i) {
+    abstract_levels |= AbstractLevel(VarOf((*learnt)[i]));
+  }
+  size_t kept = 1;
+  for (size_t i = 1; i < learnt->size(); ++i) {
+    const Lit l = (*learnt)[i];
+    if (reason_[VarOf(l)] == kNoReason || !LitRedundant(l, abstract_levels)) {
+      (*learnt)[kept++] = l;
+    }
+  }
+  learnt->resize(kept);
 
   // Compute the backjump level (second-highest level in the clause).
   *bt_level = 0;
@@ -237,7 +259,123 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* learnt,
     std::swap((*learnt)[1], (*learnt)[max_i]);
     *bt_level = level_[VarOf((*learnt)[1])];
   }
-  for (const Lit l : *learnt) seen_[VarOf(l)] = 0;
+  for (const Lit l : analyze_toclear_) seen_[VarOf(l)] = 0;
+}
+
+bool Solver::LitRedundant(Lit p, uint32_t abstract_levels) {
+  analyze_stack_.clear();
+  analyze_stack_.push_back(p);
+  const size_t top = analyze_toclear_.size();
+  while (!analyze_stack_.empty()) {
+    const Var x = VarOf(analyze_stack_.back());
+    analyze_stack_.pop_back();
+    for (const Lit q : LitsOf(reason_[x])) {
+      const Var v = VarOf(q);
+      if (v == x || seen_[v] != 0 || level_[v] == 0) continue;
+      if (reason_[v] == kNoReason ||
+          (AbstractLevel(v) & abstract_levels) == 0) {
+        // q rests on a decision, or on a level the clause does not
+        // contain: p is not implied by the other literals.
+        for (size_t k = top; k < analyze_toclear_.size(); ++k) {
+          seen_[VarOf(analyze_toclear_[k])] = 0;
+        }
+        analyze_toclear_.resize(top);
+        return false;
+      }
+      seen_[v] = 1;
+      analyze_stack_.push_back(q);
+      analyze_toclear_.push_back(q);
+    }
+  }
+  return true;
+}
+
+uint32_t Solver::Lbd(std::span<const Lit> lits) {
+  // Assumptions that already hold still open a level, so levels can
+  // outnumber variables.
+  const size_t levels = static_cast<size_t>(DecisionLevel()) + 1;
+  if (level_stamp_.size() < levels) level_stamp_.resize(levels, 0);
+  if (++lbd_stamp_ == 0) {  // wrapped: old stamps could alias
+    std::fill(level_stamp_.begin(), level_stamp_.end(), 0);
+    lbd_stamp_ = 1;
+  }
+  uint32_t lbd = 0;
+  for (const Lit l : lits) {
+    uint32_t& stamp = level_stamp_[level_[VarOf(l)]];
+    if (stamp != lbd_stamp_) {
+      stamp = lbd_stamp_;
+      ++lbd;
+    }
+  }
+  return lbd;
+}
+
+void Solver::ReduceLearnts() {
+  std::vector<ClauseRef> candidates;  // learnt clauses above the keep tier
+  for (ClauseRef c = 0; c < arena_.size(); c += WordsOf(c)) {
+    if (IsLearnt(c) && LbdOf(c) > kKeepLbd) candidates.push_back(c);
+  }
+  // Total order: lower LBD, then shorter, then earlier in the arena first,
+  // so a given database always loses the same clauses.
+  std::sort(candidates.begin(), candidates.end(),
+            [&](ClauseRef a, ClauseRef b) {
+              if (LbdOf(a) != LbdOf(b)) return LbdOf(a) < LbdOf(b);
+              if (SizeOf(a) != SizeOf(b)) return SizeOf(a) < SizeOf(b);
+              return a < b;
+            });
+  size_t deleted = 0;
+  for (size_t i = candidates.size() / 2; i < candidates.size(); ++i) {
+    const ClauseRef c = candidates[i];
+    if ((Header(c) & kUsedBit) != 0) continue;  // spared this time
+    // A long clause that is a reason implies its first literal.
+    const Lit first = LitsOf(c)[0];
+    if (ValueOfLit(first) == kTrue && reason_[VarOf(first)] == c) continue;
+    SetFlag(c, kDeletedBit);
+    ++deleted;
+  }
+  for (ClauseRef c = 0; c < arena_.size(); c += WordsOf(c)) {
+    arena_[c] = static_cast<Lit>(Header(c) & ~kUsedBit);
+  }
+  learnts_deleted_ += deleted;
+  if (deleted > 0) CompactArena();
+}
+
+void Solver::CompactArena() {
+  // Copy the live clauses into a fresh arena in order. Each moved clause
+  // leaves its new offset in the word after its old header (the LBD word
+  // or the first literal), which the remap passes below read.
+  size_t live_words = 0;
+  for (ClauseRef c = 0; c < arena_.size(); c += WordsOf(c)) {
+    if ((Header(c) & kDeletedBit) == 0) live_words += WordsOf(c);
+  }
+  std::vector<Lit> fresh;
+  fresh.reserve(live_words);
+  for (ClauseRef c = 0; c < arena_.size();) {
+    const uint32_t words = WordsOf(c);
+    if ((Header(c) & kDeletedBit) == 0) {
+      const auto from = arena_.begin() + c;
+      const ClauseRef to = static_cast<ClauseRef>(fresh.size());
+      fresh.insert(fresh.end(), from, from + words);
+      arena_[c + 1] = static_cast<Lit>(to);
+    }
+    c += words;
+  }
+  const auto moved = [&](ClauseRef c) {
+    return static_cast<ClauseRef>(arena_[c + 1]);
+  };
+  for (std::vector<Watcher>& ws : watches_) {
+    size_t keep = 0;
+    for (const Watcher w : ws) {
+      if ((Header(w.clause()) & kDeletedBit) != 0) continue;
+      ws[keep++] = Watcher::Of(moved(w.clause()), w.binary(), w.blocker);
+    }
+    ws.resize(keep);
+  }
+  for (const Lit l : trail_) {
+    ClauseRef& r = reason_[VarOf(l)];
+    if (r != kNoReason) r = moved(r);
+  }
+  arena_.swap(fresh);
 }
 
 void Solver::BacktrackTo(int target_level) {
@@ -300,6 +438,7 @@ SolveResult Solver::Solve(std::span<const Lit> assumptions,
   }
 
   const uint64_t restart_unit = std::max<uint64_t>(config_.restart_unit, 1);
+  const int num_assumptions = static_cast<int>(assumptions.size());
   uint64_t restart_round = 0;
   uint64_t conflicts_until_restart = Luby(restart_round) * restart_unit;
   uint64_t local_conflicts = 0;
@@ -314,30 +453,28 @@ SolveResult Solver::Solve(std::span<const Lit> assumptions,
     if (conflict != kNoReason) {
       ++conflicts_;
       ++local_conflicts;
-      if (DecisionLevel() == 0 ||
-          DecisionLevel() <= static_cast<int>(assumptions.size())) {
-        // Conflict under assumptions (or at root): UNSAT for this query.
+      if (DecisionLevel() == 0) {
+        // Conflict at the root: the clauses alone are UNSAT.
+        unsat_at_root_ = true;
+        return SolveResult::kUnsat;
+      }
+      if (DecisionLevel() <= num_assumptions) {
+        // Conflict among the assumptions: UNSAT for this query.
         BacktrackTo(0);
-        if (DecisionLevel() == 0 && assumptions.empty()) {
-          unsat_at_root_ = true;
-        }
         return SolveResult::kUnsat;
       }
       int bt_level = 0;
       Analyze(conflict, &learnt, &bt_level);
-      // Never backjump into the assumption prefix.
-      bt_level = std::max(bt_level, static_cast<int>(assumptions.size()));
-      BacktrackTo(bt_level);
       if (learnt.size() == 1) {
-        if (DecisionLevel() == 0) {
-          Enqueue(learnt[0], kNoReason);
-        } else {
-          // Asserting unit under assumptions.
-          Enqueue(learnt[0], kNoReason);
-        }
+        // A learnt unit follows from the clauses alone: assert it at the
+        // root, so it outlives this query.
+        BacktrackTo(0);
+        Enqueue(learnt[0], kNoReason);
       } else {
-        const ClauseRef ref = AttachClause(learnt);
-        Enqueue(learnt[0], ref);
+        const uint32_t lbd = Lbd(learnt);
+        // Never backjump into the assumption prefix.
+        BacktrackTo(std::max(bt_level, num_assumptions));
+        Enqueue(learnt[0], AttachClause(learnt, /*learnt=*/true, lbd));
       }
       DecayActivities();
       if (conflict_limit != 0 && conflicts_ >= conflict_limit) {
@@ -347,13 +484,19 @@ SolveResult Solver::Solve(std::span<const Lit> assumptions,
       if (local_conflicts >= conflicts_until_restart) {
         local_conflicts = 0;
         conflicts_until_restart = Luby(++restart_round) * restart_unit;
-        BacktrackTo(static_cast<int>(assumptions.size()));
+        BacktrackTo(num_assumptions);
       }
       continue;
     }
 
+    if (conflicts_ >= next_reduce_) {
+      ReduceLearnts();
+      reduce_interval_ += kReduceGrowth;
+      next_reduce_ = conflicts_ + reduce_interval_;
+    }
+
     // Place pending assumptions as decisions.
-    if (DecisionLevel() < static_cast<int>(assumptions.size())) {
+    if (DecisionLevel() < num_assumptions) {
       const Lit a = assumptions[DecisionLevel()];
       const int8_t v = ValueOfLit(a);
       if (v == kFalse) {

@@ -1,9 +1,14 @@
 // A compact CDCL SAT solver.
 //
-// Feature set: two-watched-literal propagation, first-UIP conflict-clause
-// learning with backjumping, VSIDS branching with phase saving, and Luby
-// restarts. This is the engine behind the logic-equivalence checker (the
-// Cadence Conformal LEC stand-in in the locking flow of Fig. 3) and the
+// Feature set: two-watched-literal propagation over one inline clause
+// arena, with binary clauses decided from their watchers alone; first-UIP
+// conflict-clause learning with backjumping and recursive learnt-clause
+// minimization (Sorensson & Biere, SAT'09); learnt units kept at the root
+// across queries; LBD-tiered learnt-clause reduction on a deterministic
+// conflict schedule (Audemard & Simon, IJCAI'09); VSIDS branching with
+// phase saving; and Luby restarts. This is the engine behind the
+// logic-equivalence checker (the Cadence Conformal LEC stand-in in the
+// locking flow of Fig. 3), the oracle-guided SAT attacks and the
 // SAT-based cross-checks in the test suite.
 #pragma once
 
@@ -56,8 +61,9 @@ class Solver {
  public:
   Solver() = default;
 
-  // Deep copy: clause database (including learnt clauses), assignment
-  // trail, heuristic state (activities, saved phases) and config. A clone
+  // Deep copy: clause database (including learnt clauses and their LBDs),
+  // assignment trail, heuristic state (activities, saved phases), the
+  // reduction schedule and config. A clone
   // with the same config solves future queries identically to the
   // original; diverging behaviour requires diverging configs. The abort
   // flag is NOT inherited — clones start unabortable.
@@ -97,18 +103,37 @@ class Solver {
   bool ModelValue(Var v) const { return model_[v] == 1; }
 
   uint64_t conflicts() const { return conflicts_; }
+  // Learnt clauses deleted by reductions so far (read-only statistic).
+  uint64_t learnts_deleted() const { return learnts_deleted_; }
 
  private:
   enum : int8_t { kUndef = -1, kFalse = 0, kTrue = 1 };
 
-  // A clause is its size header followed inline by its literals in
-  // arena_; its ClauseRef is the offset of the header.
+  // A clause is a header word followed inline by its literals in arena_;
+  // its ClauseRef is the offset of the header. Header bits: kLearntBit,
+  // kUsedBit (used in conflict analysis since the last reduction),
+  // kDeletedBit (set only while a reduction runs) and the size from
+  // kSizeShift up. A learnt clause keeps its LBD in one more word between
+  // the header and the literals.
   using ClauseRef = uint32_t;
   static constexpr ClauseRef kNoReason = ~ClauseRef{0};
+  static constexpr uint32_t kLearntBit = 1;
+  static constexpr uint32_t kUsedBit = 2;
+  static constexpr uint32_t kDeletedBit = 4;
+  static constexpr int kSizeShift = 3;
 
+  // 8 bytes: the clause ref shifted left by one with a binary tag in bit
+  // 0. For a binary clause the blocker is the other literal, so
+  // propagation decides it without reading the arena.
   struct Watcher {
-    ClauseRef clause;
+    uint32_t tagged_ref;
     Lit blocker;
+
+    static Watcher Of(ClauseRef c, bool binary, Lit blocker) {
+      return {(c << 1) | (binary ? 1u : 0u), blocker};
+    }
+    ClauseRef clause() const { return tagged_ref >> 1; }
+    bool binary() const { return (tagged_ref & 1u) != 0; }
   };
 
   int8_t ValueOfLit(Lit l) const { return value_[l]; }
@@ -116,13 +141,32 @@ class Solver {
   void Enqueue(Lit l, ClauseRef reason);
   ClauseRef Propagate();
   void Analyze(ClauseRef conflict, std::vector<Lit>* learnt, int* bt_level);
+  bool LitRedundant(Lit p, uint32_t abstract_levels);
+  uint32_t AbstractLevel(Var v) const { return 1u << (level_[v] & 31); }
+  uint32_t Lbd(std::span<const Lit> lits);
   void BacktrackTo(int level);
   Lit PickBranchLit();
   void BumpVar(Var v);
   void DecayActivities();
-  ClauseRef AttachClause(std::span<const Lit> lits);
+  ClauseRef AttachClause(std::span<const Lit> lits, bool learnt,
+                         uint32_t lbd = 0);
+  void ReduceLearnts();
+  void CompactArena();
+
+  uint32_t Header(ClauseRef c) const { return static_cast<uint32_t>(arena_[c]); }
+  bool IsLearnt(ClauseRef c) const { return (Header(c) & kLearntBit) != 0; }
+  uint32_t SizeOf(ClauseRef c) const { return Header(c) >> kSizeShift; }
+  uint32_t LbdOf(ClauseRef c) const { return static_cast<uint32_t>(arena_[c + 1]); }
+  // Words the clause occupies in the arena, header included.
+  uint32_t WordsOf(ClauseRef c) const {
+    return 1 + (Header(c) & kLearntBit) + SizeOf(c);
+  }
+  void SetFlag(ClauseRef c, uint32_t bit) {
+    arena_[c] = static_cast<Lit>(Header(c) | bit);
+  }
   std::span<Lit> LitsOf(ClauseRef c) {
-    return {arena_.data() + c + 1, static_cast<size_t>(arena_[c])};
+    const uint32_t h = Header(c);
+    return {arena_.data() + c + 1 + (h & kLearntBit), h >> kSizeShift};
   }
 
   // Heap-based VSIDS priority queue.
@@ -148,7 +192,13 @@ class Solver {
   std::vector<Var> heap_;
   std::vector<int> heap_pos_;  // per var, -1 if absent
 
-  std::vector<int8_t> seen_;  // per var, scratch for Analyze
+  // Scratch for Analyze: marks per var, the minimization stack, the
+  // literals whose marks to clear, and per-level stamps for the LBD.
+  std::vector<int8_t> seen_;
+  std::vector<Lit> analyze_stack_;
+  std::vector<Lit> analyze_toclear_;
+  std::vector<uint32_t> level_stamp_;
+  uint32_t lbd_stamp_ = 0;
 
   // Diversification stream: SplitMix64 over branch_seed, advanced only
   // when a random knob consumes a draw, so kSaved/kFalse/kTrue configs are
@@ -157,6 +207,15 @@ class Solver {
 
   double var_inc_ = 1.0;
   uint64_t conflicts_ = 0;
+  // Learnt-clause reduction schedule, in lifetime conflicts: the first
+  // reduction after kFirstReduce, each interval kReduceGrowth longer than
+  // the last. Clauses with LBD <= kKeepLbd are never deleted.
+  static constexpr uint64_t kFirstReduce = 2000;
+  static constexpr uint64_t kReduceGrowth = 300;
+  static constexpr uint32_t kKeepLbd = 2;
+  uint64_t next_reduce_ = kFirstReduce;
+  uint64_t reduce_interval_ = kFirstReduce;
+  uint64_t learnts_deleted_ = 0;
   bool unsat_at_root_ = false;
   SolverConfig config_;
   uint64_t div_state_ = 0;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "sat/solver.hpp"
@@ -130,6 +132,167 @@ TEST(SatSolver, ConflictLimitYieldsUnknown) {
     }
   }
   EXPECT_EQ(s.Solve({}, 1), SolveResult::kUnknown);
+}
+
+TEST(SatSolver, LearntUnitUnderAssumptionsOutlivesTheQuery) {
+  // (u | x) & (u | !x) forces u. Under the assumption a, the solver
+  // branches u false first (saved phases start false), hits a conflict and
+  // learns the unit u. The unit follows from the clauses alone, so it must
+  // outlive the query: refuting !u afterwards costs no conflict.
+  Solver s;
+  const Var u = s.NewVar();
+  const Var x = s.NewVar();
+  const Var a = s.NewVar();
+  s.AddBinary(MakeLit(u), MakeLit(x));
+  s.AddBinary(MakeLit(u), Negate(MakeLit(x)));
+  const std::vector<Lit> assume_a = {MakeLit(a)};
+  ASSERT_EQ(s.Solve(assume_a), SolveResult::kSat);
+  ASSERT_GT(s.conflicts(), 0u);  // u was learnt, not propagated
+  const uint64_t learnt_at = s.conflicts();
+  const std::vector<Lit> assume_not_u = {Negate(MakeLit(u))};
+  EXPECT_EQ(s.Solve(assume_not_u), SolveResult::kUnsat);
+  EXPECT_EQ(s.conflicts(), learnt_at);
+  ASSERT_EQ(s.Solve(), SolveResult::kSat);
+  EXPECT_TRUE(s.ModelValue(u));
+}
+
+TEST(SatSolver, RootConflictUnderAssumptionsIsFinal) {
+  // x is forced both ways. The conflict that proves it surfaces at the root
+  // once the learnt unit is asserted there, even though the query carried
+  // an assumption: every later query is UNSAT without a search.
+  Solver s;
+  const Var x = s.NewVar();
+  const Var y = s.NewVar();
+  const Var a = s.NewVar();
+  s.AddBinary(MakeLit(x), MakeLit(y));
+  s.AddBinary(MakeLit(x), Negate(MakeLit(y)));
+  s.AddBinary(Negate(MakeLit(x)), MakeLit(y));
+  s.AddBinary(Negate(MakeLit(x)), Negate(MakeLit(y)));
+  const std::vector<Lit> assume_a = {MakeLit(a)};
+  EXPECT_EQ(s.Solve(assume_a), SolveResult::kUnsat);
+  const uint64_t refuted_at = s.conflicts();
+  EXPECT_EQ(s.Solve(), SolveResult::kUnsat);
+  EXPECT_EQ(s.conflicts(), refuted_at);
+}
+
+TEST(SatSolver, RepeatedAssumptionsOpenMoreLevelsThanVariables) {
+  // An assumption that already holds still opens a decision level, so
+  // PHP(5, 4) searched under 30 copies of one assumption learns clauses
+  // whose levels exceed the variable count.
+  constexpr int kPigeons = 5;
+  constexpr int kHoles = 4;
+  Solver s;
+  const Var free_var = s.NewVar();
+  Var p[kPigeons][kHoles];
+  for (auto& row : p) {
+    for (Var& v : row) v = s.NewVar();
+  }
+  for (int i = 0; i < kPigeons; ++i) {
+    std::vector<Lit> clause;
+    for (int j = 0; j < kHoles; ++j) clause.push_back(MakeLit(p[i][j]));
+    s.AddClause(clause);
+  }
+  for (int j = 0; j < kHoles; ++j) {
+    for (int i1 = 0; i1 < kPigeons; ++i1) {
+      for (int i2 = i1 + 1; i2 < kPigeons; ++i2) {
+        s.AddBinary(Negate(MakeLit(p[i1][j])), Negate(MakeLit(p[i2][j])));
+      }
+    }
+  }
+  const std::vector<Lit> assumptions(30, MakeLit(free_var));
+  EXPECT_EQ(s.Solve(assumptions), SolveResult::kUnsat);
+  EXPECT_GT(s.conflicts(), 0u);
+}
+
+// Reductions delete learnt clauses and compact the clause arena mid-search,
+// remapping every reason and watcher. These queries run the solver through
+// several reductions (the schedule reduces after 2,000, 4,300 and 6,900
+// conflicts) and check each answer independently.
+bool Satisfies(const Solver& s, const std::vector<std::vector<Lit>>& clauses,
+               std::span<const Lit> assumptions) {
+  const auto holds = [&](Lit l) {
+    return s.ModelValue(VarOf(l)) != IsNegated(l);
+  };
+  for (const std::vector<Lit>& clause : clauses) {
+    if (std::none_of(clause.begin(), clause.end(), holds)) return false;
+  }
+  return std::all_of(assumptions.begin(), assumptions.end(), holds);
+}
+
+Solver SolverFor(int vars, const std::vector<std::vector<Lit>>& clauses) {
+  Solver s;
+  for (int i = 0; i < vars; ++i) s.NewVar();
+  for (const std::vector<Lit>& clause : clauses) s.AddClause(clause);
+  return s;
+}
+
+TEST(SatSolverReduction, RandomThreeSatQueriesAcrossReductions) {
+  // 150 variables at clause ratio 4.1, near the 3-SAT threshold, queried
+  // under two random assumptions at a time: the answers mix SAT and UNSAT.
+  constexpr int kVars = 150;
+  constexpr int kClauses = 615;
+  splitlock::Rng rng(15041);
+  std::vector<std::vector<Lit>> clauses(kClauses);
+  for (std::vector<Lit>& clause : clauses) {
+    for (int k = 0; k < 3; ++k) {
+      clause.push_back(MakeLit(static_cast<Var>(rng.NextUint(kVars)),
+                               rng.NextBool()));
+    }
+  }
+  Solver s = SolverFor(kVars, clauses);
+  size_t sat = 0;
+  size_t unsat = 0;
+  for (int q = 0; q < 40; ++q) {
+    std::vector<Lit> assumptions;
+    for (int k = 0; k < 2; ++k) {
+      assumptions.push_back(MakeLit(static_cast<Var>(rng.NextUint(kVars)),
+                                    rng.NextBool()));
+    }
+    const SolveResult r = s.Solve(assumptions);
+    ASSERT_NE(r, SolveResult::kUnknown) << "query " << q;
+    if (r == SolveResult::kSat) {
+      ++sat;
+      EXPECT_TRUE(Satisfies(s, clauses, assumptions)) << "query " << q;
+    } else {
+      ++unsat;
+      EXPECT_EQ(SolverFor(kVars, clauses).Solve(assumptions),
+                SolveResult::kUnsat)
+          << "query " << q;
+    }
+  }
+  EXPECT_GT(sat, 0u);
+  EXPECT_GT(unsat, 0u);
+  EXPECT_GT(s.conflicts(), 6900u);  // past the third reduction
+  EXPECT_GT(s.learnts_deleted(), 0u);
+}
+
+TEST(SatSolverReduction, PigeonholeQueriesAcrossReductions) {
+  // PHP(8, 7) is UNSAT under any assumptions, so every answer is known.
+  constexpr int kPigeons = 8;
+  constexpr int kHoles = 7;
+  Solver s;
+  std::vector<std::vector<Var>> p(kPigeons, std::vector<Var>(kHoles));
+  for (auto& row : p) {
+    for (Var& v : row) v = s.NewVar();
+  }
+  for (int i = 0; i < kPigeons; ++i) {
+    std::vector<Lit> clause;
+    for (int j = 0; j < kHoles; ++j) clause.push_back(MakeLit(p[i][j]));
+    s.AddClause(clause);
+  }
+  for (int j = 0; j < kHoles; ++j) {
+    for (int i1 = 0; i1 < kPigeons; ++i1) {
+      for (int i2 = i1 + 1; i2 < kPigeons; ++i2) {
+        s.AddBinary(Negate(MakeLit(p[i1][j])), Negate(MakeLit(p[i2][j])));
+      }
+    }
+  }
+  for (int i = 0; i < kPigeons; ++i) {
+    const std::vector<Lit> assumption = {MakeLit(p[i][i % kHoles])};
+    EXPECT_EQ(s.Solve(assumption), SolveResult::kUnsat) << "pigeon " << i;
+  }
+  EXPECT_EQ(s.Solve(), SolveResult::kUnsat);
+  EXPECT_GT(s.learnts_deleted(), 0u);
 }
 
 // Property sweep: random 3-SAT instances cross-checked against brute force.

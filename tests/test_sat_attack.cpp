@@ -165,25 +165,26 @@ TEST(SatAttack, GoldenDigests) {
   const SatAttackResult seq = RunSatAttack(locked.locked, original);
   ASSERT_TRUE(seq.finished);
   EXPECT_TRUE(seq.functionally_correct);
-  EXPECT_EQ(seq.dips_used, 39u);
-  EXPECT_EQ(seq.telemetry.total_conflicts, 15031u);
+  EXPECT_EQ(seq.dips_used, 40u);
+  EXPECT_EQ(seq.telemetry.total_conflicts, 17750u);
   EXPECT_EQ(KeyBits(seq.recovered_key),
-            "0010000011001101101000101011101110111001001001011110100001011010");
+            "0010000011111010011100011000100001010101001101011110011101010101");
 
   // A per-round budget small enough that one round stalls and races its
-  // diversified clones, so the digest also covers winner selection and
-  // adoption.
+  // diversified clones, yet large enough that a clone finishes it, so the
+  // digest also covers winner selection and adoption. (Budgets from 7,000
+  // to 10,000 all give a clone win and a finished attack.)
   PortfolioSatOptions popts;
-  popts.conflicts_per_round = 4000;
+  popts.conflicts_per_round = 8000;
   const PortfolioSatResult port =
       RunPortfolioSatAttack(locked.locked, original, popts);
-  EXPECT_EQ(port.wins_per_config, (std::vector<size_t>{39, 1, 0, 0}));
+  EXPECT_EQ(port.wins_per_config, (std::vector<size_t>{40, 1, 0, 0}));
   ASSERT_TRUE(port.attack.finished);
   EXPECT_TRUE(port.attack.functionally_correct);
-  EXPECT_EQ(port.attack.dips_used, 39u);
-  EXPECT_EQ(port.attack.telemetry.total_conflicts, 15694u);
+  EXPECT_EQ(port.attack.dips_used, 40u);
+  EXPECT_EQ(port.attack.telemetry.total_conflicts, 17097u);
   EXPECT_EQ(KeyBits(port.attack.recovered_key),
-            "0010000001000010101000101011101100111010001001011110101101011010");
+            "0010000011110010101100011000011111011001111011011110101110011101");
 }
 
 TEST(OracleLess, KeySpaceStaysRich) {

@@ -192,22 +192,44 @@ TEST(SolverClone, CloneSolvesIdenticallyOnRandomCnf) {
 }
 
 TEST(SolverClone, CloneCarriesLearntClausesAndRemainsIdentical) {
-  // Clone mid-way: after the original has already solved (and learnt), a
-  // clone must behave identically on the *next* query too.
+  // Clone mid-way: after the original has already solved, learnt and
+  // deleted learnt clauses in a reduction, a clone must behave identically
+  // on the next queries too, through the next reduction. 150 variables at
+  // clause ratio 4.1 sit near the 3-SAT threshold, so two random
+  // assumptions per query make for real searches.
   std::vector<std::vector<Lit>> clauses;
-  Solver original = RandomCnf(21, 40, 150, &clauses);
-  ASSERT_EQ(original.Solve(), SolveResult::kSat);
+  Solver original = RandomCnf(21, 150, 615, &clauses);
+  Rng rng(22);
+  const auto next_query = [&] {
+    std::vector<Lit> assumptions;
+    for (int k = 0; k < 2; ++k) {
+      assumptions.push_back(MakeLit(static_cast<Var>(rng.NextUint(150)),
+                                    rng.NextBool()));
+    }
+    return assumptions;
+  };
+  for (int q = 0; q < 100 && original.learnts_deleted() == 0; ++q) {
+    ASSERT_NE(original.Solve(next_query()), SolveResult::kUnknown);
+  }
+  ASSERT_GT(original.learnts_deleted(), 0u);
+
   Solver clone = original.Clone();
-  const std::vector<Lit> assumption = {MakeLit(0, original.ModelValue(0))};
-  const SolveResult a = original.Solve(assumption);
-  const SolveResult b = clone.Solve(assumption);
-  ASSERT_EQ(a, b);
-  EXPECT_EQ(original.conflicts(), clone.conflicts());
-  if (a == SolveResult::kSat) {
-    for (Var v = 0; v < original.NumVars(); ++v) {
-      ASSERT_EQ(original.ModelValue(v), clone.ModelValue(v));
+  const uint64_t deleted = original.learnts_deleted();
+  for (int q = 0; q < 100 && original.learnts_deleted() == deleted; ++q) {
+    const std::vector<Lit> assumptions = next_query();
+    const SolveResult a = original.Solve(assumptions);
+    const SolveResult b = clone.Solve(assumptions);
+    ASSERT_EQ(a, b) << "query " << q;
+    ASSERT_EQ(original.conflicts(), clone.conflicts()) << "query " << q;
+    if (a == SolveResult::kSat) {
+      EXPECT_TRUE(ModelSatisfies(clone, clauses));
+      for (Var v = 0; v < original.NumVars(); ++v) {
+        ASSERT_EQ(original.ModelValue(v), clone.ModelValue(v));
+      }
     }
   }
+  EXPECT_GT(original.learnts_deleted(), deleted);
+  EXPECT_EQ(original.learnts_deleted(), clone.learnts_deleted());
 }
 
 TEST(SolverClone, CloneIsIndependentOfTheOriginal) {
