@@ -302,10 +302,18 @@ OptStats StructuralHash(Netlist& nl) {
       if (!IsLogicOp(gate.op) || gate.HasFlag(kFlagDontTouch)) continue;
       GateKey key;
       key.op = gate.op;
-      const auto key_end =
-          std::copy(gate.fanins.begin(), gate.fanins.end(), key.fanins.begin());
-      const bool commutative = gate.op != GateOp::kMux;
-      if (commutative) std::sort(key.fanins.begin(), key_end);
+      // CheckMaxFanin bounds every gate's fanins by kMaxFanin. An insertion
+      // sort over at most that many keeps GCC's -Warray-bounds quiet, which
+      // std::sort's 16-element insertion prefix trips on a 4-entry array.
+      const size_t arity = std::min(gate.fanins.size(), kMaxFanin);
+      std::copy_n(gate.fanins.begin(), arity, key.fanins.begin());
+      if (gate.op != GateOp::kMux) {  // commutative
+        for (size_t i = 1; i < arity; ++i) {
+          for (size_t j = i; j > 0 && key.fanins[j] < key.fanins[j - 1]; --j) {
+            std::swap(key.fanins[j], key.fanins[j - 1]);
+          }
+        }
+      }
       auto [it, inserted] = seen.emplace(key, g);
       if (!inserted) {
         nl.ReplaceAllUses(gate.out, nl.gate(it->second).out);
