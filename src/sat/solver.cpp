@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace splitlock::sat {
 namespace {
@@ -103,9 +104,11 @@ bool Solver::AddClause(std::vector<Lit> lits) {
 
 Solver::ClauseRef Solver::AttachClause(std::span<const Lit> lits,
                                        bool learnt, uint32_t lbd) {
-  const ClauseRef ref = static_cast<ClauseRef>(arena_.size());
   // Watchers keep the ref in 31 bits.
-  assert(arena_.size() + 2 + lits.size() < (size_t{1} << 31));
+  if (arena_.size() + 2 + lits.size() >= (size_t{1} << 31)) {
+    throw std::length_error("sat::Solver: clause arena exceeds 2^31 words");
+  }
+  const ClauseRef ref = static_cast<ClauseRef>(arena_.size());
   arena_.push_back(static_cast<Lit>(
       (static_cast<uint32_t>(lits.size()) << kSizeShift) |
       (learnt ? kLearntBit : 0)));

@@ -63,10 +63,10 @@ class Solver {
 
   // Deep copy: clause database (including learnt clauses and their LBDs),
   // assignment trail, heuristic state (activities, saved phases), the
-  // reduction schedule and config. A clone
-  // with the same config solves future queries identically to the
-  // original; diverging behaviour requires diverging configs. The abort
-  // flag is NOT inherited — clones start unabortable.
+  // reduction schedule and config. A clone with the same config solves
+  // future queries identically to the original; diverging behaviour
+  // requires diverging configs. The abort flag is NOT inherited — clones
+  // start unabortable.
   Solver Clone() const;
 
   // Diversification knobs. Call between Solve()s (root level). Re-seeds
@@ -153,10 +153,14 @@ class Solver {
   void ReduceLearnts();
   void CompactArena();
 
-  uint32_t Header(ClauseRef c) const { return static_cast<uint32_t>(arena_[c]); }
+  uint32_t Header(ClauseRef c) const {
+    return static_cast<uint32_t>(arena_[c]);
+  }
   bool IsLearnt(ClauseRef c) const { return (Header(c) & kLearntBit) != 0; }
   uint32_t SizeOf(ClauseRef c) const { return Header(c) >> kSizeShift; }
-  uint32_t LbdOf(ClauseRef c) const { return static_cast<uint32_t>(arena_[c + 1]); }
+  uint32_t LbdOf(ClauseRef c) const {
+    return static_cast<uint32_t>(arena_[c + 1]);
+  }
   // Words the clause occupies in the arena, header included.
   uint32_t WordsOf(ClauseRef c) const {
     return 1 + (Header(c) & kLearntBit) + SizeOf(c);
