@@ -175,39 +175,6 @@ TEST(SatSolver, RootConflictUnderAssumptionsIsFinal) {
   EXPECT_EQ(s.conflicts(), refuted_at);
 }
 
-TEST(SatSolver, RepeatedAssumptionsOpenMoreLevelsThanVariables) {
-  // An assumption that already holds still opens a decision level, so
-  // PHP(5, 4) searched under 30 copies of one assumption learns clauses
-  // whose levels exceed the variable count.
-  constexpr int kPigeons = 5;
-  constexpr int kHoles = 4;
-  Solver s;
-  const Var free_var = s.NewVar();
-  Var p[kPigeons][kHoles];
-  for (auto& row : p) {
-    for (Var& v : row) v = s.NewVar();
-  }
-  for (int i = 0; i < kPigeons; ++i) {
-    std::vector<Lit> clause;
-    for (int j = 0; j < kHoles; ++j) clause.push_back(MakeLit(p[i][j]));
-    s.AddClause(clause);
-  }
-  for (int j = 0; j < kHoles; ++j) {
-    for (int i1 = 0; i1 < kPigeons; ++i1) {
-      for (int i2 = i1 + 1; i2 < kPigeons; ++i2) {
-        s.AddBinary(Negate(MakeLit(p[i1][j])), Negate(MakeLit(p[i2][j])));
-      }
-    }
-  }
-  const std::vector<Lit> assumptions(30, MakeLit(free_var));
-  EXPECT_EQ(s.Solve(assumptions), SolveResult::kUnsat);
-  EXPECT_GT(s.conflicts(), 0u);
-}
-
-// Reductions delete learnt clauses and compact the clause arena mid-search,
-// remapping every reason and watcher. These queries run the solver through
-// several reductions (the schedule reduces after 2,000, 4,300 and 6,900
-// conflicts) and check each answer independently.
 bool Satisfies(const Solver& s, const std::vector<std::vector<Lit>>& clauses,
                std::span<const Lit> assumptions) {
   const auto holds = [&](Lit l) {
@@ -226,6 +193,45 @@ Solver SolverFor(int vars, const std::vector<std::vector<Lit>>& clauses) {
   return s;
 }
 
+// PHP(pigeons, holes): variable i * holes + j puts pigeon i in hole j.
+Lit InHole(int holes, int i, int j) { return MakeLit(i * holes + j); }
+
+std::vector<std::vector<Lit>> PigeonholeClauses(int pigeons, int holes) {
+  std::vector<std::vector<Lit>> clauses;
+  for (int i = 0; i < pigeons; ++i) {
+    std::vector<Lit> clause;
+    for (int j = 0; j < holes; ++j) clause.push_back(InHole(holes, i, j));
+    clauses.push_back(clause);
+  }
+  for (int j = 0; j < holes; ++j) {
+    for (int i1 = 0; i1 < pigeons; ++i1) {
+      for (int i2 = i1 + 1; i2 < pigeons; ++i2) {
+        clauses.push_back(
+            {Negate(InHole(holes, i1, j)), Negate(InHole(holes, i2, j))});
+      }
+    }
+  }
+  return clauses;
+}
+
+TEST(SatSolver, RepeatedAssumptionsOpenMoreLevelsThanVariables) {
+  // An assumption that already holds still opens a decision level, so
+  // PHP(5, 4) searched under 30 copies of one assumption learns clauses
+  // whose levels exceed the variable count.
+  constexpr int kPigeons = 5;
+  constexpr int kHoles = 4;
+  Solver s =
+      SolverFor(kPigeons * kHoles + 1, PigeonholeClauses(kPigeons, kHoles));
+  const Var free_var = kPigeons * kHoles;
+  const std::vector<Lit> assumptions(30, MakeLit(free_var));
+  EXPECT_EQ(s.Solve(assumptions), SolveResult::kUnsat);
+  EXPECT_GT(s.conflicts(), 0u);
+}
+
+// Reductions delete learnt clauses and compact the clause arena mid-search,
+// remapping every reason and watcher. These queries run the solver through
+// several reductions (the schedule reduces after 2,000, 4,300 and 6,900
+// conflicts) and check each answer independently.
 TEST(SatSolverReduction, RandomThreeSatQueriesAcrossReductions) {
   // 150 variables at clause ratio 4.1, near the 3-SAT threshold, queried
   // under two random assumptions at a time: the answers mix SAT and UNSAT.
@@ -267,29 +273,19 @@ TEST(SatSolverReduction, RandomThreeSatQueriesAcrossReductions) {
 }
 
 TEST(SatSolverReduction, PigeonholeQueriesAcrossReductions) {
-  // PHP(8, 7) is UNSAT under any assumptions, so every answer is known.
+  // PHP(8, 7) is UNSAT under any assumptions; a fresh solver given the
+  // same query must agree with each answer.
   constexpr int kPigeons = 8;
   constexpr int kHoles = 7;
-  Solver s;
-  std::vector<std::vector<Var>> p(kPigeons, std::vector<Var>(kHoles));
-  for (auto& row : p) {
-    for (Var& v : row) v = s.NewVar();
-  }
+  const std::vector<std::vector<Lit>> clauses =
+      PigeonholeClauses(kPigeons, kHoles);
+  Solver s = SolverFor(kPigeons * kHoles, clauses);
   for (int i = 0; i < kPigeons; ++i) {
-    std::vector<Lit> clause;
-    for (int j = 0; j < kHoles; ++j) clause.push_back(MakeLit(p[i][j]));
-    s.AddClause(clause);
-  }
-  for (int j = 0; j < kHoles; ++j) {
-    for (int i1 = 0; i1 < kPigeons; ++i1) {
-      for (int i2 = i1 + 1; i2 < kPigeons; ++i2) {
-        s.AddBinary(Negate(MakeLit(p[i1][j])), Negate(MakeLit(p[i2][j])));
-      }
-    }
-  }
-  for (int i = 0; i < kPigeons; ++i) {
-    const std::vector<Lit> assumption = {MakeLit(p[i][i % kHoles])};
+    const std::vector<Lit> assumption = {InHole(kHoles, i, i % kHoles)};
     EXPECT_EQ(s.Solve(assumption), SolveResult::kUnsat) << "pigeon " << i;
+    EXPECT_EQ(SolverFor(kPigeons * kHoles, clauses).Solve(assumption),
+              SolveResult::kUnsat)
+        << "pigeon " << i;
   }
   EXPECT_EQ(s.Solve(), SolveResult::kUnsat);
   EXPECT_GT(s.learnts_deleted(), 0u);
