@@ -104,8 +104,9 @@ bool Solver::AddClause(std::vector<Lit> lits) {
 
 Solver::ClauseRef Solver::AttachClause(std::span<const Lit> lits,
                                        bool learnt, uint32_t lbd) {
-  // Watchers keep the ref in 31 bits.
-  if (arena_.size() + 2 + lits.size() >= (size_t{1} << 31)) {
+  // Watchers keep the ref in 31 bits, the header the size in 29.
+  if (lits.size() >= (size_t{1} << (32 - kSizeShift)) ||
+      arena_.size() + 2 + lits.size() >= (size_t{1} << 31)) {
     throw std::length_error("sat::Solver: clause arena exceeds 2^31 words");
   }
   const ClauseRef ref = static_cast<ClauseRef>(arena_.size());
