@@ -87,11 +87,17 @@ TEST(AtpgLock, GoldenLockDigests) {
   // The pins cover every apply path and the LEC refutation. The 8 full
   // passes are the five first applies (the compacted original is not at
   // OptimizeArea's fixed point), the apply after b14's rolled-back first
-  // apply, and two INV(INV(x)) fallbacks (b14 and b21).
+  // apply, and two INV(INV(x)) fallbacks (b14 and b21). The key-bit check
+  // counts are those of one word-at-a-time check per bit that stops at the
+  // bit's first differing word and at the fault's first dead bit; a faster
+  // check must keep them.
   const obs::MetricsSnapshot delta = obs::MetricsSnapshot::Delta(
       before, obs::Registry::Instance().Snapshot());
   EXPECT_EQ(Count(delta, "lock.apply.local"), 36u);
   EXPECT_EQ(Count(delta, "lock.apply.full"), 8u);
+  EXPECT_EQ(Count(delta, "lock.key_bit_checks"), 182u);
+  EXPECT_EQ(Count(delta, "lock.check_words"), 494u);
+  EXPECT_EQ(Count(delta, "lock.rollbacks"), 7u);
   EXPECT_GT(Count(delta, "lec.proofs_refuted"), 0u);
 }
 
