@@ -3,14 +3,169 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
 
 namespace splitlock {
+namespace {
+
+// Step ops: a gate's function specialised by fanin count, so the kernel's
+// inner loops are straight-line.
+enum StepOp : uint8_t {
+  kStepConst0,
+  kStepConst1,
+  kStepBuf,
+  kStepInv,
+  kStepAnd2,
+  kStepAnd3,
+  kStepAnd4,
+  kStepNand2,
+  kStepNand3,
+  kStepNand4,
+  kStepOr2,
+  kStepOr3,
+  kStepOr4,
+  kStepNor2,
+  kStepNor3,
+  kStepNor4,
+  kStepXor,
+  kStepXnor,
+  kStepMux,
+};
+
+// The step op evaluating `op` over `n` fanins exactly as EvalGateWord
+// does; throws for a fanin count EvalGateWord cannot evaluate.
+StepOp CompileOp(GateOp op, size_t n) {
+  // AND/NAND/OR/NOR over one fanin are BUF/INV, as in EvalGateWord.
+  const auto nary = [n](StepOp one, StepOp two) {
+    return n == 1 ? one : static_cast<StepOp>(two + (n - 2));
+  };
+  size_t need = 0;
+  StepOp step = kStepConst0;
+  switch (op) {
+    case GateOp::kConst0:
+    case GateOp::kTieLo:
+      return kStepConst0;
+    case GateOp::kConst1:
+    case GateOp::kTieHi:
+      return kStepConst1;
+    case GateOp::kBuf: need = 1, step = kStepBuf; break;
+    case GateOp::kInv: need = 1, step = kStepInv; break;
+    case GateOp::kAnd: need = 1, step = nary(kStepBuf, kStepAnd2); break;
+    case GateOp::kNand: need = 1, step = nary(kStepInv, kStepNand2); break;
+    case GateOp::kOr: need = 1, step = nary(kStepBuf, kStepOr2); break;
+    case GateOp::kNor: need = 1, step = nary(kStepInv, kStepNor2); break;
+    case GateOp::kXor: need = 2, step = kStepXor; break;
+    case GateOp::kXnor: need = 2, step = kStepXnor; break;
+    case GateOp::kMux: need = 3, step = kStepMux; break;
+    default: need = kMaxFanin + 1; break;
+  }
+  if (n < need) {
+    throw std::invalid_argument(std::string("cannot simulate ") +
+                                GateOpName(op) + " with " +
+                                std::to_string(n) + " fanins");
+  }
+  return step;
+}
+
+// The one simulation kernel: evaluates `steps` in order over net-major
+// buffers of `width` words per net. `Width` is std::integral_constant for
+// Run()'s single word, so that instance has no inner loops.
+template <typename Width>
+void RunSteps(std::span<const Simulator::Step> steps, uint64_t* values,
+              Width width) {
+  const size_t n = width;
+  for (const Simulator::Step& s : steps) {
+    uint64_t* out = values + size_t{s.out} * n;
+    const uint64_t* a = values + size_t{s.in[0]} * n;
+    const uint64_t* b = values + size_t{s.in[1]} * n;
+    const uint64_t* c = values + size_t{s.in[2]} * n;
+    const uint64_t* d = values + size_t{s.in[3]} * n;
+    switch (s.op) {
+      case kStepConst0:
+        for (size_t w = 0; w < n; ++w) out[w] = 0;
+        break;
+      case kStepConst1:
+        for (size_t w = 0; w < n; ++w) out[w] = ~0ULL;
+        break;
+      case kStepBuf:
+        for (size_t w = 0; w < n; ++w) out[w] = a[w];
+        break;
+      case kStepInv:
+        for (size_t w = 0; w < n; ++w) out[w] = ~a[w];
+        break;
+      case kStepAnd2:
+        for (size_t w = 0; w < n; ++w) out[w] = a[w] & b[w];
+        break;
+      case kStepAnd3:
+        for (size_t w = 0; w < n; ++w) out[w] = a[w] & b[w] & c[w];
+        break;
+      case kStepAnd4:
+        for (size_t w = 0; w < n; ++w) out[w] = a[w] & b[w] & c[w] & d[w];
+        break;
+      case kStepNand2:
+        for (size_t w = 0; w < n; ++w) out[w] = ~(a[w] & b[w]);
+        break;
+      case kStepNand3:
+        for (size_t w = 0; w < n; ++w) out[w] = ~(a[w] & b[w] & c[w]);
+        break;
+      case kStepNand4:
+        for (size_t w = 0; w < n; ++w) {
+          out[w] = ~(a[w] & b[w] & c[w] & d[w]);
+        }
+        break;
+      case kStepOr2:
+        for (size_t w = 0; w < n; ++w) out[w] = a[w] | b[w];
+        break;
+      case kStepOr3:
+        for (size_t w = 0; w < n; ++w) out[w] = a[w] | b[w] | c[w];
+        break;
+      case kStepOr4:
+        for (size_t w = 0; w < n; ++w) out[w] = a[w] | b[w] | c[w] | d[w];
+        break;
+      case kStepNor2:
+        for (size_t w = 0; w < n; ++w) out[w] = ~(a[w] | b[w]);
+        break;
+      case kStepNor3:
+        for (size_t w = 0; w < n; ++w) out[w] = ~(a[w] | b[w] | c[w]);
+        break;
+      case kStepNor4:
+        for (size_t w = 0; w < n; ++w) {
+          out[w] = ~(a[w] | b[w] | c[w] | d[w]);
+        }
+        break;
+      case kStepXor:
+        for (size_t w = 0; w < n; ++w) out[w] = a[w] ^ b[w];
+        break;
+      case kStepXnor:
+        for (size_t w = 0; w < n; ++w) out[w] = ~(a[w] ^ b[w]);
+        break;
+      case kStepMux:  // fanins {sel, a, b}: sel ? b : a
+        for (size_t w = 0; w < n; ++w) out[w] = (a[w] & c[w]) | (~a[w] & b[w]);
+        break;
+    }
+  }
+}
+
+}  // namespace
 
 Simulator::Simulator(const Netlist& nl)
-    : nl_(&nl),
-      topo_(nl.TopoOrder()),
-      key_inputs_(nl.KeyInputs()),
-      values_(nl.NumNets(), 0) {}
+    : nl_(&nl), key_inputs_(nl.KeyInputs()), values_(nl.NumNets(), 0) {
+  for (GateId g : nl.TopoOrder()) {
+    const Gate& gate = nl.gate(g);
+    if (gate.op == GateOp::kInput || gate.op == GateOp::kKeyIn ||
+        gate.op == GateOp::kOutput) {
+      continue;
+    }
+    Step step{CompileOp(gate.op, gate.fanins.size()), gate.out, {}};
+    step.in.fill(gate.out);
+    std::copy(gate.fanins.begin(), gate.fanins.end(), step.in.begin());
+    steps_.push_back(step);
+  }
+  po_nets_.reserve(nl.outputs().size());
+  for (GateId po : nl.outputs()) po_nets_.push_back(nl.gate(po).fanins[0]);
+}
 
 void Simulator::SetSourceWord(GateId source, uint64_t word) {
   const Gate& g = nl_->gate(source);
@@ -37,28 +192,7 @@ void Simulator::SetKeyBits(std::span<const uint8_t> bits) {
 }
 
 void Simulator::Run() {
-  uint64_t fanin_words[kMaxFanin];
-  for (GateId g : topo_) {
-    const Gate& gate = nl_->gate(g);
-    switch (gate.op) {
-      case GateOp::kInput:
-      case GateOp::kKeyIn:
-      case GateOp::kOutput:
-      case GateOp::kDeleted:
-        continue;
-      default:
-        break;
-    }
-    const size_t n = gate.fanins.size();
-    for (size_t i = 0; i < n; ++i) fanin_words[i] = values_[gate.fanins[i]];
-    values_[gate.out] =
-        EvalGateWord(gate.op, std::span<const uint64_t>(fanin_words, n));
-  }
-}
-
-uint64_t Simulator::OutputWord(size_t po_index) const {
-  const Gate& po = nl_->gate(nl_->outputs()[po_index]);
-  return values_[po.fanins[0]];
+  RunSteps(steps_, values_.data(), std::integral_constant<size_t, 1>{});
 }
 
 void Simulator::BeginBatch(size_t width) {
@@ -85,80 +219,8 @@ void Simulator::SetKeyBitsBatch(std::span<const uint8_t> bits) {
 }
 
 void Simulator::RunBatch() {
-  const size_t width = batch_width_;
-  assert(width > 0);
-  uint64_t fanin_words[kMaxFanin];
-  for (GateId g : topo_) {
-    const Gate& gate = nl_->gate(g);
-    switch (gate.op) {
-      case GateOp::kInput:
-      case GateOp::kKeyIn:
-      case GateOp::kOutput:
-      case GateOp::kDeleted:
-        continue;
-      default:
-        break;
-    }
-    const size_t n = gate.fanins.size();
-    uint64_t* out = batch_.data() + gate.out * width;
-    // Tight contiguous loops for the common shapes; generic column-by-column
-    // fallback for the rest.
-    if (n == 2) {
-      const uint64_t* a = batch_.data() + gate.fanins[0] * width;
-      const uint64_t* b = batch_.data() + gate.fanins[1] * width;
-      switch (gate.op) {
-        case GateOp::kAnd:
-          for (size_t w = 0; w < width; ++w) out[w] = a[w] & b[w];
-          continue;
-        case GateOp::kNand:
-          for (size_t w = 0; w < width; ++w) out[w] = ~(a[w] & b[w]);
-          continue;
-        case GateOp::kOr:
-          for (size_t w = 0; w < width; ++w) out[w] = a[w] | b[w];
-          continue;
-        case GateOp::kNor:
-          for (size_t w = 0; w < width; ++w) out[w] = ~(a[w] | b[w]);
-          continue;
-        case GateOp::kXor:
-          for (size_t w = 0; w < width; ++w) out[w] = a[w] ^ b[w];
-          continue;
-        case GateOp::kXnor:
-          for (size_t w = 0; w < width; ++w) out[w] = ~(a[w] ^ b[w]);
-          continue;
-        default:
-          break;
-      }
-    } else if (n == 1) {
-      const uint64_t* a = batch_.data() + gate.fanins[0] * width;
-      if (gate.op == GateOp::kBuf) {
-        for (size_t w = 0; w < width; ++w) out[w] = a[w];
-        continue;
-      }
-      if (gate.op == GateOp::kInv) {
-        for (size_t w = 0; w < width; ++w) out[w] = ~a[w];
-        continue;
-      }
-    } else if (n == 3 && gate.op == GateOp::kMux) {
-      const uint64_t* s = batch_.data() + gate.fanins[0] * width;
-      const uint64_t* a = batch_.data() + gate.fanins[1] * width;
-      const uint64_t* b = batch_.data() + gate.fanins[2] * width;
-      for (size_t w = 0; w < width; ++w) {
-        out[w] = (s[w] & b[w]) | (~s[w] & a[w]);
-      }
-      continue;
-    }
-    for (size_t w = 0; w < width; ++w) {
-      for (size_t i = 0; i < n; ++i) {
-        fanin_words[i] = batch_[gate.fanins[i] * width + w];
-      }
-      out[w] = EvalGateWord(gate.op, std::span<const uint64_t>(fanin_words, n));
-    }
-  }
-}
-
-uint64_t Simulator::BatchOutputWord(size_t po_index, size_t w) const {
-  const Gate& po = nl_->gate(nl_->outputs()[po_index]);
-  return batch_[po.fanins[0] * batch_width_ + w];
+  assert(batch_width_ > 0);
+  RunSteps(steps_, batch_.data(), batch_width_);
 }
 
 namespace {

@@ -13,8 +13,15 @@
 // thread pool, one Simulator per shard; attack::DipOracle answers each
 // flushed batch of oracle queries (one batch column per query) with one
 // RunBatch sweep.
+//
+// Construction compiles the netlist once into a flat step list: one step
+// per logic gate in topological order, holding its op specialised by arity,
+// its output net and its fanin nets inline. Run() is that kernel at width 1
+// over its own net-value buffer, RunBatch() the same kernel at the batch
+// width, so neither reads the netlist's gates while it runs.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -44,18 +51,22 @@ class Simulator {
   void SetKeyBits(std::span<const uint8_t> bits);
 
   // Evaluates all gates in topological order. Source nets keep their
-  // assigned words; TIE/const gates produce their constants.
+  // assigned words; TIE/const gates produce their constants; nets of
+  // deleted gates read 0.
   void Run();
 
   uint64_t NetWord(NetId net) const { return values_[net]; }
 
   // Word observed by primary output `po_index` (outputs() order).
-  uint64_t OutputWord(size_t po_index) const;
+  uint64_t OutputWord(size_t po_index) const {
+    return values_[po_nets_[po_index]];
+  }
 
   // --- Batched multi-word simulation ---
 
   // Switches the batch buffers to `width` words per net (width * 64
-  // patterns per RunBatch). Contents are undefined until sources are set.
+  // patterns per RunBatch) and clears every word to 0, so key inputs left
+  // unbound read 0.
   void BeginBatch(size_t width);
 
   size_t batch_width() const { return batch_width_; }
@@ -74,17 +85,33 @@ class Simulator {
   uint64_t BatchNetWord(NetId net, size_t w) const {
     return batch_[net * batch_width_ + w];
   }
-  uint64_t BatchOutputWord(size_t po_index, size_t w) const;
+  uint64_t BatchOutputWord(size_t po_index, size_t w) const {
+    return BatchNetWord(po_nets_[po_index], w);
+  }
 
   const Netlist& netlist() const { return *nl_; }
 
   // Key-input gates, in KeyInputs() order.
   const std::vector<GateId>& key_inputs() const { return key_inputs_; }
 
+  // One compiled logic gate. `op` is the gate's function specialised by
+  // arity (see simulator.cpp); fanin slots past the arity repeat `out`.
+  struct Step {
+    uint8_t op;
+    NetId out;
+    std::array<NetId, kMaxFanin> in;
+  };
+
+  // The compiled logic gates (every live gate but inputs, key inputs and
+  // outputs, TIE and constant cells included), in evaluation order: the
+  // netlist's TopoOrder().
+  std::span<const Step> steps() const { return steps_; }
+
  private:
   const Netlist* nl_;
-  std::vector<GateId> topo_;
+  std::vector<Step> steps_;
   std::vector<GateId> key_inputs_;
+  std::vector<NetId> po_nets_;    // net observed by each primary output
   std::vector<uint64_t> values_;  // indexed by NetId
   size_t batch_width_ = 0;
   std::vector<uint64_t> batch_;  // SoA: [net * batch_width_ + word]

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "circuits/c17.hpp"
 #include "circuits/random_circuit.hpp"
@@ -118,6 +121,126 @@ TEST(ToggleRates, XorOfIndependentInputsTogglesMore) {
   // AND toggles with rate 2*(1/4)*(3/4) = 0.375; XOR with 0.5.
   EXPECT_NEAR(rates[and_net], 0.375, 0.03);
   EXPECT_NEAR(rates[xor_net], 0.5, 0.03);
+}
+
+// Net words of `nl` by EvalGateWord over TopoOrder(), the definition the
+// compiled kernel must match. `values` holds the source nets' words (other
+// entries 0); nets of deleted gates keep 0.
+std::vector<uint64_t> ReferenceWords(const Netlist& nl,
+                                     std::vector<uint64_t> values) {
+  uint64_t fanins[kMaxFanin];
+  for (GateId g : nl.TopoOrder()) {
+    const Gate& gate = nl.gate(g);
+    if (gate.op == GateOp::kInput || gate.op == GateOp::kKeyIn ||
+        gate.op == GateOp::kOutput) {
+      continue;
+    }
+    const size_t n = gate.fanins.size();
+    for (size_t i = 0; i < n; ++i) fanins[i] = values[gate.fanins[i]];
+    values[gate.out] =
+        EvalGateWord(gate.op, std::span<const uint64_t>(fanins, n));
+  }
+  return values;
+}
+
+// Every net word and output word of Run(), and of RunBatch() at widths 1,
+// 5, 32 and 33 on the same simulator, against ReferenceWords. Primary and
+// key inputs get random words.
+void ExpectKernelMatchesReference(const Netlist& nl) {
+  std::vector<GateId> sources = nl.inputs();
+  for (GateId k : nl.KeyInputs()) sources.push_back(k);
+  const auto expect_nets = [&nl](const std::vector<uint64_t>& want,
+                                 const auto& net_word,
+                                 const auto& output_word) {
+    for (NetId n = 0; n < nl.NumNets(); ++n) {
+      ASSERT_EQ(net_word(n), want[n]) << "net " << n;
+    }
+    for (size_t o = 0; o < nl.outputs().size(); ++o) {
+      ASSERT_EQ(output_word(o), want[nl.gate(nl.outputs()[o]).fanins[0]])
+          << "output " << o;
+    }
+  };
+  Rng rng(17);
+  Simulator sim(nl);
+  for (int word = 0; word < 3; ++word) {
+    std::vector<uint64_t> values(nl.NumNets(), 0);
+    for (GateId s : sources) {
+      values[nl.gate(s).out] = rng.NextWord();
+      sim.SetSourceWord(s, values[nl.gate(s).out]);
+    }
+    sim.Run();
+    SCOPED_TRACE("Run() word " + std::to_string(word));
+    expect_nets(
+        ReferenceWords(nl, values), [&](NetId n) { return sim.NetWord(n); },
+        [&](size_t o) { return sim.OutputWord(o); });
+  }
+  for (size_t width : {1, 5, 32, 33}) {
+    sim.BeginBatch(width);
+    std::vector<std::vector<uint64_t>> columns(
+        width, std::vector<uint64_t>(nl.NumNets(), 0));
+    std::vector<uint64_t> row(width);
+    for (GateId s : sources) {
+      for (size_t w = 0; w < width; ++w) {
+        row[w] = rng.NextWord();
+        columns[w][nl.gate(s).out] = row[w];
+      }
+      sim.SetSourceBatch(s, row);
+    }
+    sim.RunBatch();
+    for (size_t w = 0; w < width; ++w) {
+      SCOPED_TRACE("RunBatch() width " + std::to_string(width) + " column " +
+                   std::to_string(w));
+      expect_nets(
+          ReferenceWords(nl, columns[w]),
+          [&](NetId n) { return sim.BatchNetWord(n, w); },
+          [&](size_t o) { return sim.BatchOutputWord(o, w); });
+    }
+  }
+}
+
+// Every op at every arity AddGate admits, key inputs, constants and a
+// deleted gate. Generated circuits never build AND4, OR4, NOR4 or MUX.
+TEST(Simulator, KernelMatchesEvalGateWordOnEveryOp) {
+  Netlist nl("ops");
+  const NetId a = nl.AddInput("a");
+  const NetId b = nl.AddInput("b");
+  const NetId c = nl.AddInput("c");
+  const NetId d = nl.AddInput("d");
+  const NetId k0 = nl.AddGate(GateOp::kKeyIn, {}, "key_0");
+  const NetId k1 = nl.AddGate(GateOp::kKeyIn, {}, "key_1");
+  const NetId ab = nl.AddGate(GateOp::kXor, {a, k0});
+  const NetId cd = nl.AddGate(GateOp::kXnor, {c, k1});
+  std::vector<NetId> observed = {ab, cd};
+  for (GateOp op : {GateOp::kAnd, GateOp::kNand, GateOp::kOr, GateOp::kNor}) {
+    observed.push_back(nl.AddGate(op, {ab, b}));
+    observed.push_back(nl.AddGate(op, {ab, b, cd}));
+    observed.push_back(nl.AddGate(op, {a, b, cd, d}));
+  }
+  const NetId mux = nl.AddGate(GateOp::kMux, {observed[2], observed[5], d});
+  const NetId buf = nl.AddGate(GateOp::kBuf, {mux});
+  observed.push_back(nl.AddGate(GateOp::kInv, {buf}));
+  const NetId hi = nl.AddGate(GateOp::kTieHi, {});
+  const NetId lo = nl.AddGate(GateOp::kTieLo, {});
+  const NetId one = nl.AddGate(GateOp::kConst1, {});
+  const NetId zero = nl.AddGate(GateOp::kConst0, {});
+  observed.push_back(nl.AddGate(GateOp::kAnd, {a, hi}));
+  observed.push_back(nl.AddGate(GateOp::kOr, {b, lo}));
+  observed.push_back(nl.AddGate(GateOp::kXor, {c, one}));
+  observed.push_back(nl.AddGate(GateOp::kNor, {d, zero}));
+  const NetId dead = nl.AddGate(GateOp::kNand, {a, d});
+  nl.DeleteGate(nl.DriverOf(dead));
+  for (NetId n : observed) nl.AddOutput(n, "");
+  ASSERT_EQ(nl.Validate(), "");
+  ExpectKernelMatchesReference(nl);
+}
+
+TEST(Simulator, KernelMatchesEvalGateWordOnGeneratedCircuit) {
+  circuits::CircuitSpec spec;
+  spec.num_inputs = 16;
+  spec.num_outputs = 8;
+  spec.num_gates = 300;
+  spec.seed = 41;
+  ExpectKernelMatchesReference(circuits::GenerateCircuit(spec));
 }
 
 TEST(Simulator, GeneratedCircuitRunsDeterministically) {
