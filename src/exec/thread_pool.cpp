@@ -41,10 +41,20 @@ PoolMetrics& Metrics() {
   return m;
 }
 
+// Tasks running on this thread: a task that waits on a TaskGroup runs
+// other tasks nested inside it through TryRunOneTask.
+thread_local size_t t_task_depth = 0;
+
+struct TaskDepthScope {
+  TaskDepthScope() { ++t_task_depth; }
+  ~TaskDepthScope() { --t_task_depth; }
+};
+
 void RunInstrumented(std::function<void()>& task) {
   PoolMetrics& m = Metrics();
   const Stopwatch timer;
   {
+    const TaskDepthScope depth;
     obs::Span span("exec.task");
     task();
   }
@@ -52,7 +62,9 @@ void RunInstrumented(std::function<void()>& task) {
   // counter decrements inside the task body, so a waiter can observe the
   // group as done — and snapshot the registry — microseconds before this
   // epilogue runs. Submit-side counting is synchronous with the caller.
-  m.busy_s->AddSeconds(timer.Seconds());
+  // Only the outermost task adds its time: a nested task's time is already
+  // inside it.
+  if (t_task_depth == 0) m.busy_s->AddSeconds(timer.Seconds());
 }
 
 }  // namespace

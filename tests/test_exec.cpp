@@ -19,8 +19,10 @@
 #include "exec/stream_rng.hpp"
 #include "exec/thread_pool.hpp"
 #include "lock/epic.hpp"
+#include "obs/metrics.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "util/stopwatch.hpp"
 
 namespace splitlock {
 namespace {
@@ -46,6 +48,37 @@ TEST(ThreadPool, TaskGroupPropagatesExceptions) {
   exec::TaskGroup group(pool);
   group.Run([] { throw std::runtime_error("boom"); });
   EXPECT_THROW(group.Wait(), std::runtime_error);
+}
+
+// A task that a waiting task runs through TryRunOneTask is nested in it:
+// exec.pool.busy_s counts its time once, inside the outer task's. On a
+// width-1 pool the worker runs both, so busy time cannot exceed the wall
+// time of the whole run.
+TEST(ThreadPool, BusyTimeCountsNestedTasksOnce) {
+  constexpr double kSpinSeconds = 0.05;
+  const double before =
+      obs::Registry::Instance().Snapshot().times["exec.pool.busy_s"];
+  const Stopwatch wall;
+  {
+    exec::ThreadPool pool(1);
+    std::atomic<bool> done{false};
+    pool.Submit([&pool, &done] {
+      exec::TaskGroup nested(pool);
+      nested.Run([] {
+        const Stopwatch spin;
+        while (spin.Seconds() < kSpinSeconds) {
+        }
+      });
+      nested.Wait();  // runs the nested task on this worker
+      done.store(true);
+    });
+    while (!done.load()) std::this_thread::yield();
+  }  // joins the worker, so its busy time is recorded
+  const double wall_s = wall.Seconds();
+  const double busy_s =
+      obs::Registry::Instance().Snapshot().times["exec.pool.busy_s"] - before;
+  EXPECT_GE(busy_s, kSpinSeconds);
+  EXPECT_LE(busy_s, wall_s);
 }
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {
