@@ -145,21 +145,18 @@ std::vector<Candidate> InterleaveByPartition(std::vector<Candidate> ranked,
 // {}, flipped key); most are decided by the first pattern word. Stops at
 // the first dead bit.
 bool KeyBitsActive(Simulator& original_sim, Simulator& nl_sim,
-                   std::vector<uint8_t> key, size_t first,
+                   std::span<const uint8_t> key, size_t first,
                    const AtpgLockOptions& options) {
-  LockMetrics& metrics = Metrics();
+  std::vector<uint64_t> seeds;
   for (size_t b = first; b < key.size(); ++b) {
-    key[b] ^= 1;
-    uint64_t words = 0;
-    const bool active =
-        PatternsDiffer(original_sim, nl_sim, options.check_patterns,
-                       options.seed ^ (0x51D0 + b), {}, key, &words);
-    key[b] ^= 1;
-    metrics.key_bit_checks->Add(1);
-    metrics.check_words->Add(words);
-    if (!active) return false;
+    seeds.push_back(options.seed ^ (0x51D0 + b));
   }
-  return true;
+  const std::vector<KeyBitCheck> checks = CheckKeyBitFlips(
+      original_sim, nl_sim, options.check_patterns, seeds, key, first);
+  LockMetrics& metrics = Metrics();
+  metrics.key_bit_checks->Add(checks.size());
+  for (const KeyBitCheck& check : checks) metrics.check_words->Add(check.words);
+  return checks.empty() || checks.back().active;
 }
 
 // True when some sink of `net` is an INV that SimplifyLocal may fold.

@@ -25,6 +25,10 @@ namespace {
 // so the grain must amortize that setup; 16 words = 1024 patterns.
 constexpr size_t kWordsPerShard = 16;
 
+// Words per RunBatch of the repeated checks: bounds the batch buffers for
+// large pattern counts (2048 patterns, the lock's check size, is one batch).
+constexpr uint64_t kCheckBatchWords = 32;
+
 // Stimulus for global word `w` is a pure function of (seed, w): shard
 // boundaries and thread count cannot change what any pattern looks like.
 void FillStimulusRows(uint64_t seed, size_t lo, size_t hi, size_t num_pis,
@@ -108,16 +112,6 @@ SweepPartial SweepPairsParallel(const Netlist& a, const Netlist& b,
       });
 }
 
-// Binds `key` for single-word Run()s. An empty key holds the key inputs at
-// 0, as the zero-filled batch buffers of the sweeps above do.
-void BindKeyWord(Simulator& sim, std::span<const uint8_t> key) {
-  if (!key.empty()) {
-    sim.SetKeyBits(key);
-    return;
-  }
-  for (GateId k : sim.key_inputs()) sim.SetSourceWord(k, 0);
-}
-
 }  // namespace
 
 FunctionalDiff CompareFunctional(const Netlist& reference,
@@ -164,16 +158,13 @@ bool RandomPatternsAgree(const Netlist& reference, const Netlist& candidate,
 std::vector<uint64_t> PatternResponses(Simulator& sim, uint64_t patterns,
                                        uint64_t seed,
                                        std::span<const uint8_t> key) {
-  // Words per RunBatch: bounds the batch buffer for large pattern counts
-  // (2048 patterns, the lock's check size, is one batch).
-  constexpr uint64_t kBatchWords = 32;
   const Netlist& nl = sim.netlist();
   const size_t num_pos = nl.outputs().size();
   const uint64_t num_words = (patterns + 63) / 64;
   std::vector<uint64_t> responses(num_words * num_pos);
   std::vector<std::vector<uint64_t>> rows;
-  for (uint64_t lo = 0; lo < num_words; lo += kBatchWords) {
-    const uint64_t hi = std::min(num_words, lo + kBatchWords);
+  for (uint64_t lo = 0; lo < num_words; lo += kCheckBatchWords) {
+    const uint64_t hi = std::min(num_words, lo + kCheckBatchWords);
     sim.BeginBatch(hi - lo);
     if (!key.empty()) sim.SetKeyBitsBatch(key);
     FillStimulusRows(seed, lo, hi, nl.inputs().size(), rows);
@@ -191,36 +182,98 @@ std::vector<uint64_t> PatternResponses(Simulator& sim, uint64_t patterns,
   return responses;
 }
 
-bool PatternsDiffer(Simulator& reference, Simulator& candidate,
-                    uint64_t patterns, uint64_t seed,
-                    std::span<const uint8_t> reference_key,
-                    std::span<const uint8_t> candidate_key,
-                    uint64_t* words_simulated) {
-  assert(reference.netlist().inputs().size() ==
-         candidate.netlist().inputs().size());
-  assert(reference.netlist().outputs().size() ==
-         candidate.netlist().outputs().size());
-  const size_t num_pos = reference.netlist().outputs().size();
+std::vector<KeyBitCheck> CheckKeyBitFlips(Simulator& reference,
+                                          Simulator& candidate,
+                                          uint64_t patterns,
+                                          std::span<const uint64_t> seeds,
+                                          std::span<const uint8_t> key,
+                                          size_t first) {
+  const Netlist& ref_nl = reference.netlist();
+  const Netlist& cand_nl = candidate.netlist();
+  assert(ref_nl.inputs().size() == cand_nl.inputs().size());
+  assert(ref_nl.outputs().size() == cand_nl.outputs().size());
+  assert(key.size() == candidate.key_inputs().size());
+  assert(first <= key.size() && seeds.size() == key.size() - first);
+  const size_t num_pis = ref_nl.inputs().size();
+  const size_t num_pos = ref_nl.outputs().size();
   const uint64_t num_words = (patterns + 63) / 64;
-  BindKeyWord(reference, reference_key);
-  BindKeyWord(candidate, candidate_key);
-  std::vector<uint64_t> word(reference.netlist().inputs().size());
-  bool differ = false;
-  uint64_t w = 0;
-  for (; w < num_words && !differ; ++w) {
-    FillStimulusWord(seed, w, word);
-    reference.SetInputWords(word);
-    candidate.SetInputWords(word);
-    reference.Run();
-    candidate.Run();
+  std::vector<KeyBitCheck> checks;
+  if (first == key.size()) return checks;
+  if (num_words == 0) return {KeyBitCheck{false, 0}};
+
+  // Binds both netlists' inputs to `rows` (one row per primary input) and
+  // runs them; bit-column words of the candidate's key are set by the caller.
+  const auto run_both = [&](const std::vector<std::vector<uint64_t>>& rows) {
+    for (size_t i = 0; i < num_pis; ++i) {
+      reference.SetSourceBatch(ref_nl.inputs()[i], rows[i]);
+      candidate.SetSourceBatch(cand_nl.inputs()[i], rows[i]);
+    }
+    reference.RunBatch();
+    candidate.RunBatch();
+  };
+  // Lanes of batch column `w` on which some primary output differs.
+  const auto differing_lanes = [&](size_t w) {
     uint64_t diff = 0;
     for (size_t o = 0; o < num_pos; ++o) {
-      diff |= reference.OutputWord(o) ^ candidate.OutputWord(o);
+      diff |= reference.BatchOutputWord(o, w) ^ candidate.BatchOutputWord(o, w);
     }
-    differ = (diff & LaneMaskForWord(w, num_words, patterns)) != 0;
+    return diff;
+  };
+
+  std::vector<std::vector<uint64_t>> rows;
+  std::vector<uint64_t> stimulus(num_pis);
+  std::vector<uint64_t> key_row;
+  std::vector<uint64_t> word0_diff;
+  std::vector<uint8_t> flipped(key.begin(), key.end());
+  for (size_t lo = first; lo < key.size(); lo += kCheckBatchWords) {
+    // Word 0 of bits [lo, hi): column j flips bit lo + j under that bit's
+    // own stimulus.
+    const size_t hi = std::min(key.size(), lo + kCheckBatchWords);
+    const size_t width = hi - lo;
+    reference.BeginBatch(width);
+    candidate.BeginBatch(width);
+    candidate.SetKeyBitsBatch(key);
+    rows.assign(num_pis, std::vector<uint64_t>(width));
+    for (size_t j = 0; j < width; ++j) {
+      const size_t b = lo + j;
+      key_row.assign(width, key[b] ? ~0ULL : 0ULL);
+      key_row[j] = ~key_row[j];
+      candidate.SetSourceBatch(candidate.key_inputs()[b], key_row);
+      FillStimulusWord(seeds[b - first], 0, stimulus);
+      for (size_t i = 0; i < num_pis; ++i) rows[i][j] = stimulus[i];
+    }
+    run_both(rows);
+    const uint64_t word0_mask = LaneMaskForWord(0, num_words, patterns);
+    word0_diff.resize(width);
+    for (size_t j = 0; j < width; ++j) {
+      word0_diff[j] = differing_lanes(j) & word0_mask;
+    }
+
+    // Bits in order; an undecided one gets words [1, num_words).
+    for (size_t j = 0; j < width; ++j) {
+      const size_t b = lo + j;
+      KeyBitCheck check{word0_diff[j] != 0, 1};
+      flipped[b] ^= 1;
+      for (uint64_t wlo = 1; wlo < num_words && !check.active;
+           wlo += kCheckBatchWords) {
+        const uint64_t whi = std::min(num_words, wlo + kCheckBatchWords);
+        reference.BeginBatch(whi - wlo);
+        candidate.BeginBatch(whi - wlo);
+        candidate.SetKeyBitsBatch(flipped);
+        FillStimulusRows(seeds[b - first], wlo, whi, num_pis, rows);
+        run_both(rows);
+        for (uint64_t w = wlo; w < whi && !check.active; ++w) {
+          check.words = w + 1;
+          check.active = (differing_lanes(w - wlo) &
+                          LaneMaskForWord(w, num_words, patterns)) != 0;
+        }
+      }
+      flipped[b] ^= 1;
+      checks.push_back(check);
+      if (!check.active) return checks;
+    }
   }
-  if (words_simulated != nullptr) *words_simulated = w;
-  return differ;
+  return checks;
 }
 
 }  // namespace splitlock

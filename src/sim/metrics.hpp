@@ -68,15 +68,29 @@ std::vector<uint64_t> PatternResponses(Simulator& sim, uint64_t patterns,
                                        uint64_t seed,
                                        std::span<const uint8_t> key = {});
 
-// !RandomPatternsAgree(reference, candidate, patterns, seed, reference_key,
-// candidate_key) over the simulators' netlists, computed one pattern word
-// at a time and returning at the first word that differs; that is exact
-// because agreement is a pure AND over words. `words_simulated`, if given,
-// receives the number of words simulated (on each netlist).
-bool PatternsDiffer(Simulator& reference, Simulator& candidate,
-                    uint64_t patterns, uint64_t seed,
-                    std::span<const uint8_t> reference_key = {},
-                    std::span<const uint8_t> candidate_key = {},
-                    uint64_t* words_simulated = nullptr);
+// One key bit's activity check (see CheckKeyBitFlips).
+struct KeyBitCheck {
+  bool active = false;  // flipping the bit alone changes some response
+  uint64_t words = 0;   // pattern words up to the first differing one
+};
+
+// Activity checks of key bits first, first + 1, ... of `key` (KeyInputs()
+// order of `candidate`'s netlist), in bit order, ending at the first
+// inactive bit. Bit b is active exactly when !RandomPatternsAgree(reference,
+// candidate, patterns, seeds[b - first], {}, key with bit b flipped): the
+// reference's key inputs, if any, read 0. `words` is what a check of one
+// word at a time would simulate on each netlist: up to and including the
+// bit's first differing word, or every word when it is inactive. Stopping
+// at that word is exact because agreement is a pure AND over words.
+//
+// Word 0 of every bit is one batch column per bit (most bits differ there);
+// each bit still undecided then gets its remaining words in one more batch.
+// Batches hold at most 32 words, as PatternResponses' do.
+std::vector<KeyBitCheck> CheckKeyBitFlips(Simulator& reference,
+                                          Simulator& candidate,
+                                          uint64_t patterns,
+                                          std::span<const uint64_t> seeds,
+                                          std::span<const uint8_t> key,
+                                          size_t first);
 
 }  // namespace splitlock

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "circuits/c17.hpp"
 #include "circuits/random_circuit.hpp"
 #include "sim/metrics.hpp"
@@ -82,13 +87,58 @@ Netlist KeyedFlipCopy(const Netlist& nl, size_t k) {
   return out;
 }
 
-// PatternResponses and PatternsDiffer must answer exactly what
+// Checks CheckKeyBitFlips(reference, keyed, patterns, seeds, key, first)
+// bit by bit against RandomPatternsAgree with that bit flipped: the answer,
+// the stop after the first inactive bit, and the words a word-at-a-time
+// check would simulate (the prefix before the bit's last counted word
+// agrees, the prefix through it does not). Returns the checks.
+std::vector<KeyBitCheck> ExpectKeyBitFlipsMatch(
+    const Netlist& reference, const Netlist& keyed, Simulator& reference_sim,
+    Simulator& keyed_sim, uint64_t patterns, std::span<const uint64_t> seeds,
+    std::span<const uint8_t> key, size_t first) {
+  const std::vector<KeyBitCheck> checks = CheckKeyBitFlips(
+      reference_sim, keyed_sim, patterns, seeds, key, first);
+  const uint64_t num_words = (patterns + 63) / 64;
+  std::vector<uint8_t> flipped(key.begin(), key.end());
+  for (size_t i = 0; i < checks.size(); ++i) {
+    const size_t b = first + i;
+    SCOPED_TRACE("patterns " + std::to_string(patterns) + " bit " +
+                 std::to_string(b));
+    flipped[b] ^= 1;
+    EXPECT_EQ(checks[i].active, !RandomPatternsAgree(reference, keyed,
+                                                     patterns, seeds[i], {},
+                                                     flipped));
+    if (checks[i].active) {
+      EXPECT_GE(checks[i].words, 1u);
+      EXPECT_LE(checks[i].words, num_words);
+      EXPECT_TRUE(RandomPatternsAgree(reference, keyed,
+                                      (checks[i].words - 1) * 64, seeds[i],
+                                      {}, flipped));
+      EXPECT_FALSE(RandomPatternsAgree(
+          reference, keyed, std::min(checks[i].words * 64, patterns),
+          seeds[i], {}, flipped));
+    } else {
+      EXPECT_EQ(checks[i].words, num_words);
+      EXPECT_EQ(i + 1, checks.size()) << "checks go on past a dead bit";
+    }
+    flipped[b] ^= 1;
+  }
+  if (checks.empty() || checks.back().active) {
+    EXPECT_EQ(checks.size(), key.size() - first);
+  }
+  return checks;
+}
+
+// PatternResponses and CheckKeyBitFlips must answer exactly what
 // RandomPatternsAgree answers, on partial final words too, with simulators
 // reused across calls and keys.
 TEST(RepeatedChecks, MatchRandomPatternsAgree) {
   size_t agree_cases = 0;
   size_t differ_cases = 0;
   size_t tail_only_cases = 0;  // differences only in a final word's dead lanes
+  size_t word0_bits = 0;       // bit checks decided by word 0
+  size_t later_bits = 0;       // active bits decided by a later word
+  size_t dead_bits = 0;
   for (uint64_t circuit_seed : {1, 2, 3}) {
     circuits::CircuitSpec spec;
     spec.num_inputs = 16;
@@ -110,23 +160,25 @@ TEST(RepeatedChecks, MatchRandomPatternsAgree) {
           EXPECT_EQ(PatternResponses(reference_sim, patterns, seed) ==
                         PatternResponses(keyed_sim, patterns, seed, key),
                     agree);
-          uint64_t words = 0;
-          EXPECT_EQ(PatternsDiffer(reference_sim, keyed_sim, patterns, seed,
-                                   {}, key, &words),
-                    !agree);
-          const uint64_t num_words = (patterns + 63) / 64;
-          EXPECT_LE(words, num_words);
-          if (agree) {
-            EXPECT_EQ(words, num_words);
-          }
-          // The keyed netlist on the reference side.
-          EXPECT_EQ(PatternsDiffer(keyed_sim, reference_sim, patterns, seed,
-                                   key, {}),
-                    !agree);
           ++(agree ? agree_cases : differ_cases);
+          const uint64_t num_words = (patterns + 63) / 64;
           if (agree && !RandomPatternsAgree(reference, keyed, num_words * 64,
                                             seed, {}, key)) {
             ++tail_only_cases;
+          }
+          if (key.empty()) continue;  // no key bits to flip
+          const std::vector<uint64_t> seeds = {seed, seed ^ 0x51D0};
+          for (size_t first : {0, 1}) {
+            for (const KeyBitCheck& check : ExpectKeyBitFlipsMatch(
+                     reference, keyed, reference_sim, keyed_sim, patterns,
+                     std::span<const uint64_t>(seeds).subspan(first), key,
+                     first)) {
+              if (!check.active) {
+                ++dead_bits;
+              } else {
+                ++(check.words == 1 ? word0_bits : later_bits);
+              }
+            }
           }
         }
       }
@@ -135,6 +187,51 @@ TEST(RepeatedChecks, MatchRandomPatternsAgree) {
   EXPECT_GT(agree_cases, 0u);
   EXPECT_GT(differ_cases, 0u);
   EXPECT_GT(tail_only_cases, 0u);
+  EXPECT_GT(word0_bits, 0u);
+  EXPECT_GT(later_bits, 0u);
+  EXPECT_GT(dead_bits, 0u);
+}
+
+// More key bits than one batch holds: word 0 of bits 0-31 and of bits 32-39
+// run as two batches. Key bit i flips output i % 4 on the patterns where
+// inputs i .. i + i % 4 - 1 (mod 16) are all 1; bit `dead` reaches no
+// output, so the checks stop there.
+TEST(RepeatedChecks, KeyBitFlipsSpanSeveralBatches) {
+  circuits::CircuitSpec spec;
+  spec.num_inputs = 16;
+  spec.num_outputs = 4;
+  spec.num_gates = 120;
+  spec.seed = 4;
+  const Netlist reference = circuits::GenerateCircuit(spec);
+  constexpr size_t kBits = 40;
+  for (size_t dead : {kBits, size_t{37}}) {
+    Netlist keyed = reference;
+    for (size_t i = 0; i < kBits; ++i) {
+      NetId term =
+          keyed.AddGate(GateOp::kKeyIn, {}, "key_" + std::to_string(i));
+      if (i == dead) continue;
+      for (size_t j = 0; j < i % 4; ++j) {
+        const NetId in = keyed.gate(keyed.inputs()[(i + j) % 16]).out;
+        term = keyed.AddGate(GateOp::kAnd, {term, in});
+      }
+      const GateId po = keyed.outputs()[i % 4];
+      const NetId observed = keyed.gate(po).fanins[0];
+      keyed.ReplaceFanin(po, 0, keyed.AddGate(GateOp::kXor, {observed, term}));
+    }
+    Simulator reference_sim(reference);
+    Simulator keyed_sim(keyed);
+    const std::vector<uint8_t> key(kBits, 0);
+    std::vector<uint64_t> seeds;
+    for (size_t b = 0; b < kBits; ++b) seeds.push_back(1000 + b);
+    for (size_t first : {size_t{0}, size_t{5}}) {
+      SCOPED_TRACE("dead bit " + std::to_string(dead) + " first " +
+                   std::to_string(first));
+      const std::vector<KeyBitCheck> checks = ExpectKeyBitFlipsMatch(
+          reference, keyed, reference_sim, keyed_sim, 2048,
+          std::span<const uint64_t>(seeds).subspan(first), key, first);
+      EXPECT_EQ(checks.size(), std::min(dead + 1, kBits) - first);
+    }
+  }
 }
 
 TEST(CompareFunctional, KeyBindingsRespected) {
