@@ -1,8 +1,8 @@
 #include "lock/atpg_lock.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -221,25 +221,35 @@ AtpgLockResult LockWithAtpg(const Netlist& original,
     std::vector<Candidate> candidates;
     // One shared random-sample sweep per round: per-net 64-bit sample
     // words used to pre-screen key-bit activity cheaply before paying for
-    // the real apply-and-verify.
+    // the real apply-and-verify. The samples are the sampler's batch
+    // buffer; `nl` changes as faults are applied, so after the sweep only
+    // that buffer is read (nets up to `sampled_nets`).
     constexpr size_t kSampleWords = 32;
-    std::vector<std::array<uint64_t, kSampleWords>> samples(nl.NumNets());
+    std::optional<Simulator> sampler;
+    const size_t sampled_nets = nl.NumNets();
     {
       obs::Span span("lock.rank");
       candidates = RankCandidates(nl, options, rng.NextWord());
       candidates = InterleaveByPartition(std::move(candidates),
                                          options.partitions, rng);
-      Simulator sim(nl);
+      sampler.emplace(nl);
+      sampler->BeginBatch(kSampleWords);
+      if (!result.key.empty()) sampler->SetKeyBitsBatch(result.key);
+      // Drawn word by word, one word per primary input in inputs() order.
       Rng sample_rng(options.seed ^ 0x5a5a5a5a);
-      std::vector<uint8_t> key_now(result.key.begin(), result.key.end());
+      const std::vector<GateId>& pis = nl.inputs();
+      std::vector<uint64_t> rows(pis.size() * kSampleWords);
       for (size_t w = 0; w < kSampleWords; ++w) {
-        sim.SetRandomInputs(sample_rng);
-        if (!key_now.empty()) sim.SetKeyBits(key_now);
-        sim.Run();
-        for (NetId n = 0; n < nl.NumNets(); ++n) {
-          samples[n][w] = sim.NetWord(n);
+        for (size_t i = 0; i < pis.size(); ++i) {
+          rows[i * kSampleWords + w] = sample_rng.NextWord();
         }
       }
+      for (size_t i = 0; i < pis.size(); ++i) {
+        sampler->SetSourceBatch(
+            pis[i], std::span<const uint64_t>(rows.data() + i * kSampleWords,
+                                              kSampleWords));
+      }
+      sampler->RunBatch();
     }
 
     for (const Candidate& cand : candidates) {
@@ -300,7 +310,7 @@ AtpgLockResult LockWithAtpg(const Netlist& original,
       {
         bool leaves_sampled = true;
         for (NetId leaf : cut.leaves) {
-          if (leaf >= samples.size()) leaves_sampled = false;
+          if (leaf >= sampled_nets) leaves_sampled = false;
         }
         if (leaves_sampled) {
           bool all_literals_alive = true;
@@ -319,7 +329,8 @@ AtpgLockResult LockWithAtpg(const Netlist& original,
                   uint64_t cube_word_f = ~0ULL;
                   for (size_t lj = 0; lj < cut.leaves.size(); ++lj) {
                     if ((cubes[cj].care & (1ULL << lj)) == 0) continue;
-                    const uint64_t leaf_word = samples[cut.leaves[lj]][w];
+                    const uint64_t leaf_word =
+                        sampler->BatchNetWord(cut.leaves[lj], w);
                     uint64_t lit = ((cubes[cj].value >> lj) & 1)
                                        ? leaf_word
                                        : ~leaf_word;
