@@ -3,6 +3,7 @@
 #include <array>
 #include <cassert>
 #include <unordered_map>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "sat/solver.hpp"
@@ -47,18 +48,11 @@ Signature Complement(Signature s) {
   return s;
 }
 
-// Per-net signatures over shared random input words. `sim` must have its
-// key bits bound.
-std::vector<Signature> ComputeSignatures(
-    Simulator& sim, const std::vector<std::vector<uint64_t>>& pi_words) {
-  const size_t num_nets = sim.netlist().NumNets();
-  std::vector<Signature> sigs(num_nets);
-  for (size_t w = 0; w < kSigWords; ++w) {
-    sim.SetInputWords(pi_words[w]);
-    sim.Run();
-    for (NetId n = 0; n < num_nets; ++n) sigs[n][w] = sim.NetWord(n);
-  }
-  return sigs;
+// Net `n`'s signature: its words in `sim`'s signature batch.
+Signature SignatureOf(const Simulator& sim, NetId n) {
+  Signature sig;
+  for (size_t w = 0; w < kSigWords; ++w) sig[w] = sim.BatchNetWord(n, w);
+  return sig;
 }
 
 // A signature match on the golden side: its literal and the net it encodes.
@@ -120,51 +114,43 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
   const std::vector<sat::Lit> gk = key_to_lits(golden_key);
   const std::vector<sat::Lit> rk = key_to_lits(revised_key);
 
-  // Shared random stimulus for equivalence candidates.
+  // Shared random stimulus for equivalence candidates: one kSigWords-wide
+  // batch per netlist, whose batch buffer holds every net's signature.
+  // Drawn word by word, one word per primary input.
   Rng rng(0x1ec1ec1ecULL);
-  std::vector<std::vector<uint64_t>> pi_words(kSigWords);
-  for (auto& w : pi_words) {
-    w.resize(golden.inputs().size());
-    for (auto& v : w) v = rng.NextWord();
+  std::vector<std::vector<uint64_t>> pi_rows(golden.inputs().size(),
+                                             std::vector<uint64_t>(kSigWords));
+  for (size_t w = 0; w < kSigWords; ++w) {
+    for (std::vector<uint64_t>& row : pi_rows) row[w] = rng.NextWord();
   }
   // The simulators outlive the signatures: after a failed proof they
-  // re-simulate its counterexample (see the sweep below).
+  // re-simulate its counterexample with Run() (see the sweep below), which
+  // leaves the batch buffers alone.
   Simulator golden_sim(golden);
   Simulator revised_sim(revised);
-  if (!golden_key.empty()) golden_sim.SetKeyBits(golden_key);
-  if (!revised_key.empty()) revised_sim.SetKeyBits(revised_key);
-  const std::vector<Signature> golden_sigs =
-      ComputeSignatures(golden_sim, pi_words);
-  const std::vector<Signature> revised_sigs =
-      ComputeSignatures(revised_sim, pi_words);
+  for (auto [sim, key] : {std::pair{&golden_sim, golden_key},
+                          std::pair{&revised_sim, revised_key}}) {
+    const Netlist& nl = sim->netlist();
+    sim->BeginBatch(kSigWords);
+    if (!key.empty()) {
+      sim->SetKeyBits(key);
+      sim->SetKeyBitsBatch(key);
+    }
+    for (size_t i = 0; i < pi_rows.size(); ++i) {
+      sim->SetSourceBatch(nl.inputs()[i], pi_rows[i]);
+    }
+    sim->RunBatch();
+  }
 
-  // Encode the golden netlist outright and index its literals by signature.
+  // Encode the golden netlist outright and index its literals by signature,
+  // first net in topological order first.
+  std::vector<sat::Lit> golden_lit;
   const std::vector<sat::Lit> golden_outs =
-      enc.EncodeNetlist(golden, inputs, gk);
+      enc.EncodeNetlist(golden, inputs, gk, &golden_lit);
   std::unordered_map<Signature, GoldenNode, SignatureHash> by_signature;
-  {
-    std::vector<sat::Lit> net_lit(golden.NumNets(), -1);
-    // Recover per-net literals by re-encoding (cache hits make this free).
-    for (size_t i = 0; i < golden.inputs().size(); ++i) {
-      net_lit[golden.gate(golden.inputs()[i]).out] = inputs[i];
-    }
-    const std::vector<GateId> gkeys = golden.KeyInputs();
-    for (size_t i = 0; i < gkeys.size(); ++i) {
-      net_lit[golden.gate(gkeys[i]).out] = gk[i];
-    }
-    std::vector<sat::Lit> fanin_lits;
-    for (GateId g : golden.TopoOrder()) {
-      const Gate& gate = golden.gate(g);
-      if (gate.op == GateOp::kInput || gate.op == GateOp::kKeyIn ||
-          gate.op == GateOp::kOutput || gate.op == GateOp::kDeleted) {
-        continue;
-      }
-      fanin_lits.clear();
-      for (NetId n : gate.fanins) fanin_lits.push_back(net_lit[n]);
-      const sat::Lit lit = enc.EncodeOp(gate.op, fanin_lits);
-      net_lit[gate.out] = lit;
-      by_signature.emplace(golden_sigs[gate.out], GoldenNode{lit, gate.out});
-    }
+  for (const Simulator::Step& step : golden_sim.steps()) {
+    by_signature.emplace(SignatureOf(golden_sim, step.out),
+                         GoldenNode{golden_lit[step.out], step.out});
   }
 
   // Every variable below this one was created for the shared inputs, the
@@ -215,7 +201,7 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
     sat::Lit lit = enc.EncodeOp(gate.op, fanin_lits);
 
     // Candidate merge against the golden side.
-    const Signature& sig = revised_sigs[gate.out];
+    const Signature sig = SignatureOf(revised_sim, gate.out);
     auto it = by_signature.find(sig);
     bool negated_candidate = false;
     if (it == by_signature.end()) {

@@ -209,7 +209,7 @@ std::vector<Lit> IncrementalDipEncoder::Encode(std::span<const Lit> key_lits) {
 
 std::vector<Lit> StructuralEncoder::EncodeNetlist(
     const Netlist& nl, std::span<const Lit> input_lits,
-    std::span<const Lit> key_lits) {
+    std::span<const Lit> key_lits, std::vector<Lit>* net_lits) {
   assert(input_lits.size() == nl.inputs().size());
   std::vector<Lit> net_lit(nl.NumNets(), -1);
   for (size_t i = 0; i < input_lits.size(); ++i) {
@@ -241,6 +241,7 @@ std::vector<Lit> StructuralEncoder::EncodeNetlist(
   for (GateId g : nl.outputs()) {
     outs.push_back(net_lit[nl.gate(g).fanins[0]]);
   }
+  if (net_lits != nullptr) *net_lits = std::move(net_lit);
   return outs;
 }
 

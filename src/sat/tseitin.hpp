@@ -42,10 +42,12 @@ class StructuralEncoder {
   // primary input in inputs() order; `key_lits` supplies literals for key
   // inputs in KeyInputs() order (must cover them all; pass constants from
   // TrueLit()/FalseLit() to bind a key). Returns one literal per primary
-  // output in outputs() order.
+  // output in outputs() order. `net_lits`, if given, receives the literal
+  // of every net, indexed by NetId (-1 for nets of deleted gates).
   std::vector<Lit> EncodeNetlist(const Netlist& nl,
                                  std::span<const Lit> input_lits,
-                                 std::span<const Lit> key_lits = {});
+                                 std::span<const Lit> key_lits = {},
+                                 std::vector<Lit>* net_lits = nullptr);
 
  private:
   Lit EncodeAnd(std::vector<Lit> fanins);
