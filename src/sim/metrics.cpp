@@ -202,7 +202,7 @@ std::vector<KeyBitCheck> CheckKeyBitFlips(Simulator& reference,
   if (num_words == 0) return {KeyBitCheck{false, 0}};
 
   // Binds both netlists' inputs to `rows` (one row per primary input) and
-  // runs them; bit-column words of the candidate's key are set by the caller.
+  // runs them; the caller has bound the candidate's key words.
   const auto run_both = [&](const std::vector<std::vector<uint64_t>>& rows) {
     for (size_t i = 0; i < num_pis; ++i) {
       reference.SetSourceBatch(ref_nl.inputs()[i], rows[i]);

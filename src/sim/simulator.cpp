@@ -41,8 +41,6 @@ StepOp CompileOp(GateOp op, size_t n) {
   const auto nary = [n](StepOp one, StepOp two) {
     return n == 1 ? one : static_cast<StepOp>(two + (n - 2));
   };
-  size_t need = 0;
-  StepOp step = kStepConst0;
   switch (op) {
     case GateOp::kConst0:
     case GateOp::kTieLo:
@@ -50,23 +48,39 @@ StepOp CompileOp(GateOp op, size_t n) {
     case GateOp::kConst1:
     case GateOp::kTieHi:
       return kStepConst1;
-    case GateOp::kBuf: need = 1, step = kStepBuf; break;
-    case GateOp::kInv: need = 1, step = kStepInv; break;
-    case GateOp::kAnd: need = 1, step = nary(kStepBuf, kStepAnd2); break;
-    case GateOp::kNand: need = 1, step = nary(kStepInv, kStepNand2); break;
-    case GateOp::kOr: need = 1, step = nary(kStepBuf, kStepOr2); break;
-    case GateOp::kNor: need = 1, step = nary(kStepInv, kStepNor2); break;
-    case GateOp::kXor: need = 2, step = kStepXor; break;
-    case GateOp::kXnor: need = 2, step = kStepXnor; break;
-    case GateOp::kMux: need = 3, step = kStepMux; break;
-    default: need = kMaxFanin + 1; break;
+    case GateOp::kBuf:
+      if (n >= 1) return kStepBuf;
+      break;
+    case GateOp::kInv:
+      if (n >= 1) return kStepInv;
+      break;
+    case GateOp::kAnd:
+      if (n >= 1) return nary(kStepBuf, kStepAnd2);
+      break;
+    case GateOp::kNand:
+      if (n >= 1) return nary(kStepInv, kStepNand2);
+      break;
+    case GateOp::kOr:
+      if (n >= 1) return nary(kStepBuf, kStepOr2);
+      break;
+    case GateOp::kNor:
+      if (n >= 1) return nary(kStepInv, kStepNor2);
+      break;
+    case GateOp::kXor:
+      if (n >= 2) return kStepXor;
+      break;
+    case GateOp::kXnor:
+      if (n >= 2) return kStepXnor;
+      break;
+    case GateOp::kMux:
+      if (n >= 3) return kStepMux;
+      break;
+    default:
+      break;
   }
-  if (n < need) {
-    throw std::invalid_argument(std::string("cannot simulate ") +
-                                GateOpName(op) + " with " +
-                                std::to_string(n) + " fanins");
-  }
-  return step;
+  throw std::invalid_argument(std::string("cannot simulate ") +
+                              GateOpName(op) + " with " + std::to_string(n) +
+                              " fanins");
 }
 
 // The one simulation kernel: evaluates `steps` in order over net-major
