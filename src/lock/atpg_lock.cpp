@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -221,20 +220,18 @@ AtpgLockResult LockWithAtpg(const Netlist& original,
     std::vector<Candidate> candidates;
     // One shared random-sample sweep per round: per-net 64-bit sample
     // words used to pre-screen key-bit activity cheaply before paying for
-    // the real apply-and-verify. The samples are the sampler's batch
-    // buffer; `nl` changes as faults are applied, so after the sweep only
-    // that buffer is read (nets up to `sampled_nets`).
+    // the real apply-and-verify. `samples` is the sweep's batch buffer:
+    // word w of net n at [n * kSampleWords + w].
     constexpr size_t kSampleWords = 32;
-    std::optional<Simulator> sampler;
-    const size_t sampled_nets = nl.NumNets();
+    std::vector<uint64_t> samples;
     {
       obs::Span span("lock.rank");
       candidates = RankCandidates(nl, options, rng.NextWord());
       candidates = InterleaveByPartition(std::move(candidates),
                                          options.partitions, rng);
-      sampler.emplace(nl);
-      sampler->BeginBatch(kSampleWords);
-      if (!result.key.empty()) sampler->SetKeyBitsBatch(result.key);
+      Simulator sim(nl);
+      sim.BeginBatch(kSampleWords);
+      if (!result.key.empty()) sim.SetKeyBitsBatch(result.key);
       // Drawn word by word, one word per primary input in inputs() order.
       Rng sample_rng(options.seed ^ 0x5a5a5a5a);
       const std::vector<GateId>& pis = nl.inputs();
@@ -245,12 +242,14 @@ AtpgLockResult LockWithAtpg(const Netlist& original,
         }
       }
       for (size_t i = 0; i < pis.size(); ++i) {
-        sampler->SetSourceBatch(
+        sim.SetSourceBatch(
             pis[i], std::span<const uint64_t>(rows.data() + i * kSampleWords,
                                               kSampleWords));
       }
-      sampler->RunBatch();
+      sim.RunBatch();
+      samples = sim.ReleaseBatch();
     }
+    const size_t sampled_nets = samples.size() / kSampleWords;
 
     for (const Candidate& cand : candidates) {
       if (bits >= options.key_bits) break;
@@ -330,7 +329,7 @@ AtpgLockResult LockWithAtpg(const Netlist& original,
                   for (size_t lj = 0; lj < cut.leaves.size(); ++lj) {
                     if ((cubes[cj].care & (1ULL << lj)) == 0) continue;
                     const uint64_t leaf_word =
-                        sampler->BatchNetWord(cut.leaves[lj], w);
+                        samples[cut.leaves[lj] * kSampleWords + w];
                     uint64_t lit = ((cubes[cj].value >> lj) & 1)
                                        ? leaf_word
                                        : ~leaf_word;

@@ -166,6 +166,7 @@ void RunSteps(std::span<const Simulator::Step> steps, uint64_t* values,
 
 Simulator::Simulator(const Netlist& nl)
     : nl_(&nl), key_inputs_(nl.KeyInputs()), values_(nl.NumNets(), 0) {
+  steps_.reserve(nl.NumLogicGates() - key_inputs_.size());
   for (GateId g : nl.TopoOrder()) {
     const Gate& gate = nl.gate(g);
     if (gate.op == GateOp::kInput || gate.op == GateOp::kKeyIn ||

@@ -24,6 +24,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -87,6 +88,14 @@ class Simulator {
   }
   uint64_t BatchOutputWord(size_t po_index, size_t w) const {
     return BatchNetWord(po_nets_[po_index], w);
+  }
+
+  // Hands over the batch buffer, word `w` of net `n` at [n * width + w],
+  // for a caller that keeps a sweep's words after the simulator is gone.
+  // BeginBatch must run before the next RunBatch.
+  std::vector<uint64_t> ReleaseBatch() {
+    batch_width_ = 0;
+    return std::move(batch_);
   }
 
   const Netlist& netlist() const { return *nl_; }
