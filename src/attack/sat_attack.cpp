@@ -22,16 +22,19 @@
 namespace splitlock::attack {
 namespace {
 
-// SAT-attack observability. All four counters are count-class: rounds,
+// SAT-attack observability. All six counters are count-class: rounds,
 // DIPs and oracle queries are pure functions of the instance + options,
-// and conflicts are deterministic by the solver contract (the portfolio
-// adopts the lowest-index completing clone, whose trajectory does not
-// depend on the interleaving).
+// and the solver's conflicts, decisions and propagations are deterministic
+// by the solver contract (the portfolio adopts the lowest-index completing
+// clone, whose trajectory does not depend on the interleaving). They are
+// registry-only: no record stores decisions or propagations.
 struct SatMetrics {
   obs::Counter* rounds;
   obs::Counter* dips;
   obs::Counter* oracle_queries;
   obs::Counter* conflicts;
+  obs::Counter* decisions;
+  obs::Counter* propagations;
 };
 
 SatMetrics& Metrics() {
@@ -42,9 +45,32 @@ SatMetrics& Metrics() {
         r.RegisterCounter("attack.sat.dips"),
         r.RegisterCounter("attack.sat.oracle_queries"),
         r.RegisterCounter("attack.sat.conflicts"),
+        r.RegisterCounter("attack.sat.decisions"),
+        r.RegisterCounter("attack.sat.propagations"),
     };
   }();
   return m;
+}
+
+// The solver's work counters when a round begins.
+struct SolverWork {
+  uint64_t conflicts;
+  uint64_t decisions;
+  uint64_t propagations;
+};
+
+SolverWork WorkOf(const sat::Solver& s) {
+  return {s.conflicts(), s.decisions(), s.propagations()};
+}
+
+// Adds the work `s` did since `before` to the registry; returns its
+// conflicts.
+uint64_t CountRoundWork(const sat::Solver& s, const SolverWork& before) {
+  const SolverWork now = WorkOf(s);
+  Metrics().conflicts->Add(now.conflicts - before.conflicts);
+  Metrics().decisions->Add(now.decisions - before.decisions);
+  Metrics().propagations->Add(now.propagations - before.propagations);
+  return now.conflicts - before.conflicts;
 }
 
 // Shared scaffolding of the oracle-guided attack: the two-copy miter over
@@ -222,15 +248,14 @@ SatAttackResult RunSatAttack(const Netlist& locked, const Netlist& oracle,
     obs::Span round_span("attack.sat.round", result.telemetry.rounds.size());
     Metrics().rounds->Add(1);
     const Stopwatch solve_sw;
-    const uint64_t conflicts_before = solver.conflicts();
+    const SolverWork work_before = WorkOf(solver);
     sat::SolveResult sr;
     {
       obs::Span span("attack.sat.solve");
       sr = solver.Solve(assumptions, options.conflict_limit_per_solve);
     }
     tel.solve_ms = solve_sw.Ms();
-    tel.conflicts = solver.conflicts() - conflicts_before;
-    Metrics().conflicts->Add(tel.conflicts);
+    tel.conflicts = CountRoundWork(solver, work_before);
     result.telemetry.rounds.push_back(tel);
     if (sr == sat::SolveResult::kUnknown) break;  // budget blown; unfinished
     if (sr == sat::SolveResult::kUnsat) {
@@ -312,7 +337,7 @@ PortfolioSatResult RunPortfolioSatAttack(const Netlist& locked,
     obs::Span round_span("attack.sat.round", result.telemetry.rounds.size());
     Metrics().rounds->Add(1);
     const Stopwatch solve_sw;
-    const uint64_t conflicts_before = master.conflicts();
+    const SolverWork work_before = WorkOf(master);
 
     // Phase 1: the baseline configuration runs directly on the master — no
     // clone. Easy rounds (the common case) therefore cost exactly what the
@@ -379,8 +404,7 @@ PortfolioSatResult RunPortfolioSatAttack(const Netlist& locked,
       }
     }
     tel.solve_ms = solve_sw.Ms();
-    tel.conflicts = master.conflicts() - conflicts_before;
-    Metrics().conflicts->Add(tel.conflicts);
+    tel.conflicts = CountRoundWork(master, work_before);
     result.telemetry.rounds.push_back(tel);
     if (sr == sat::SolveResult::kUnknown) break;  // no configuration completed
     ++out.wins_per_config[static_cast<size_t>(tel.winner)];

@@ -134,6 +134,7 @@ void Solver::Enqueue(Lit l, ClauseRef reason) {
 Solver::ClauseRef Solver::Propagate() {
   while (propagate_head_ < trail_.size()) {
     const Lit p = trail_[propagate_head_++];
+    ++propagations_;
     auto& ws = watches_[p];
     size_t keep = 0;
     for (size_t i = 0; i < ws.size(); ++i) {
@@ -519,6 +520,7 @@ SolveResult Solver::Solve(std::span<const Lit> assumptions,
       BacktrackTo(0);
       return SolveResult::kSat;
     }
+    ++decisions_;
     trail_limits_.push_back(static_cast<int>(trail_.size()));
     Enqueue(next, kNoReason);
   }

@@ -103,6 +103,12 @@ class Solver {
   bool ModelValue(Var v) const { return model_[v] == 1; }
 
   uint64_t conflicts() const { return conflicts_; }
+  // Branching decisions so far; placed assumptions are not decisions
+  // (read-only statistic).
+  uint64_t decisions() const { return decisions_; }
+  // Literals propagated so far, one per literal taken off the trail, not
+  // one per watcher visited (read-only statistic).
+  uint64_t propagations() const { return propagations_; }
   // Learnt clauses deleted by reductions so far (read-only statistic).
   uint64_t learnts_deleted() const { return learnts_deleted_; }
 
@@ -211,6 +217,8 @@ class Solver {
 
   double var_inc_ = 1.0;
   uint64_t conflicts_ = 0;
+  uint64_t decisions_ = 0;
+  uint64_t propagations_ = 0;
   // Learnt-clause reduction schedule, in lifetime conflicts: the first
   // reduction after kFirstReduce, each interval kReduceGrowth longer than
   // the last. Clauses with LBD <= kKeepLbd are never deleted.

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "sat/solver.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace splitlock::sat {
@@ -289,6 +292,105 @@ TEST(SatSolverReduction, PigeonholeQueriesAcrossReductions) {
   }
   EXPECT_EQ(s.Solve(), SolveResult::kUnsat);
   EXPECT_GT(s.learnts_deleted(), 0u);
+}
+
+// One query of a pinned trajectory: the answer, then the solver's
+// conflicts, decisions, propagations and deleted learnt clauses after it,
+// then an FNV-1a digest of the model ("-" unless SAT).
+std::string TrajectoryStep(Solver& s, std::span<const Lit> assumptions) {
+  const SolveResult r = s.Solve(assumptions);
+  std::string model = "-";
+  if (r == SolveResult::kSat) {
+    std::string bits;
+    for (Var v = 0; v < s.NumVars(); ++v) bits += s.ModelValue(v) ? '1' : '0';
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(util::Fnv1a(bits)));
+    model = hex;
+  }
+  const char* answer = r == SolveResult::kSat     ? "sat"
+                       : r == SolveResult::kUnsat ? "unsat"
+                                                  : "unknown";
+  return std::string(answer) + " " + std::to_string(s.conflicts()) + " " +
+         std::to_string(s.decisions()) + " " +
+         std::to_string(s.propagations()) + " " +
+         std::to_string(s.learnts_deleted()) + " " + model;
+}
+
+// Pins the search itself, query by query: propagation order, learnt
+// clauses, deletions and decisions all feed these counts, so a change meant
+// only to make the solver cheaper must leave every line as it is. The
+// queries carry assumptions and run through several reductions.
+TEST(SatSolver, TrajectoryDigest) {
+  std::vector<std::string> trace;
+  // Random 3-SAT at clause ratio 4.1, queried under three random
+  // assumptions at a time.
+  constexpr int kVars = 150;
+  splitlock::Rng rng(20261019);
+  std::vector<std::vector<Lit>> clauses(615);
+  for (std::vector<Lit>& clause : clauses) {
+    for (int k = 0; k < 3; ++k) {
+      clause.push_back(MakeLit(static_cast<Var>(rng.NextUint(kVars)),
+                               rng.NextBool()));
+    }
+  }
+  Solver random = SolverFor(kVars, clauses);
+  for (int q = 0; q < 22; ++q) {
+    std::vector<Lit> assumptions;
+    for (int k = 0; k < 3; ++k) {
+      assumptions.push_back(MakeLit(static_cast<Var>(rng.NextUint(kVars)),
+                                    rng.NextBool()));
+    }
+    trace.push_back(TrajectoryStep(random, assumptions));
+  }
+  // PHP(8, 7), UNSAT under any assumption, one assumption per query.
+  constexpr int kPigeons = 8;
+  constexpr int kHoles = 7;
+  Solver php =
+      SolverFor(kPigeons * kHoles, PigeonholeClauses(kPigeons, kHoles));
+  for (int i = 0; i < 10; ++i) {
+    const std::vector<Lit> assumption = {
+        InHole(kHoles, i % kPigeons, (3 * i) % kHoles)};
+    trace.push_back(TrajectoryStep(php, assumption));
+  }
+  // answer, conflicts, decisions, propagations, learnts deleted, model
+  const std::vector<std::string> want = {
+      // random 3-SAT: reductions at 2,000, 4,300 and 6,900 conflicts
+      "sat 478 606 15689 0 bfa596aadc311678",
+      "unsat 883 1122 27733 0 -",
+      "unsat 1511 1888 48526 0 -",
+      "unsat 1847 2283 59142 0 -",
+      "sat 1997 2484 64226 0 805a56c72bd20f83",
+      "unsat 2494 3056 80919 42 -",
+      "unsat 2813 3430 90713 42 -",
+      "sat 3231 3984 103102 42 21f015e4eafe7cba",
+      "unsat 3708 4561 118083 42 -",
+      "sat 4212 5170 134004 42 cc0cb4fe095c96aa",
+      "sat 4847 5949 154254 937 b21b9005caa3e95f",
+      "sat 5412 6629 172540 937 acca6ec982991f5f",
+      "unsat 5914 7203 187507 937 -",
+      "sat 6305 7668 200146 937 bcef7dffef35c38c",
+      "sat 6357 7752 202121 937 e80b511d46d28b0e",
+      "sat 6532 7983 207304 937 a74ec546f40290f7",
+      "sat 6532 8013 207454 937 3c933c2e2978e855",
+      "sat 6809 8380 216659 937 031c53d13fc803b3",
+      "sat 6973 8585 222408 2266 9891e7ca8bbde034",
+      "sat 7001 8637 223681 2266 20c01efc17d7f1bc",
+      "unsat 7249 8906 230866 2266 -",
+      "sat 7255 8938 231174 2266 976bb28a7682e248",
+      // PHP(8, 7): a second solver, reductions at 2,000 and 4,300
+      "unsat 817 984 12252 0 -",
+      "unsat 1572 1896 22828 0 -",
+      "unsat 2103 2543 30410 38 -",
+      "unsat 2536 3047 36287 38 -",
+      "unsat 3002 3598 42433 38 -",
+      "unsat 3300 3946 46059 38 -",
+      "unsat 3524 4197 48960 38 -",
+      "unsat 3751 4460 52014 38 -",
+      "unsat 4187 4967 56678 38 -",
+      "unsat 4412 5221 59386 954 -"
+  };
+  EXPECT_EQ(trace, want);
 }
 
 // Property sweep: random 3-SAT instances cross-checked against brute force.

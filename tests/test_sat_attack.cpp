@@ -1,7 +1,8 @@
 // The oracle-guided SAT attack and its building blocks: key recovery,
-// golden DIP/conflict/key digests for both DIP loops, the incremental DIP
-// encoder against full EncodeNetlist, the batched DipOracle frontend, and
-// the oracle-less key-space probe.
+// golden DIP/conflict/key digests for both DIP loops on c432 and for the
+// sequential loop on c880, the incremental DIP encoder against full
+// EncodeNetlist, the batched DipOracle frontend, and the oracle-less
+// key-space probe.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -185,6 +186,24 @@ TEST(SatAttack, GoldenDigests) {
   EXPECT_EQ(port.attack.telemetry.total_conflicts, 17097u);
   EXPECT_EQ(KeyBits(port.attack.recovered_key),
             "0010000011110010101100011000011111011001111011011110101110011101");
+}
+
+TEST(SatAttack, GoldenDigestsC880) {
+  // c880 under its 64-bit seed-1 lock, the iscas-sat benchmark's second
+  // instance: a second miter shape for the sequential loop's pins.
+  const Netlist original = circuits::MakeIscas("c880");
+  lock::AtpgLockOptions opts;
+  opts.key_bits = 64;
+  opts.seed = 1;
+  const lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
+
+  const SatAttackResult seq = RunSatAttack(locked.locked, original);
+  ASSERT_TRUE(seq.finished);
+  EXPECT_TRUE(seq.functionally_correct);
+  EXPECT_EQ(seq.dips_used, 20u);
+  EXPECT_EQ(seq.telemetry.total_conflicts, 22893u);
+  EXPECT_EQ(KeyBits(seq.recovered_key),
+            "0000111010001110000110010111000100101011011110001110000011010010");
 }
 
 TEST(OracleLess, KeySpaceStaysRich) {
