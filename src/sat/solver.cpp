@@ -131,63 +131,83 @@ void Solver::Enqueue(Lit l, ClauseRef reason) {
   trail_.push_back(l);
 }
 
+// The watch loop. Its visit order, the blockers it leaves and its
+// replacement scan (lits[2] upward) decide which clause propagates or
+// conflicts first, and so the whole search; SatSolver.TrajectoryDigest
+// pins them.
 Solver::ClauseRef Solver::Propagate() {
-  while (propagate_head_ < trail_.size()) {
+  // Neither the arena nor the value array grows while propagating, so
+  // their buffers are read through local pointers.
+  const int8_t* const value = value_.data();
+  Lit* const arena = arena_.data();
+
+  ClauseRef conflict = kNoReason;
+  while (conflict == kNoReason && propagate_head_ < trail_.size()) {
     const Lit p = trail_[propagate_head_++];
     ++propagations_;
-    auto& ws = watches_[p];
-    size_t keep = 0;
-    for (size_t i = 0; i < ws.size(); ++i) {
-      const Watcher w = ws[i];
-      const int8_t blocker_value = ValueOfLit(w.blocker);
+    const Lit not_p = Negate(p);
+    // One pass over p's watchers: `read` visits each in order, `write`
+    // keeps the ones that stay on this list.
+    std::vector<Watcher>& ws = watches_[p];
+    Watcher* read = ws.data();
+    Watcher* write = read;
+    Watcher* const end = read + ws.size();
+    while (read != end) {
+      const Watcher w = *read++;
+      const int8_t blocker_value = value[w.blocker];
       if (blocker_value == kTrue) {
-        ws[keep++] = w;
+        *write++ = w;
         continue;
       }
       if (w.binary()) {
         // The blocker is the clause's other literal.
+        *write++ = w;
         if (blocker_value == kFalse) {
-          for (size_t j = i; j < ws.size(); ++j) ws[keep++] = ws[j];
-          ws.resize(keep);
-          return w.clause();
+          conflict = w.clause();
+          break;
         }
-        ws[keep++] = w;
         Enqueue(w.blocker, w.clause());
         continue;
       }
-      auto cl = LitsOf(w.clause());
-      // Ensure the falsified literal is cl[1].
-      const Lit not_p = Negate(p);
-      if (cl[0] == not_p) std::swap(cl[0], cl[1]);
-      if (ValueOfLit(cl[0]) == kTrue) {
-        ws[keep++] = Watcher::Of(w.clause(), false, cl[0]);
+      const ClauseRef c = w.clause();
+      const uint32_t header = static_cast<uint32_t>(arena[c]);
+      Lit* const lits = arena + c + 1 + (header & kLearntBit);
+      // Make the falsified literal lits[1].
+      if (lits[0] == not_p) {
+        lits[0] = lits[1];
+        lits[1] = not_p;
+      }
+      const Lit first = lits[0];
+      const Watcher kept = Watcher::Of(c, false, first);
+      if (value[first] == kTrue) {
+        *write++ = kept;
         continue;
       }
-      // Search a replacement watch.
-      bool moved = false;
-      for (size_t k = 2; k < cl.size(); ++k) {
-        if (ValueOfLit(cl[k]) != kFalse) {
-          std::swap(cl[1], cl[k]);
-          watches_[Negate(cl[1])].push_back(
-              Watcher::Of(w.clause(), false, cl[0]));
-          moved = true;
-          break;
-        }
+      // Look for a replacement watch, from lits[2] upward.
+      Lit* const lits_end = lits + (header >> kSizeShift);
+      Lit* k = lits + 2;
+      while (k != lits_end && value[*k] == kFalse) ++k;
+      if (k != lits_end) {
+        lits[1] = *k;
+        *k = not_p;
+        // A clause holds no literal twice, so the watch moves to another
+        // list and `ws` cannot reallocate under the cursors.
+        assert(Negate(lits[1]) != p);
+        watches_[Negate(lits[1])].push_back(kept);
+        continue;
       }
-      if (moved) continue;
-      // Clause is unit or conflicting.
-      if (ValueOfLit(cl[0]) == kFalse) {
-        // Conflict: restore remaining watchers and report.
-        for (size_t j = i; j < ws.size(); ++j) ws[keep++] = ws[j];
-        ws.resize(keep);
-        return w.clause();
+      if (value[first] == kFalse) {
+        *write++ = w;  // the conflicting watcher stays as it was
+        conflict = c;
+        break;
       }
-      ws[keep++] = Watcher::Of(w.clause(), false, cl[0]);
-      Enqueue(cl[0], w.clause());
+      *write++ = kept;
+      Enqueue(first, c);
     }
-    ws.resize(keep);
+    write = std::copy(read, end, write);
+    ws.resize(static_cast<size_t>(write - ws.data()));
   }
-  return kNoReason;
+  return conflict;
 }
 
 void Solver::BumpVar(Var v) {
@@ -214,8 +234,8 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* learnt,
     for (const Lit q : LitsOf(reason)) {
       if (q == p) continue;  // the literal this reason implied
       const Var v = VarOf(q);
-      if (seen_[v] != 0 || level_[v] == 0) continue;
-      seen_[v] = 1;
+      if (seen_[v] != kSeenNone || level_[v] == 0) continue;
+      seen_[v] = kSeenSource;
       BumpVar(v);
       if (level_[v] >= DecisionLevel()) {
         ++counter;
@@ -227,8 +247,8 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* learnt,
     do {
       --trail_index;
       p = trail_[trail_index];
-    } while (seen_[VarOf(p)] == 0);
-    seen_[VarOf(p)] = 0;
+    } while (seen_[VarOf(p)] == kSeenNone);
+    seen_[VarOf(p)] = kSeenNone;
     reason = reason_[VarOf(p)];
     --counter;
     assert(counter == 0 || reason != kNoReason);
@@ -264,35 +284,59 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* learnt,
     std::swap((*learnt)[1], (*learnt)[max_i]);
     *bt_level = level_[VarOf((*learnt)[1])];
   }
-  for (const Lit l : analyze_toclear_) seen_[VarOf(l)] = 0;
+  for (const Lit l : analyze_toclear_) seen_[VarOf(l)] = kSeenNone;
 }
 
 bool Solver::LitRedundant(Lit p, uint32_t abstract_levels) {
+  // Depth-first over the reasons below p. Whether a literal is implied by
+  // the clause does not depend on the path that reached it, so every
+  // literal the walk settles keeps its verdict (kSeenRemovable or
+  // kSeenFailed) for the rest of this analysis, and no later walk
+  // re-enters it (Van Gelder, SAT'09).
   analyze_stack_.clear();
-  analyze_stack_.push_back(p);
-  const size_t top = analyze_toclear_.size();
-  while (!analyze_stack_.empty()) {
-    const Var x = VarOf(analyze_stack_.back());
-    analyze_stack_.pop_back();
-    for (const Lit q : LitsOf(reason_[x])) {
+  Var x = VarOf(p);
+  std::span<const Lit> lits = LitsOf(reason_[x]);
+  uint32_t next = 0;
+  for (;;) {
+    if (next < lits.size()) {
+      const Lit q = lits[next++];
       const Var v = VarOf(q);
-      if (v == x || seen_[v] != 0 || level_[v] == 0) continue;
-      if (reason_[v] == kNoReason ||
+      // A binary reason may hold the literal it implies in either slot.
+      if (v == x) continue;
+      const int8_t mark = seen_[v];
+      if (mark == kSeenSource || mark == kSeenRemovable || level_[v] == 0) {
+        continue;
+      }
+      if (mark == kSeenFailed || reason_[v] == kNoReason ||
           (AbstractLevel(v) & abstract_levels) == 0) {
         // q rests on a decision, or on a level the clause does not
-        // contain: p is not implied by the other literals.
-        for (size_t k = top; k < analyze_toclear_.size(); ++k) {
-          seen_[VarOf(analyze_toclear_[k])] = 0;
+        // contain: neither q nor anything on the path to it is implied.
+        analyze_stack_.push_back({x, next});
+        for (const RedundantFrame& f : analyze_stack_) {
+          if (seen_[f.var] == kSeenNone) {
+            seen_[f.var] = kSeenFailed;
+            analyze_toclear_.push_back(MakeLit(f.var));
+          }
         }
-        analyze_toclear_.resize(top);
         return false;
       }
-      seen_[v] = 1;
-      analyze_stack_.push_back(q);
-      analyze_toclear_.push_back(q);
+      analyze_stack_.push_back({x, next});
+      x = v;
+      lits = LitsOf(reason_[x]);
+      next = 0;
+      continue;
     }
+    // Every literal of x's reason is implied: so is x.
+    if (seen_[x] == kSeenNone) {
+      seen_[x] = kSeenRemovable;
+      analyze_toclear_.push_back(MakeLit(x));
+    }
+    if (analyze_stack_.empty()) return true;
+    x = analyze_stack_.back().var;
+    next = analyze_stack_.back().next;
+    analyze_stack_.pop_back();
+    lits = LitsOf(reason_[x]);
   }
-  return true;
 }
 
 uint32_t Solver::Lbd(std::span<const Lit> lits) {
@@ -316,21 +360,21 @@ uint32_t Solver::Lbd(std::span<const Lit> lits) {
 }
 
 void Solver::ReduceLearnts() {
-  std::vector<ClauseRef> candidates;  // learnt clauses above the keep tier
+  // Learnt clauses above the keep tier, each keyed by (LBD, size) and its
+  // arena offset: a total order (lower LBD, then shorter, then earlier in
+  // the arena first), so a given database always loses the same clauses.
+  // The key holds every field whole.
+  std::vector<ReduceKey> candidates;
   for (ClauseRef c = 0; c < arena_.size(); c += WordsOf(c)) {
-    if (IsLearnt(c) && LbdOf(c) > kKeepLbd) candidates.push_back(c);
+    if (IsLearnt(c) && LbdOf(c) > kKeepLbd) {
+      candidates.push_back(
+          {(uint64_t{LbdOf(c)} << 32) | SizeOf(c), c});
+    }
   }
-  // Total order: lower LBD, then shorter, then earlier in the arena first,
-  // so a given database always loses the same clauses.
-  std::sort(candidates.begin(), candidates.end(),
-            [&](ClauseRef a, ClauseRef b) {
-              if (LbdOf(a) != LbdOf(b)) return LbdOf(a) < LbdOf(b);
-              if (SizeOf(a) != SizeOf(b)) return SizeOf(a) < SizeOf(b);
-              return a < b;
-            });
+  std::sort(candidates.begin(), candidates.end());
   size_t deleted = 0;
   for (size_t i = candidates.size() / 2; i < candidates.size(); ++i) {
-    const ClauseRef c = candidates[i];
+    const ClauseRef c = candidates[i].ref;
     if ((Header(c) & kUsedBit) != 0) continue;  // spared this time
     // A long clause that is a reason implies its first literal.
     const Lit first = LitsOf(c)[0];
@@ -527,56 +571,67 @@ SolveResult Solver::Solve(std::span<const Lit> assumptions,
 }
 
 // --- VSIDS heap -------------------------------------------------------------
+//
+// The sifts carry the moving variable in a hole and write it once where it
+// stops. They compare exactly as swapping sifts do, so the heap's layout,
+// and with it the tie order and the random-branch draw heap_[u % size],
+// is the same.
 
-void Solver::HeapSwap(int i, int j) {
-  std::swap(heap_[i], heap_[j]);
-  heap_pos_[heap_[i]] = i;
-  heap_pos_[heap_[j]] = j;
+void Solver::HeapSiftUp(int i) {
+  const Var v = heap_[i];
+  const double a = activity_[v];
+  while (i > 0) {
+    const int parent = (i - 1) / 2;
+    const Var up = heap_[parent];
+    if (activity_[up] >= a) break;
+    heap_[i] = up;
+    heap_pos_[up] = i;
+    i = parent;
+  }
+  heap_[i] = v;
+  heap_pos_[v] = i;
+}
+
+void Solver::HeapSiftDown(int i) {
+  const Var v = heap_[i];
+  const double a = activity_[v];
+  const int n = static_cast<int>(heap_.size());
+  for (;;) {
+    // The larger child, the left one on a tie, moves up if it beats v.
+    const int l = 2 * i + 1;
+    const int r = l + 1;
+    int best = -1;
+    double best_a = a;
+    if (l < n && activity_[heap_[l]] > best_a) {
+      best = l;
+      best_a = activity_[heap_[l]];
+    }
+    if (r < n && activity_[heap_[r]] > best_a) best = r;
+    if (best < 0) break;
+    heap_[i] = heap_[best];
+    heap_pos_[heap_[i]] = i;
+    i = best;
+  }
+  heap_[i] = v;
+  heap_pos_[v] = i;
 }
 
 void Solver::HeapInsert(Var v) {
   heap_.push_back(v);
-  int i = static_cast<int>(heap_.size()) - 1;
-  heap_pos_[v] = i;
-  while (i > 0) {
-    const int parent = (i - 1) / 2;
-    if (activity_[heap_[parent]] >= activity_[heap_[i]]) break;
-    HeapSwap(i, parent);
-    i = parent;
-  }
+  HeapSiftUp(static_cast<int>(heap_.size()) - 1);
 }
 
-void Solver::HeapDecrease(Var v) {
-  // Activity increased: sift up.
-  int i = heap_pos_[v];
-  while (i > 0) {
-    const int parent = (i - 1) / 2;
-    if (activity_[heap_[parent]] >= activity_[heap_[i]]) break;
-    HeapSwap(i, parent);
-    i = parent;
-  }
-}
+// Activity increased: sift up.
+void Solver::HeapDecrease(Var v) { HeapSiftUp(heap_pos_[v]); }
 
 Var Solver::HeapPop() {
   const Var top = heap_[0];
   heap_pos_[top] = -1;
-  if (heap_.size() > 1) {
-    heap_[0] = heap_.back();
-    heap_pos_[heap_[0]] = 0;
-  }
+  const Var last = heap_.back();
   heap_.pop_back();
-  // Sift down.
-  int i = 0;
-  const int n = static_cast<int>(heap_.size());
-  for (;;) {
-    const int l = 2 * i + 1;
-    const int r = 2 * i + 2;
-    int best = i;
-    if (l < n && activity_[heap_[l]] > activity_[heap_[best]]) best = l;
-    if (r < n && activity_[heap_[r]] > activity_[heap_[best]]) best = r;
-    if (best == i) break;
-    HeapSwap(i, best);
-    i = best;
+  if (!heap_.empty()) {
+    heap_[0] = last;
+    HeapSiftDown(0);
   }
   return top;
 }

@@ -3,7 +3,8 @@
 // Feature set: two-watched-literal propagation over one inline clause
 // arena, with binary clauses decided from their watchers alone; first-UIP
 // conflict-clause learning with backjumping and recursive learnt-clause
-// minimization (Sorensson & Biere, SAT'09); learnt units kept at the root
+// minimization (Sorensson & Biere, SAT'09) whose verdicts are memoized per
+// analysis (Van Gelder, SAT'09); learnt units kept at the root
 // across queries; LBD-tiered learnt-clause reduction on a deterministic
 // conflict schedule (Audemard & Simon, IJCAI'09); VSIDS branching with
 // phase saving; and Luby restarts. This is the engine behind the
@@ -13,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <compare>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -156,6 +158,12 @@ class Solver {
   void DecayActivities();
   ClauseRef AttachClause(std::span<const Lit> lits, bool learnt,
                          uint32_t lbd = 0);
+  // A reduction candidate: (LBD << 32 | size), then its arena offset.
+  struct ReduceKey {
+    uint64_t lbd_size;
+    ClauseRef ref;
+    auto operator<=>(const ReduceKey&) const = default;
+  };
   void ReduceLearnts();
   void CompactArena();
 
@@ -183,7 +191,8 @@ class Solver {
   void HeapInsert(Var v);
   Var HeapPop();
   void HeapDecrease(Var v);
-  void HeapSwap(int i, int j);
+  void HeapSiftUp(int i);
+  void HeapSiftDown(int i);
 
   std::vector<Lit> arena_;                     // clause headers + literals
   std::vector<std::vector<Watcher>> watches_;  // indexed by Lit
@@ -203,9 +212,24 @@ class Solver {
   std::vector<int> heap_pos_;  // per var, -1 if absent
 
   // Scratch for Analyze: marks per var, the minimization stack, the
-  // literals whose marks to clear, and per-level stamps for the LBD.
+  // literals whose marks to clear, and per-level stamps for the LBD. A
+  // mark says a variable is in the learnt clause (kSeenSource), or that
+  // minimization proved it implied by the clause (kSeenRemovable) or not
+  // (kSeenFailed); every mark lasts one analysis.
+  enum : int8_t {
+    kSeenNone = 0,
+    kSeenSource = 1,
+    kSeenRemovable = 2,
+    kSeenFailed = 3,
+  };
+  // A variable on the minimization walk's path and the index of the next
+  // literal of its reason to visit.
+  struct RedundantFrame {
+    Var var;
+    uint32_t next;
+  };
   std::vector<int8_t> seen_;
-  std::vector<Lit> analyze_stack_;
+  std::vector<RedundantFrame> analyze_stack_;
   std::vector<Lit> analyze_toclear_;
   std::vector<uint32_t> level_stamp_;
   uint32_t lbd_stamp_ = 0;
