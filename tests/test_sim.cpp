@@ -200,7 +200,7 @@ void ExpectKernelMatchesReference(const Netlist& nl) {
 
 // Every op at every arity AddGate admits, key inputs, constants and a
 // deleted gate. Generated circuits never build AND4, OR4, NOR4 or MUX.
-TEST(Simulator, KernelMatchesEvalGateWordOnEveryOp) {
+Netlist EveryOpNetlist() {
   Netlist nl("ops");
   const NetId a = nl.AddInput("a");
   const NetId b = nl.AddInput("b");
@@ -230,8 +230,57 @@ TEST(Simulator, KernelMatchesEvalGateWordOnEveryOp) {
   const NetId dead = nl.AddGate(GateOp::kNand, {a, d});
   nl.DeleteGate(nl.DriverOf(dead));
   for (NetId n : observed) nl.AddOutput(n, "");
+  return nl;
+}
+
+TEST(Simulator, KernelMatchesEvalGateWordOnEveryOp) {
+  const Netlist nl = EveryOpNetlist();
   ASSERT_EQ(nl.Validate(), "");
   ExpectKernelMatchesReference(nl);
+}
+
+// BeginBatch at an unchanged width clears only the rows RunBatch does not
+// write. Batch A binds the key inputs to 1; batch B, on the same
+// simulator, binds no key, so its key rows must read 0 again, and every
+// word of B must equal a fresh simulator's.
+TEST(Simulator, ReusedBatchMatchesAFreshSimulator) {
+  const Netlist nl = EveryOpNetlist();
+  ASSERT_FALSE(nl.KeyInputs().empty());
+  constexpr size_t kWidth = 3;
+  Rng rng(23);
+  const auto random_rows = [&] {
+    std::vector<std::vector<uint64_t>> rows(nl.inputs().size(),
+                                            std::vector<uint64_t>(kWidth));
+    for (std::vector<uint64_t>& row : rows) {
+      for (uint64_t& w : row) w = rng.NextWord();
+    }
+    return rows;
+  };
+  const auto run = [&](Simulator& sim,
+                       const std::vector<std::vector<uint64_t>>& rows) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      sim.SetSourceBatch(nl.inputs()[i], rows[i]);
+    }
+    sim.RunBatch();
+  };
+
+  Simulator reused(nl);
+  reused.BeginBatch(kWidth);
+  reused.SetKeyBitsBatch(std::vector<uint8_t>(nl.KeyInputs().size(), 1));
+  run(reused, random_rows());
+
+  const std::vector<std::vector<uint64_t>> rows = random_rows();
+  reused.BeginBatch(kWidth);
+  run(reused, rows);
+  Simulator fresh(nl);
+  fresh.BeginBatch(kWidth);
+  run(fresh, rows);
+  for (NetId n = 0; n < nl.NumNets(); ++n) {
+    for (size_t w = 0; w < kWidth; ++w) {
+      ASSERT_EQ(reused.BatchNetWord(n, w), fresh.BatchNetWord(n, w))
+          << "net " << n << " word " << w;
+    }
+  }
 }
 
 TEST(Simulator, KernelMatchesEvalGateWordOnGeneratedCircuit) {
