@@ -121,16 +121,6 @@ Solver::ClauseRef Solver::AttachClause(std::span<const Lit> lits,
   return ref;
 }
 
-void Solver::Enqueue(Lit l, ClauseRef reason) {
-  const Var v = VarOf(l);
-  assert(value_[l] == kUndef);
-  value_[l] = kTrue;
-  value_[Negate(l)] = kFalse;
-  level_[v] = DecisionLevel();
-  reason_[v] = reason;
-  trail_.push_back(l);
-}
-
 // The watch loop. Its visit order, the blockers it leaves and its
 // replacement scan (lits[2] upward) decide which clause propagates or
 // conflicts first, and so the whole search; SatSolver.TrajectoryDigest

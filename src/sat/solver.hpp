@@ -14,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <compare>
 #include <cstdint>
 #include <span>
@@ -146,7 +147,15 @@ class Solver {
 
   int8_t ValueOfLit(Lit l) const { return value_[l]; }
 
-  void Enqueue(Lit l, ClauseRef reason);
+  // Inline: the watch loop enqueues once per propagated literal.
+  void Enqueue(Lit l, ClauseRef reason) {
+    assert(value_[l] == kUndef);
+    value_[l] = kTrue;
+    value_[Negate(l)] = kFalse;
+    level_[VarOf(l)] = DecisionLevel();
+    reason_[VarOf(l)] = reason;
+    trail_.push_back(l);
+  }
   ClauseRef Propagate();
   void Analyze(ClauseRef conflict, std::vector<Lit>* learnt, int* bt_level);
   bool LitRedundant(Lit p, uint32_t abstract_levels);
