@@ -350,27 +350,29 @@ uint32_t Solver::Lbd(std::span<const Lit> lits) {
 }
 
 void Solver::ReduceLearnts() {
-  // Learnt clauses above the keep tier, each keyed by (LBD, size) and its
-  // arena offset: a total order (lower LBD, then shorter, then earlier in
-  // the arena first), so a given database always loses the same clauses.
-  // The key holds every field whole.
-  std::vector<ReduceKey> candidates;
-  for (ClauseRef c = 0; c < arena_.size(); c += WordsOf(c)) {
-    if (IsLearnt(c) && LbdOf(c) > kKeepLbd) {
-      candidates.push_back(
-          {(uint64_t{LbdOf(c)} << 32) | SizeOf(c), c});
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
   size_t deleted = 0;
-  for (size_t i = candidates.size() / 2; i < candidates.size(); ++i) {
-    const ClauseRef c = candidates[i].ref;
-    if ((Header(c) & kUsedBit) != 0) continue;  // spared this time
-    // A long clause that is a reason implies its first literal.
-    const Lit first = LitsOf(c)[0];
-    if (ValueOfLit(first) == kTrue && reason_[VarOf(first)] == c) continue;
-    SetFlag(c, kDeletedBit);
-    ++deleted;
+  {
+    // Learnt clauses above the keep tier, each keyed by (LBD, size) and
+    // its arena offset: a total order (lower LBD, then shorter, then
+    // earlier in the arena first), so a given database always loses the
+    // same clauses. The key holds every field whole. The keys are freed
+    // before compaction copies the arena, so they never add to that peak.
+    std::vector<ReduceKey> candidates;
+    for (ClauseRef c = 0; c < arena_.size(); c += WordsOf(c)) {
+      if (IsLearnt(c) && LbdOf(c) > kKeepLbd) {
+        candidates.push_back({(uint64_t{LbdOf(c)} << 32) | SizeOf(c), c});
+      }
+    }
+    std::sort(candidates.begin(), candidates.end());
+    for (size_t i = candidates.size() / 2; i < candidates.size(); ++i) {
+      const ClauseRef c = candidates[i].ref;
+      if ((Header(c) & kUsedBit) != 0) continue;  // spared this time
+      // A long clause that is a reason implies its first literal.
+      const Lit first = LitsOf(c)[0];
+      if (ValueOfLit(first) == kTrue && reason_[VarOf(first)] == c) continue;
+      SetFlag(c, kDeletedBit);
+      ++deleted;
+    }
   }
   for (ClauseRef c = 0; c < arena_.size(); c += WordsOf(c)) {
     arena_[c] = static_cast<Lit>(Header(c) & ~kUsedBit);
