@@ -299,8 +299,9 @@ bool Solver::LitRedundant(Lit p, uint32_t abstract_levels) {
       }
       if (mark == kSeenFailed || reason_[v] == kNoReason ||
           (AbstractLevel(v) & abstract_levels) == 0) {
-        // q rests on a decision, or on a level the clause does not
-        // contain: neither q nor anything on the path to it is implied.
+        // q failed before, rests on a decision, or rests on a level the
+        // clause does not contain: neither q nor anything on the path to
+        // it is implied.
         analyze_stack_.push_back({x, next});
         for (const RedundantFrame& f : analyze_stack_) {
           if (seen_[f.var] == kSeenNone) {
