@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace splitlock::sat {
 namespace {
@@ -353,12 +354,12 @@ uint32_t Solver::Lbd(std::span<const Lit> lits) {
 void Solver::ReduceLearnts() {
   size_t deleted = 0;
   {
-    // Learnt clauses above the keep tier, each keyed by (LBD, size) and
-    // its arena offset: a total order (lower LBD, then shorter, then
+    // Learnt clauses above the keep tier, each keyed by (LBD << 32 | size)
+    // and its arena offset: a total order (lower LBD, then shorter, then
     // earlier in the arena first), so a given database always loses the
     // same clauses. The key holds every field whole. The keys are freed
     // before compaction copies the arena, so they never add to that peak.
-    std::vector<ReduceKey> candidates;
+    std::vector<std::pair<uint64_t, ClauseRef>> candidates;
     for (ClauseRef c = 0; c < arena_.size(); c += WordsOf(c)) {
       if (IsLearnt(c) && LbdOf(c) > kKeepLbd) {
         candidates.push_back({(uint64_t{LbdOf(c)} << 32) | SizeOf(c), c});
@@ -366,7 +367,7 @@ void Solver::ReduceLearnts() {
     }
     std::sort(candidates.begin(), candidates.end());
     for (size_t i = candidates.size() / 2; i < candidates.size(); ++i) {
-      const ClauseRef c = candidates[i].ref;
+      const ClauseRef c = candidates[i].second;
       if ((Header(c) & kUsedBit) != 0) continue;  // spared this time
       // A long clause that is a reason implies its first literal.
       const Lit first = LitsOf(c)[0];

@@ -15,7 +15,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <compare>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -167,12 +166,6 @@ class Solver {
   void DecayActivities();
   ClauseRef AttachClause(std::span<const Lit> lits, bool learnt,
                          uint32_t lbd = 0);
-  // A reduction candidate: (LBD << 32 | size), then its arena offset.
-  struct ReduceKey {
-    uint64_t lbd_size;
-    ClauseRef ref;
-    auto operator<=>(const ReduceKey&) const = default;
-  };
   void ReduceLearnts();
   void CompactArena();
 

@@ -180,11 +180,6 @@ Simulator::Simulator(const Netlist& nl)
   }
   po_nets_.reserve(nl.outputs().size());
   for (GateId po : nl.outputs()) po_nets_.push_back(nl.gate(po).fanins[0]);
-  std::vector<bool> stepped(nl.NumNets(), false);
-  for (const Step& step : steps_) stepped[step.out] = true;
-  for (NetId n = 0; n < nl.NumNets(); ++n) {
-    if (!stepped[n]) unstepped_nets_.push_back(n);
-  }
 }
 
 void Simulator::SetSourceWord(GateId source, uint64_t word) {
@@ -217,14 +212,6 @@ void Simulator::Run() {
 
 void Simulator::BeginBatch(size_t width) {
   assert(width > 0);
-  if (width == batch_width_) {
-    // RunBatch overwrites every step's row, so only the other rows need
-    // their zeros back.
-    for (const NetId n : unstepped_nets_) {
-      std::fill_n(batch_.begin() + n * width, width, 0);
-    }
-    return;
-  }
   batch_width_ = width;
   batch_.assign(nl_->NumNets() * width, 0);
 }

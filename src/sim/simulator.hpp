@@ -66,10 +66,8 @@ class Simulator {
   // --- Batched multi-word simulation ---
 
   // Switches the batch buffers to `width` words per net (width * 64
-  // patterns per RunBatch) and clears to 0 every row RunBatch does not
-  // write, so key inputs left unbound read 0. At an unchanged width the
-  // rows of compiled steps keep the last batch's words until RunBatch
-  // overwrites them.
+  // patterns per RunBatch) and clears every word to 0, so key inputs left
+  // unbound read 0.
   void BeginBatch(size_t width);
 
   size_t batch_width() const { return batch_width_; }
@@ -124,9 +122,6 @@ class Simulator {
   std::vector<GateId> key_inputs_;
   std::vector<NetId> po_nets_;    // net observed by each primary output
   std::vector<uint64_t> values_;  // indexed by NetId
-  // Nets no step writes: sources, key inputs, nets of deleted gates and of
-  // gates a combinational cycle keeps out of TopoOrder().
-  std::vector<NetId> unstepped_nets_;
   size_t batch_width_ = 0;
   std::vector<uint64_t> batch_;  // SoA: [net * batch_width_ + word]
 };
