@@ -3,6 +3,7 @@
 #include <cmath>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuits/c17.hpp"
@@ -239,25 +240,21 @@ TEST(Simulator, KernelMatchesEvalGateWordOnEveryOp) {
   ExpectKernelMatchesReference(nl);
 }
 
-// BeginBatch at an unchanged width clears only the rows RunBatch does not
-// write. Batch A binds the key inputs to 1; batch B, on the same
-// simulator, binds no key, so its key rows must read 0 again, and every
-// word of B must equal a fresh simulator's.
+// A reused simulator's batch must not see its earlier batches: any
+// BeginBatch that clears less than the whole buffer has to keep this.
+// Batches at widths 3, 3, 5 and 2 run on one simulator, binding every key
+// input to 1 on the first and third and no key on the others, so stale key
+// words must not survive a repeated, a grown or a shrunk width: every word
+// of each batch must equal a fresh simulator's.
 TEST(Simulator, ReusedBatchMatchesAFreshSimulator) {
   const Netlist nl = EveryOpNetlist();
   ASSERT_FALSE(nl.KeyInputs().empty());
-  constexpr size_t kWidth = 3;
+  const std::vector<uint8_t> ones(nl.KeyInputs().size(), 1);
   Rng rng(23);
-  const auto random_rows = [&] {
-    std::vector<std::vector<uint64_t>> rows(nl.inputs().size(),
-                                            std::vector<uint64_t>(kWidth));
-    for (std::vector<uint64_t>& row : rows) {
-      for (uint64_t& w : row) w = rng.NextWord();
-    }
-    return rows;
-  };
-  const auto run = [&](Simulator& sim,
+  const auto run = [&](Simulator& sim, size_t width, bool bind_keys,
                        const std::vector<std::vector<uint64_t>>& rows) {
+    sim.BeginBatch(width);
+    if (bind_keys) sim.SetKeyBitsBatch(ones);
     for (size_t i = 0; i < rows.size(); ++i) {
       sim.SetSourceBatch(nl.inputs()[i], rows[i]);
     }
@@ -265,20 +262,22 @@ TEST(Simulator, ReusedBatchMatchesAFreshSimulator) {
   };
 
   Simulator reused(nl);
-  reused.BeginBatch(kWidth);
-  reused.SetKeyBitsBatch(std::vector<uint8_t>(nl.KeyInputs().size(), 1));
-  run(reused, random_rows());
-
-  const std::vector<std::vector<uint64_t>> rows = random_rows();
-  reused.BeginBatch(kWidth);
-  run(reused, rows);
-  Simulator fresh(nl);
-  fresh.BeginBatch(kWidth);
-  run(fresh, rows);
-  for (NetId n = 0; n < nl.NumNets(); ++n) {
-    for (size_t w = 0; w < kWidth; ++w) {
-      ASSERT_EQ(reused.BatchNetWord(n, w), fresh.BatchNetWord(n, w))
-          << "net " << n << " word " << w;
+  const std::pair<size_t, bool> batches[] = {
+      {3, true}, {3, false}, {5, true}, {2, false}};
+  for (const auto& [width, bind_keys] : batches) {
+    std::vector<std::vector<uint64_t>> rows(nl.inputs().size(),
+                                            std::vector<uint64_t>(width));
+    for (std::vector<uint64_t>& row : rows) {
+      for (uint64_t& w : row) w = rng.NextWord();
+    }
+    run(reused, width, bind_keys, rows);
+    Simulator fresh(nl);
+    run(fresh, width, bind_keys, rows);
+    for (NetId n = 0; n < nl.NumNets(); ++n) {
+      for (size_t w = 0; w < width; ++w) {
+        ASSERT_EQ(reused.BatchNetWord(n, w), fresh.BatchNetWord(n, w))
+            << "width " << width << " net " << n << " word " << w;
+      }
     }
   }
 }
