@@ -1,10 +1,11 @@
 // The oracle-guided SAT attack and its building blocks: key recovery,
-// golden DIP/conflict/key digests for both DIP loops on c432 and for the
-// sequential loop on c880, the incremental DIP encoder against full
-// EncodeNetlist, the batched DipOracle frontend, and the oracle-less
-// key-space probe.
+// golden DIP/conflict/key digests and registry work counts for both DIP
+// loops on c432 and for the sequential loop on c880, the incremental DIP
+// encoder against full EncodeNetlist, the batched DipOracle frontend, and
+// the oracle-less key-space probe.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "circuits/suites.hpp"
 #include "lock/atpg_lock.hpp"
 #include "lock/epic.hpp"
+#include "obs/metrics.hpp"
 #include "sat/solver.hpp"
 #include "sat/tseitin.hpp"
 #include "sim/metrics.hpp"
@@ -152,33 +154,87 @@ std::string KeyBits(const std::vector<uint8_t>& key) {
   return bits;
 }
 
-TEST(SatAttack, GoldenDigests) {
-  // c432 under the 64-bit lock AtpgLock.GoldenLockDigests pins, attacked
-  // by both DIP loops. Pins the DIP count, the master solver's conflict
-  // total and the recovered key: any change to the DIP sequence, the
-  // clause stream or the solver trajectory shows here.
-  const Netlist original = circuits::MakeIscas("c432");
+// The solver work one attack added to the registry. The registry counts
+// the DIP rounds' solves, not the key extraction's, so its conflicts fall
+// short of the telemetry total.
+struct SolverWorkCounts {
+  uint64_t conflicts;
+  uint64_t decisions;
+  uint64_t propagations;
+  bool operator==(const SolverWorkCounts&) const = default;
+};
+
+void PrintTo(const SolverWorkCounts& w, std::ostream* os) {
+  *os << "{conflicts " << w.conflicts << ", decisions " << w.decisions
+      << ", propagations " << w.propagations << "}";
+}
+
+SolverWorkCounts CountedSince(const obs::MetricsSnapshot& before) {
+  const obs::MetricsSnapshot delta = obs::MetricsSnapshot::Delta(
+      before, obs::Registry::Instance().Snapshot());
+  const auto count = [&](const std::string& name) -> uint64_t {
+    const auto it = delta.counts.find(name);
+    return it == delta.counts.end() ? 0 : it->second;
+  };
+  return {count("attack.sat.conflicts"), count("attack.sat.decisions"),
+          count("attack.sat.propagations")};
+}
+
+// A circuit's 64-bit lock at lock seed 1, attacked by the sequential DIP
+// loop: its DIP count, the telemetry's conflict total, the registry's work
+// counts and the recovered key.
+struct SequentialGolden {
+  const char* circuit;
+  size_t dips;
+  uint64_t total_conflicts;
+  SolverWorkCounts counted;
+  const char* key;
+};
+
+lock::AtpgLockResult Seed1Lock(const Netlist& original) {
   lock::AtpgLockOptions opts;
   opts.key_bits = 64;
   opts.seed = 1;
-  const lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
+  return lock::LockWithAtpg(original, opts);
+}
 
+// Pins `golden`'s sequential attack: any change to the DIP sequence, the
+// clause stream or the solver trajectory shows here. Returns the lock.
+lock::AtpgLockResult ExpectSequentialGolden(const Netlist& original,
+                                            const SequentialGolden& golden) {
+  SCOPED_TRACE(golden.circuit);
+  lock::AtpgLockResult locked = Seed1Lock(original);
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   const SatAttackResult seq = RunSatAttack(locked.locked, original);
-  ASSERT_TRUE(seq.finished);
+  EXPECT_EQ(CountedSince(before), golden.counted);
+  EXPECT_TRUE(seq.finished);
   EXPECT_TRUE(seq.functionally_correct);
-  EXPECT_EQ(seq.dips_used, 40u);
-  EXPECT_EQ(seq.telemetry.total_conflicts, 17750u);
-  EXPECT_EQ(KeyBits(seq.recovered_key),
-            "0010000011111010011100011000100001010101001101011110011101010101");
+  EXPECT_EQ(seq.dips_used, golden.dips);
+  EXPECT_EQ(seq.telemetry.total_conflicts, golden.total_conflicts);
+  EXPECT_EQ(KeyBits(seq.recovered_key), golden.key);
+  return locked;
+}
+
+TEST(SatAttack, GoldenDigests) {
+  // c432 under the 64-bit lock AtpgLock.GoldenLockDigests pins, attacked
+  // by both DIP loops.
+  const Netlist original = circuits::MakeIscas("c432");
+  const lock::AtpgLockResult locked = ExpectSequentialGolden(
+      original,
+      {"c432", 40, 17750, {17714, 66052, 3517557},
+       "0010000011111010011100011000100001010101001101011110011101010101"});
 
   // A per-round budget small enough that one round stalls and races its
   // diversified clones, yet large enough that a clone finishes it, so the
-  // digest also covers winner selection and adoption. (Budgets from 7,000
-  // to 10,000 all give a clone win and a finished attack.)
+  // digest also covers winner selection and adoption, and the registry
+  // counts the adopted clone's work. (Budgets from 7,000 to 10,000 all
+  // give a clone win and a finished attack.)
   PortfolioSatOptions popts;
   popts.conflicts_per_round = 8000;
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   const PortfolioSatResult port =
       RunPortfolioSatAttack(locked.locked, original, popts);
+  EXPECT_EQ(CountedSince(before), (SolverWorkCounts{17080, 65763, 3467301}));
   EXPECT_EQ(port.wins_per_config, (std::vector<size_t>{40, 1, 0, 0}));
   ASSERT_TRUE(port.attack.finished);
   EXPECT_TRUE(port.attack.functionally_correct);
@@ -189,21 +245,12 @@ TEST(SatAttack, GoldenDigests) {
 }
 
 TEST(SatAttack, GoldenDigestsC880) {
-  // c880 under its 64-bit seed-1 lock, the iscas-sat benchmark's second
-  // instance: a second miter shape for the sequential loop's pins.
-  const Netlist original = circuits::MakeIscas("c880");
-  lock::AtpgLockOptions opts;
-  opts.key_bits = 64;
-  opts.seed = 1;
-  const lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
-
-  const SatAttackResult seq = RunSatAttack(locked.locked, original);
-  ASSERT_TRUE(seq.finished);
-  EXPECT_TRUE(seq.functionally_correct);
-  EXPECT_EQ(seq.dips_used, 20u);
-  EXPECT_EQ(seq.telemetry.total_conflicts, 22893u);
-  EXPECT_EQ(KeyBits(seq.recovered_key),
-            "0000111010001110000110010111000100101011011110001110000011010010");
+  // c880, the iscas-sat benchmark's second instance: a second miter shape
+  // for the sequential loop's pins.
+  ExpectSequentialGolden(
+      circuits::MakeIscas("c880"),
+      {"c880", 20, 22893, {22882, 50263, 1770019},
+       "0000111010001110000110010111000100101011011110001110000011010010"});
 }
 
 TEST(OracleLess, KeySpaceStaysRich) {
