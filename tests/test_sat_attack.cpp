@@ -191,19 +191,15 @@ struct SequentialGolden {
   const char* key;
 };
 
-lock::AtpgLockResult Seed1Lock(const Netlist& original) {
-  lock::AtpgLockOptions opts;
-  opts.key_bits = 64;
-  opts.seed = 1;
-  return lock::LockWithAtpg(original, opts);
-}
-
 // Pins `golden`'s sequential attack: any change to the DIP sequence, the
 // clause stream or the solver trajectory shows here. Returns the lock.
 lock::AtpgLockResult ExpectSequentialGolden(const Netlist& original,
                                             const SequentialGolden& golden) {
   SCOPED_TRACE(golden.circuit);
-  lock::AtpgLockResult locked = Seed1Lock(original);
+  lock::AtpgLockOptions opts;
+  opts.key_bits = 64;
+  opts.seed = 1;
+  lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
   const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   const SatAttackResult seq = RunSatAttack(locked.locked, original);
   EXPECT_EQ(CountedSince(before), golden.counted);
