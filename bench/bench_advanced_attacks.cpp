@@ -10,8 +10,7 @@
 //     behaviours, nothing to rank them by); WITH an oracle — which the
 //     split-manufacturing threat model excludes — the classical SAT attack
 //     extracts a functionally correct key quickly. The missing oracle is
-//     the security. The same instance also races the sat-portfolio engine
-//     against the sequential DIP loop and records the speedup.
+//     the security.
 //  C. Package-mode future work (Sec. V): key-nets to I/O pads tied in the
 //     trusted package; security metrics match the BEOL variant.
 //
@@ -55,14 +54,12 @@ const MlRow& RunMlCached(int split_layer) {
   return cache.emplace(split_layer, row).first->second;
 }
 
-// --- B: SAT attack with/without oracle, sequential vs portfolio -------------
+// --- B: SAT attack with/without oracle --------------------------------------
 
 struct SatRow {
   attack::AttackReport oracle_less;
   attack::AttackReport sequential;  // "sat" engine
-  attack::AttackReport portfolio;   // "sat-portfolio" engine
   size_t key_bits = 0;
-  double portfolio_speedup = 0.0;  // sequential elapsed / portfolio elapsed
 };
 
 const SatRow& RunSatCached() {
@@ -93,11 +90,6 @@ const SatRow& RunSatCached() {
   };
   row.oracle_less = run("oracle-less:samples=512,patterns=4096");
   row.sequential = run("sat");
-  row.portfolio = run("sat-portfolio");
-  row.portfolio_speedup = row.portfolio.elapsed_s > 0.0
-                              ? row.sequential.elapsed_s /
-                                    row.portfolio.elapsed_s
-                              : 0.0;
   done = true;
   return row;
 }
@@ -173,9 +165,8 @@ std::string ToJson() {
   json += "],";
   const SatRow& sat = RunSatCached();
   std::snprintf(buf, sizeof(buf),
-                "\"sat_contrast\":{\"key_bits\":%zu,"
-                "\"portfolio_speedup\":%.4f,\"oracle_less\":",
-                sat.key_bits, sat.portfolio_speedup);
+                "\"sat_contrast\":{\"key_bits\":%zu,\"oracle_less\":",
+                sat.key_bits);
   json += buf;
   // The full per-round telemetry rides in each report's "rounds" array —
   // conflicts, encode/solve/oracle wall-ms per DIP round — replacing the
@@ -183,8 +174,6 @@ std::string ToJson() {
   json += sat.oracle_less.ToJson();
   json += ",\"sequential\":";
   json += sat.sequential.ToJson();
-  json += ",\"portfolio\":";
-  json += sat.portfolio.ToJson();
   json += "},";
   const PackageRow& pkg = RunPackageCached();
   std::snprintf(buf, sizeof(buf),
@@ -230,13 +219,6 @@ void PrintTables() {
                                                          : "budget-limited",
               sat.sequential.counters.at("dips_used"),
               sat.sequential.functionally_correct ? "YES" : "no");
-  std::printf("sat-portfolio (%d configs): %.0f DIPs, key correct: %s, "
-              "%.3f s vs %.3f s sequential (speedup %.2fx)\n",
-              static_cast<int>(sat.portfolio.counters.at("configs")),
-              sat.portfolio.counters.at("dips_used"),
-              sat.portfolio.functionally_correct ? "YES" : "no",
-              sat.portfolio.elapsed_s, sat.sequential.elapsed_s,
-              sat.portfolio_speedup);
 
   PrintHeader("C. Future work (Sec. V): key via I/O pads + trusted package");
   const PackageRow& pkg = RunPackageCached();
@@ -287,7 +269,6 @@ int main(int argc, char** argv) {
       st.counters["dips"] = row.sequential.counters.at("dips_used");
       st.counters["distinct_behaviours"] =
           row.oracle_less.counters.at("distinct_functions");
-      st.counters["portfolio_speedup"] = row.portfolio_speedup;
     }
   })->Iterations(1)->Unit(benchmark::kSecond);
   benchmark::RegisterBenchmark("PackageMode", [](benchmark::State& st) {

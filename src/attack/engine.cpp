@@ -213,10 +213,6 @@ std::string AttackReport::ToJson() const {
       AppendJsonNumber(&out, round.encode_ms);
       out += ",\"oracle_ms\":";
       AppendJsonNumber(&out, round.oracle_ms);
-      out += ",\"winner\":";
-      AppendJsonNumber(&out, static_cast<double>(round.winner));
-      out += ",\"dip_batch\":";
-      AppendJsonNumber(&out, static_cast<double>(round.dip_batch));
       out += '}';
     }
     out += ']';
@@ -324,12 +320,6 @@ AttackReport RunAttack(const AttackContext& ctx, const AttackConfig& config) {
     report.error = e.what();
   }
   report.elapsed_s = elapsed.Seconds();
-  if (ctx.telemetry) {
-    for (const PhaseStat& phase : report.phases) {
-      ctx.telemetry->Phase(report.engine, phase.name, phase.wall_ms,
-                           phase.count);
-    }
-  }
   return report;
 }
 

@@ -12,7 +12,7 @@
 //    split-manufacturing threat model denies — engines that consume it are
 //    deliberately violating the model to quantify what the missing oracle
 //    is worth), the correct key (for scoring-only engines), a seed for
-//    deterministic StreamRng streams, solve budgets and a telemetry sink.
+//    deterministic StreamRng streams and a conflict budget.
 //  * AttackConfig — a serializable (engine name + key=value params)
 //    description of one attack run. Hashable, so campaign-level caches can
 //    key on it; parseable, so the CLI can accept --engine=name:k=v,k=v.
@@ -24,7 +24,7 @@
 //    the benches all dispatch through it.
 //
 // Built-in engines (see engines.cpp): "proximity", "ml", "ideal", "sat",
-// "oracle-less", "sat-portfolio".
+// "oracle-less".
 #pragma once
 
 #include <cstdint>
@@ -40,16 +40,6 @@
 #include "split/split.hpp"
 
 namespace splitlock::attack {
-
-// Streaming telemetry: engines report named phases as they finish them.
-// Implementations must be thread-safe when the context is shared across
-// concurrent attacks (the campaign runner runs jobs on the exec pool).
-class TelemetrySink {
- public:
-  virtual ~TelemetrySink() = default;
-  virtual void Phase(std::string_view engine, std::string_view phase,
-                     double wall_ms, uint64_t count) = 0;
-};
 
 // What the attacker gets to see. Engines declare their needs via
 // Engine::CheckContext; unneeded fields may stay null.
@@ -69,16 +59,9 @@ struct AttackContext {
   // result is a pure function of (context views, seed, config) at any
   // thread count.
   uint64_t seed = 1;
-  // Budgets. The conflict budget bounds SAT search deterministically (a
-  // cumulative ceiling for both SAT engines). The wall-clock budget (0 =
-  // unlimited) is advisory: the SAT engines check it between DIP rounds,
-  // engines without an iterative structure ignore it, and it is NOT
-  // deterministic — leave it 0 when reproducibility matters.
+  // Bounds the sat engine's search deterministically: a cumulative
+  // ceiling on its solver's conflicts.
   uint64_t conflict_budget = 2000000;
-  double wall_budget_s = 0.0;
-  // Optional streaming telemetry; per-phase stats always land in the
-  // report as well.
-  TelemetrySink* telemetry = nullptr;
 };
 
 // A serializable attack description: engine name + string params. The
@@ -114,16 +97,14 @@ struct PhaseStat {
   uint64_t count = 0;
 };
 
-// Per-iteration telemetry for round-based engines (the SAT engines' DIP
-// rounds). Conflict counts and winner indices are deterministic; the
-// wall-clock splits are measurements.
+// Per-iteration telemetry for round-based engines (the sat engine's DIP
+// rounds). Conflict counts are deterministic; the wall-clock splits are
+// measurements.
 struct RoundStat {
   uint64_t conflicts = 0;
   double solve_ms = 0.0;
   double encode_ms = 0.0;
   double oracle_ms = 0.0;
-  int winner = -1;  // portfolio config index; -1 = sequential solve
-  uint64_t dip_batch = 0;  // DIPs oracle-queried this round (0 or 1)
 };
 
 // The uniform attack result. Engines fill the sections that apply to their

@@ -1,6 +1,6 @@
 // Built-in attack engines: thin adapters mapping the uniform
 // AttackContext/AttackConfig/AttackReport API onto the five attacker
-// models this repo implements, plus the portfolio SAT engine. The legacy
+// models this repo implements. The legacy
 // free functions (RunProximityAttack, RunMlAttack, ...) remain the
 // implementation; these adapters own the config-string -> options and
 // result -> report conversions so the campaign runner, the CLI and the
@@ -17,7 +17,7 @@
 namespace splitlock::attack {
 namespace {
 
-// Shared telemetry flattening for the two SAT engines.
+// Flattens the SAT attack's telemetry into the report.
 void FillSatReport(const SatAttackResult& result, AttackReport* report) {
   report->key_found = result.key_found;
   report->recovered_key = result.recovered_key;
@@ -194,7 +194,7 @@ class SatEngine : public Engine {
     return "";
   }
   std::vector<std::string> AcceptedKeys() const override {
-    return {"seed", "max_dips", "conflicts", "verify_patterns", "wall_s"};
+    return {"seed", "max_dips", "conflicts", "verify_patterns"};
   }
   AttackReport Run(const AttackContext& ctx,
                    const AttackConfig& config) const override {
@@ -205,7 +205,6 @@ class SatEngine : public Engine {
         config.GetUint("conflicts", ctx.conflict_budget);
     options.verify_patterns =
         config.GetUint("verify_patterns", options.verify_patterns);
-    options.wall_budget_s = config.GetDouble("wall_s", ctx.wall_budget_s);
 
     const SatAttackResult result =
         RunSatAttack(*ctx.locked, *ctx.oracle, options);
@@ -245,52 +244,6 @@ class OracleLessEngine : public Engine {
   }
 };
 
-class PortfolioSatAttackEngine : public Engine {
- public:
-  std::string name() const override { return "sat-portfolio"; }
-  std::string description() const override {
-    return "oracle-guided DIP attack racing N diversified solver clones "
-           "per round on the exec pool (deterministic lowest-index winner)";
-  }
-  std::string CheckContext(const AttackContext& ctx) const override {
-    if (!ctx.locked) return "sat-portfolio engine needs the locked netlist";
-    if (!ctx.oracle) return "sat-portfolio engine needs a functional oracle";
-    return "";
-  }
-  std::vector<std::string> AcceptedKeys() const override {
-    return {"seed",      "configs",         "max_dips", "conflicts_per_round",
-            "conflicts", "verify_patterns", "wall_s"};
-  }
-  AttackReport Run(const AttackContext& ctx,
-                   const AttackConfig& config) const override {
-    PortfolioSatOptions options;
-    options.seed = config.GetUint("seed", ctx.seed);
-    options.num_configs = config.GetUint("configs", options.num_configs);
-    options.max_dips = config.GetUint("max_dips", options.max_dips);
-    options.conflicts_per_round =
-        config.GetUint("conflicts_per_round", options.conflicts_per_round);
-    // The context's conflict budget is a *cumulative* ceiling — the same
-    // semantics the "sat" engine gives it — so portfolio-vs-sequential
-    // comparisons under one context are apples-to-apples.
-    options.total_conflict_budget =
-        config.GetUint("conflicts", ctx.conflict_budget);
-    options.verify_patterns =
-        config.GetUint("verify_patterns", options.verify_patterns);
-    options.wall_budget_s = config.GetDouble("wall_s", ctx.wall_budget_s);
-
-    const PortfolioSatResult result =
-        RunPortfolioSatAttack(*ctx.locked, *ctx.oracle, options);
-    AttackReport report;
-    FillSatReport(result.attack, &report);
-    report.counters["configs"] = static_cast<double>(options.num_configs);
-    for (size_t i = 0; i < result.wins_per_config.size(); ++i) {
-      report.counters["wins_config_" + std::to_string(i)] =
-          static_cast<double>(result.wins_per_config[i]);
-    }
-    return report;
-  }
-};
-
 template <typename E>
 void RegisterOne(EngineRegistry& registry) {
   registry.Register(E().name(), [] { return std::make_unique<E>(); });
@@ -306,7 +259,6 @@ void RegisterBuiltinEngines(EngineRegistry& registry) {
   RegisterOne<IdealEngine>(registry);
   RegisterOne<SatEngine>(registry);
   RegisterOne<OracleLessEngine>(registry);
-  RegisterOne<PortfolioSatAttackEngine>(registry);
 }
 
 }  // namespace internal

@@ -1,10 +1,7 @@
 #include "attack/sat_attack.hpp"
 
-#include <algorithm>
 #include <array>
-#include <atomic>
 #include <cassert>
-#include <memory>
 #include <set>
 
 #include "exec/parallel.hpp"
@@ -16,7 +13,6 @@
 #include "sat/tseitin.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
-#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace splitlock::attack {
@@ -25,9 +21,8 @@ namespace {
 // SAT-attack observability. All six counters are count-class: rounds,
 // DIPs and oracle queries are pure functions of the instance + options,
 // and the solver's conflicts, decisions and propagations are deterministic
-// by the solver contract (the portfolio adopts the lowest-index completing
-// clone, whose trajectory does not depend on the interleaving). They are
-// registry-only: no record stores decisions or propagations.
+// by the solver contract. They are registry-only: no record stores
+// decisions or propagations.
 struct SatMetrics {
   obs::Counter* rounds;
   obs::Counter* dips;
@@ -73,10 +68,9 @@ uint64_t CountRoundWork(const sat::Solver& s, const SolverWork& before) {
   return now.conflicts - before.conflicts;
 }
 
-// Shared scaffolding of the oracle-guided attack: the two-copy miter over
-// the locked netlist, the batched oracle frontend and the per-round DIP
-// constraint encoding. Both the sequential DIP loop and the portfolio loop
-// drive one of these; only the miter-solve step differs.
+// The oracle-guided attack's state: the two-copy miter over the locked
+// netlist, the oracle's simulator and the per-round DIP constraint
+// encoding.
 class MiterAttack {
  public:
   MiterAttack(const Netlist& locked, const Netlist& oracle)
@@ -128,14 +122,14 @@ class MiterAttack {
     Metrics().dips->Add(1);
     Metrics().oracle_queries->Add(1);
     RoundStat& round = result->telemetry.rounds.back();
-    round.dip_batch = 1;
 
     const Stopwatch oracle_sw;
-    size_t query = 0;
     {
       obs::Span span("attack.sat.oracle");
-      query = oracle_sim_.Enqueue(dip);
-      oracle_sim_.Flush();
+      std::vector<uint64_t> words(num_pis_);
+      for (size_t i = 0; i < num_pis_; ++i) words[i] = dip[i] ? ~0ULL : 0ULL;
+      oracle_sim_.SetInputWords(words);
+      oracle_sim_.Run();
     }
     round.oracle_ms = oracle_sw.Ms();
 
@@ -147,7 +141,7 @@ class MiterAttack {
     for (const auto& keys : {k1_, k2_}) {
       const std::vector<sat::Lit> outs = dip_enc_.Encode(keys);
       for (size_t o = 0; o < num_pos_; ++o) {
-        const bool want = oracle_sim_.OutputBit(query, o);
+        const bool want = (oracle_sim_.OutputWord(o) & 1) != 0;
         solver_.AddUnit(want ? outs[o] : sat::Negate(outs[o]));
       }
     }
@@ -172,9 +166,9 @@ class MiterAttack {
   }
 
  private:
-  sat::Solver solver_;  // master solver; declared before the encoders
+  sat::Solver solver_;  // declared before the encoders
   sat::StructuralEncoder enc_;
-  DipOracle oracle_sim_;
+  Simulator oracle_sim_;
   const size_t num_pis_;
   const size_t num_pos_;
   const size_t num_keys_;
@@ -186,47 +180,6 @@ class MiterAttack {
 };
 
 }  // namespace
-
-DipOracle::DipOracle(const Netlist& oracle)
-    : sim_(oracle),
-      num_pis_(oracle.inputs().size()),
-      num_pos_(oracle.outputs().size()) {}
-
-size_t DipOracle::Enqueue(std::span<const uint8_t> input_bits) {
-  assert(input_bits.size() == num_pis_);
-  pending_.emplace_back(input_bits.begin(), input_bits.end());
-  return responses_.size() + pending_.size() - 1;
-}
-
-void DipOracle::Flush() {
-  if (pending_.empty()) return;
-  const size_t width = pending_.size();
-  ++flushes_;
-  max_batch_ = std::max(max_batch_, width);
-  sim_.BeginBatch(width);
-  std::vector<uint64_t> row(width);
-  const std::vector<GateId>& pis = sim_.netlist().inputs();
-  for (size_t i = 0; i < num_pis_; ++i) {
-    for (size_t q = 0; q < width; ++q) {
-      row[q] = pending_[q][i] ? ~0ULL : 0ULL;
-    }
-    sim_.SetSourceBatch(pis[i], row);
-  }
-  sim_.RunBatch();
-  for (size_t q = 0; q < width; ++q) {
-    std::vector<uint8_t> response(num_pos_);
-    for (size_t o = 0; o < num_pos_; ++o) {
-      response[o] = static_cast<uint8_t>(sim_.BatchOutputWord(o, q) & 1);
-    }
-    responses_.push_back(std::move(response));
-  }
-  pending_.clear();
-}
-
-bool DipOracle::OutputBit(size_t q, size_t po) const {
-  assert(q < responses_.size() && "query not flushed");
-  return responses_[q][po] != 0;
-}
 
 SatAttackResult RunSatAttack(const Netlist& locked, const Netlist& oracle,
                              const SatAttackOptions& options) {
@@ -240,10 +193,6 @@ SatAttackResult RunSatAttack(const Netlist& locked, const Netlist& oracle,
   const std::vector<sat::Lit> assumptions{miter.diff_any()};
 
   while (result.dips_used < options.max_dips) {
-    if (options.wall_budget_s > 0.0 &&
-        total_sw.Ms() >= options.wall_budget_s * 1000.0) {
-      break;  // advisory wall budget blown; report as unfinished
-    }
     RoundStat tel;
     obs::Span round_span("attack.sat.round", result.telemetry.rounds.size());
     Metrics().rounds->Add(1);
@@ -277,160 +226,6 @@ SatAttackResult RunSatAttack(const Netlist& locked, const Netlist& oracle,
   result.telemetry.total_conflicts = solver.conflicts();
   result.telemetry.total_ms = total_sw.Ms();
   return result;
-}
-
-sat::SolverConfig PortfolioMemberConfig(uint64_t seed, size_t round,
-                                        size_t index) {
-  sat::SolverConfig config;
-  if (index == 0) return config;  // baseline: the sequential attack's config
-  const uint64_t h = exec::Mix64(seed ^ exec::Mix64(round * 8191 + index));
-  config.branch_seed = h;
-  switch (index % 3) {
-    case 0:
-      config.polarity = sat::PolarityMode::kTrue;
-      break;
-    case 1:
-      config.polarity = sat::PolarityMode::kRandom;
-      break;
-    case 2:
-      config.polarity = sat::PolarityMode::kFalse;
-      break;
-  }
-  config.random_branch_freq = 0.01 * static_cast<double>(1 + index % 4);
-  config.restart_unit = 64ULL << (index % 4);
-  return config;
-}
-
-PortfolioSatResult RunPortfolioSatAttack(const Netlist& locked,
-                                         const Netlist& oracle,
-                                         const PortfolioSatOptions& options) {
-  assert(locked.inputs().size() == oracle.inputs().size());
-  assert(locked.outputs().size() == oracle.outputs().size());
-  PortfolioSatResult out;
-  const size_t num_configs = std::max<size_t>(options.num_configs, 1);
-  out.wins_per_config.assign(num_configs, 0);
-  SatAttackResult& result = out.attack;
-  const Stopwatch total_sw;
-
-  MiterAttack miter(locked, oracle);
-  sat::Solver& master = miter.solver();
-  const std::vector<sat::Lit> assumptions{miter.diff_any()};
-
-  // One race participant. Heap-allocated because std::atomic is immovable.
-  struct ConfigRun {
-    sat::Solver solver;
-    sat::SolveResult result = sat::SolveResult::kUnknown;
-    std::atomic<bool> abort{false};
-  };
-
-  size_t round = 0;
-  while (result.dips_used < options.max_dips) {
-    if (options.total_conflict_budget > 0 &&
-        master.conflicts() >= options.total_conflict_budget) {
-      break;  // cumulative conflict ceiling (deterministic); unfinished
-    }
-    if (options.wall_budget_s > 0.0 &&
-        total_sw.Ms() >= options.wall_budget_s * 1000.0) {
-      break;  // advisory wall budget blown; report as unfinished
-    }
-    RoundStat tel;
-    obs::Span round_span("attack.sat.round", result.telemetry.rounds.size());
-    Metrics().rounds->Add(1);
-    const Stopwatch solve_sw;
-    const SolverWork work_before = WorkOf(master);
-
-    // Phase 1: the baseline configuration runs directly on the master — no
-    // clone. Easy rounds (the common case) therefore cost exactly what the
-    // sequential attack pays; the diversified race below is reserved for
-    // rounds where the baseline stalls.
-    master.SetConfig(PortfolioMemberConfig(options.seed, round, 0));
-    sat::SolveResult sr;
-    {
-      obs::Span span("attack.sat.solve");
-      sr = master.Solve(assumptions,
-                        master.conflicts() + options.conflicts_per_round);
-    }
-    if (sr != sat::SolveResult::kUnknown) tel.winner = 0;
-
-    if (sr == sat::SolveResult::kUnknown && num_configs > 1) {
-      // Phase 2: the probe blew its per-round budget. Race diversified
-      // clones of the (probe-enriched) master; each keeps its learnt
-      // clauses from phase 1.
-      std::vector<std::unique_ptr<ConfigRun>> runs(num_configs);
-      for (size_t i = 1; i < num_configs; ++i) {
-        runs[i] = std::make_unique<ConfigRun>();
-      }
-      // Lowest configuration index known to have completed; runs above it
-      // can no longer win and may be aborted or skipped outright.
-      std::atomic<size_t> best_completed{num_configs};
-      exec::TaskGroup group;
-      for (size_t i = 1; i < num_configs; ++i) {
-        group.Run([&, i] {
-          ConfigRun& run = *runs[i];
-          if (best_completed.load(std::memory_order_acquire) < i) return;
-          run.solver = master.Clone();
-          run.solver.SetConfig(PortfolioMemberConfig(options.seed, round, i));
-          run.solver.SetAbortFlag(&run.abort);
-          run.result = run.solver.Solve(
-              assumptions, run.solver.conflicts() + options.conflicts_per_round);
-          if (run.result != sat::SolveResult::kUnknown) {
-            size_t prev = best_completed.load(std::memory_order_acquire);
-            while (i < prev && !best_completed.compare_exchange_weak(
-                                   prev, i, std::memory_order_acq_rel)) {
-            }
-            for (size_t j = i + 1; j < num_configs; ++j) {
-              runs[j]->abort.store(true, std::memory_order_release);
-            }
-          }
-        });
-      }
-      group.Wait();
-      // Deterministic winner: lowest index that completed. (An aborted run
-      // reports kUnknown; it was aborted only because a lower index
-      // completed, so it could not have been the winner anyway.)
-      for (size_t i = 1; i < num_configs; ++i) {
-        if (runs[i]->result != sat::SolveResult::kUnknown) {
-          sr = runs[i]->result;
-          tel.winner = static_cast<int>(i);
-          // Adopt the winner: its clause database (with this round's learnt
-          // clauses), activities and saved phases become the next round's
-          // master. The encoder keeps pointing at the same Solver object,
-          // and clones never add variables, so literal numbering stays
-          // aligned.
-          master = std::move(runs[i]->solver);
-          master.SetAbortFlag(nullptr);  // the flag dies with this round
-          break;
-        }
-      }
-    }
-    tel.solve_ms = solve_sw.Ms();
-    tel.conflicts = CountRoundWork(master, work_before);
-    result.telemetry.rounds.push_back(tel);
-    if (sr == sat::SolveResult::kUnknown) break;  // no configuration completed
-    ++out.wins_per_config[static_cast<size_t>(tel.winner)];
-    if (sr == sat::SolveResult::kUnsat) {
-      result.finished = true;
-      break;
-    }
-    miter.LearnDip(&result);
-    ++round;
-  }
-  if (result.finished) {
-    // Key extraction runs on the adopted master under the baseline config.
-    master.SetConfig(sat::SolverConfig{});
-    miter.ExtractKey(master.conflicts() + options.conflicts_per_round,
-                     &result);
-    if (result.key_found) {
-      const Stopwatch verify_sw;
-      result.functionally_correct =
-          RandomPatternsAgree(oracle, locked, options.verify_patterns,
-                              options.seed, {}, result.recovered_key);
-      result.telemetry.verify_ms = verify_sw.Ms();
-    }
-  }
-  result.telemetry.total_conflicts = master.conflicts();
-  result.telemetry.total_ms = total_sw.Ms();
-  return out;
 }
 
 OracleLessProbe ProbeOracleLessKeySpace(const Netlist& locked, size_t samples,

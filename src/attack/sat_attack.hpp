@@ -23,64 +23,22 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "attack/engine.hpp"  // RoundStat
 #include "netlist/netlist.hpp"
-#include "sat/solver.hpp"
-#include "sim/simulator.hpp"
 
 namespace splitlock::attack {
-
-// Batched functional-oracle frontend. Queries (one input bit-vector each)
-// are queued and answered through Simulator::RunBatch: one
-// structure-of-arrays sweep per Flush(), one batch column per queued
-// query, instead of a full word-at-a-time Run() per query. Both DIP loops
-// route each round's DIP through this.
-class DipOracle {
- public:
-  explicit DipOracle(const Netlist& oracle);
-
-  // Queues a query (one bit per primary input, inputs() order); returns
-  // its query index.
-  size_t Enqueue(std::span<const uint8_t> input_bits);
-
-  // Answers every queued query in one RunBatch sweep.
-  void Flush();
-
-  // Output bit `po` (outputs() order) of query `q`; q must be flushed.
-  bool OutputBit(size_t q, size_t po) const;
-
-  size_t pending() const { return pending_.size(); }
-  size_t answered() const { return responses_.size(); }
-
-  // Batch-width instrumentation: number of non-empty Flush() sweeps and
-  // the widest single sweep so far. answered() / flushes() is the mean
-  // batch width.
-  size_t flushes() const { return flushes_; }
-  size_t max_batch() const { return max_batch_; }
-
- private:
-  Simulator sim_;
-  size_t num_pis_;
-  size_t num_pos_;
-  std::vector<std::vector<uint8_t>> pending_;    // queued input vectors
-  std::vector<std::vector<uint8_t>> responses_;  // per query: num_pos bits
-  size_t flushes_ = 0;
-  size_t max_batch_ = 0;
-};
 
 struct SatAttackTelemetry {
   // Per-round instrumentation of the DIP loop. One entry is recorded for
   // every *miter solve* — including the terminating UNSAT round and a
   // budget-blown kUnknown attempt — so `rounds.size()` can exceed
-  // `SatAttackResult::dips_used` by one. solve_ms covers the miter
-  // solve(s) (portfolio: the whole race), encode_ms the DIP-constraint CNF
-  // encoding, oracle_ms the batched oracle query.
+  // `SatAttackResult::dips_used` by one. solve_ms covers the miter solve,
+  // encode_ms the DIP-constraint CNF encoding, oracle_ms the oracle query.
   std::vector<RoundStat> rounds;
   uint64_t oracle_queries = 0;
-  uint64_t total_conflicts = 0;  // master solver conflicts at exit
+  uint64_t total_conflicts = 0;  // solver conflicts at exit
   double final_solve_ms = 0.0;   // key-extraction solve
   double verify_ms = 0.0;        // random-simulation verification
   double total_ms = 0.0;
@@ -102,70 +60,12 @@ struct SatAttackOptions {
   uint64_t conflict_limit_per_solve = 2000000;
   uint64_t verify_patterns = 4096;
   uint64_t seed = 1;
-  // Advisory wall-clock budget, checked between DIP rounds (0 =
-  // unlimited). Unlike the conflict budget this is NOT deterministic:
-  // whether the attack finishes may vary run to run. Leave 0 when
-  // reproducibility matters.
-  double wall_budget_s = 0.0;
 };
 
 // Oracle-guided SAT attack on `locked` using `oracle` as the black-box
 // functional oracle (same PI/PO interface).
 SatAttackResult RunSatAttack(const Netlist& locked, const Netlist& oracle,
                              const SatAttackOptions& options = {});
-
-// Portfolio variant of the oracle-guided attack (the ROADMAP's
-// mallob-style item). Each DIP round runs in two phases: the baseline
-// configuration solves directly on the master (an uncloned sequential
-// probe — easy rounds cost exactly what the sequential attack pays), and
-// only when that probe blows its per-round conflict budget does the round
-// clone the master into `num_configs - 1` diversified configurations
-// (restart unit, polarity mode, random-branching seed) raced on the exec
-// thread pool.
-//
-// Determinism contract: the round's winner is the LOWEST-INDEX
-// configuration that completed (kSat/kUnsat) within its per-round conflict
-// budget — never the first to finish in wall-clock. A configuration may be
-// aborted early only once a lower-index one has completed, i.e. only when
-// its own result can no longer matter, so the DIP sequence, the recovered
-// key and every counter in the report are bit-identical at any thread
-// count. The winner's solver state (learnt clauses, activities, saved
-// phases) is adopted as the next round's master, so work done by the
-// winning configuration carries forward exactly as in a sequential CDCL
-// loop.
-struct PortfolioSatOptions {
-  size_t num_configs = 4;  // diversified configurations per round
-  size_t max_dips = 4096;
-  // Conflict budget for each configuration's solve, per round. Unlike
-  // SatAttackOptions::conflict_limit_per_solve (a cumulative ceiling on
-  // the master solver), this is measured from the start of each solve.
-  uint64_t conflicts_per_round = 200000;
-  // Cumulative ceiling on the master solver's conflicts (adopted winners
-  // included), checked at round start; 0 = unlimited. Deterministic, and
-  // directly comparable to SatAttackOptions::conflict_limit_per_solve.
-  uint64_t total_conflict_budget = 0;
-  uint64_t verify_patterns = 4096;
-  uint64_t seed = 1;
-  // Advisory wall-clock budget, checked between rounds (0 = unlimited);
-  // NOT deterministic — leave 0 when reproducibility matters.
-  double wall_budget_s = 0.0;
-};
-
-struct PortfolioSatResult {
-  SatAttackResult attack;  // uniform with the sequential attack's report
-  // Rounds won by each configuration index (size == num_configs).
-  std::vector<size_t> wins_per_config;
-};
-
-PortfolioSatResult RunPortfolioSatAttack(const Netlist& locked,
-                                         const Netlist& oracle,
-                                         const PortfolioSatOptions& options = {});
-
-// The diversified configuration raced as portfolio member `index` in round
-// `round` (index 0 is always the undiversified baseline). Exposed for the
-// determinism tests.
-sat::SolverConfig PortfolioMemberConfig(uint64_t seed, size_t round,
-                                        size_t index);
 
 struct OracleLessProbe {
   size_t sampled_keys = 0;

@@ -7,18 +7,18 @@
 // against the result, score it (CCR / PNR / HD / OER). Jobs are
 // independent, so the runner executes them as tasks on the exec thread
 // pool; the parallel sweeps inside each job (HD/OER, probes, proximity
-// candidate scoring, portfolio solver races) run as nested parallel regions
-// on the same pool, so a single large job still saturates the machine once
-// the queue of whole jobs drains. Lock, placement, routing and STA run on
-// the job's own thread. Per-job failures are captured in the outcome instead
+// candidate scoring) run as nested parallel regions on the same pool, so a
+// single large job still saturates the machine once the queue of whole
+// jobs drains. Lock, placement, routing and STA run on the job's own
+// thread. Per-job failures are captured in the outcome instead
 // of aborting the campaign. Outcomes keep job order; all per-job randomness
 // is seeded from the job's own options, so a campaign's results do not
 // depend on thread count or completion order.
 //
 // Attacks are described by attack::AttackConfig values and dispatched
 // through the attack-engine registry (attack/engine.hpp): any registered
-// engine — proximity, ml, ideal, sat, oracle-less, sat-portfolio — can run
-// per job, not just the proximity attack.
+// engine — proximity, ml, ideal, sat, oracle-less — can run per job, not
+// just the proximity attack.
 #pragma once
 
 #include <cstdint>

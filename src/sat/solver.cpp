@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -29,29 +28,6 @@ constexpr double kVarDecay = 1.0 / 0.95;
 constexpr double kActivityRescale = 1e100;
 
 }  // namespace
-
-Solver Solver::Clone() const {
-  Solver copy(*this);
-  copy.abort_flag_ = nullptr;
-  return copy;
-}
-
-uint64_t Solver::NextDiversificationWord() {
-  if (!div_seeded_) {
-    // SplitMix64 finalizer over the seed, so nearby seeds give unrelated
-    // streams.
-    uint64_t x = config_.branch_seed + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    div_state_ = x ^ (x >> 31);
-    div_seeded_ = true;
-  }
-  div_state_ += 0x9e3779b97f4a7c15ULL;
-  uint64_t x = div_state_;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 Var Solver::NewVar() {
   const Var v = NumVars();
@@ -437,36 +413,11 @@ void Solver::BacktrackTo(int target_level) {
   propagate_head_ = trail_.size();
 }
 
+// The most active unassigned variable, in its saved phase.
 Lit Solver::PickBranchLit() {
-  const auto branch_true = [&](Var v) -> bool {
-    switch (config_.polarity) {
-      case PolarityMode::kSaved:
-        return phase_[v] == kTrue;
-      case PolarityMode::kFalse:
-        return false;
-      case PolarityMode::kTrue:
-        return true;
-      case PolarityMode::kRandom:
-        return (NextDiversificationWord() & 1u) != 0;
-    }
-    return phase_[v] == kTrue;
-  };
-  if (config_.random_branch_freq > 0.0 && !heap_.empty()) {
-    const double u = static_cast<double>(NextDiversificationWord() >> 11) *
-                     0x1p-53;  // uniform in [0, 1)
-    if (u < config_.random_branch_freq) {
-      // One draw into the VSIDS heap; a hit on an assigned variable simply
-      // falls through to the activity order (keeps the stream's draw count
-      // a pure function of the search path).
-      const Var v = heap_[NextDiversificationWord() % heap_.size()];
-      if (value_[MakeLit(v)] == kUndef) return MakeLit(v, !branch_true(v));
-    }
-  }
   while (!heap_.empty()) {
     const Var v = HeapPop();
-    if (value_[MakeLit(v)] == kUndef) {
-      return MakeLit(v, !branch_true(v));
-    }
+    if (value_[MakeLit(v)] == kUndef) return MakeLit(v, phase_[v] != kTrue);
   }
   return -1;
 }
@@ -480,18 +431,13 @@ SolveResult Solver::Solve(std::span<const Lit> assumptions,
     return SolveResult::kUnsat;
   }
 
-  const uint64_t restart_unit = std::max<uint64_t>(config_.restart_unit, 1);
   const int num_assumptions = static_cast<int>(assumptions.size());
   uint64_t restart_round = 0;
-  uint64_t conflicts_until_restart = Luby(restart_round) * restart_unit;
+  uint64_t conflicts_until_restart = Luby(restart_round) * kRestartUnit;
   uint64_t local_conflicts = 0;
   std::vector<Lit> learnt;
 
   for (;;) {
-    if (abort_flag_ && abort_flag_->load(std::memory_order_relaxed)) {
-      BacktrackTo(0);
-      return SolveResult::kUnknown;
-    }
     const ClauseRef conflict = Propagate();
     if (conflict != kNoReason) {
       ++conflicts_;
@@ -526,7 +472,7 @@ SolveResult Solver::Solve(std::span<const Lit> assumptions,
       }
       if (local_conflicts >= conflicts_until_restart) {
         local_conflicts = 0;
-        conflicts_until_restart = Luby(++restart_round) * restart_unit;
+        conflicts_until_restart = Luby(++restart_round) * kRestartUnit;
         BacktrackTo(num_assumptions);
       }
       continue;
@@ -568,8 +514,7 @@ SolveResult Solver::Solve(std::span<const Lit> assumptions,
 //
 // The sifts carry the moving variable in a hole and write it once where it
 // stops. They compare exactly as swapping sifts do, so the heap's layout,
-// and with it the tie order and the random-branch draw heap_[u % size],
-// is the same.
+// and with it the tie order, is the same.
 
 void Solver::HeapSiftUp(int i) {
   const Var v = heap_[i];

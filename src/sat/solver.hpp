@@ -9,11 +9,10 @@
 // conflict schedule (Audemard & Simon, IJCAI'09); VSIDS branching with
 // phase saving; and Luby restarts. This is the engine behind the
 // logic-equivalence checker (the Cadence Conformal LEC stand-in in the
-// locking flow of Fig. 3), the oracle-guided SAT attacks and the
+// locking flow of Fig. 3), the oracle-guided SAT attack and the
 // SAT-based cross-checks in the test suite.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -33,56 +32,9 @@ inline bool IsNegated(Lit l) { return (l & 1) != 0; }
 
 enum class SolveResult { kSat, kUnsat, kUnknown };
 
-// Decision-polarity policy for PickBranchLit.
-enum class PolarityMode : uint8_t {
-  kSaved,   // phase saving (default)
-  kFalse,   // always branch negative first
-  kTrue,    // always branch positive first
-  kRandom,  // uniform coin per decision, from the diversification stream
-};
-
-// Diversification knobs for portfolio solving. Every knob is deterministic:
-// two solvers with identical clause databases and identical configs walk
-// identical search trees. Distinct configs explore the space differently,
-// which is what a portfolio races (mallob-style).
-struct SolverConfig {
-  PolarityMode polarity = PolarityMode::kSaved;
-  // Probability of replacing a VSIDS decision with a uniformly random
-  // unassigned variable. 0 disables the diversification stream entirely.
-  double random_branch_freq = 0.0;
-  // Seed for the per-solver diversification stream (random decisions and
-  // random polarities). Ignored until a random knob is enabled.
-  uint64_t branch_seed = 0;
-  // Base interval of the Luby restart sequence, in conflicts.
-  uint64_t restart_unit = 128;
-
-  bool operator==(const SolverConfig&) const = default;
-};
-
 class Solver {
  public:
   Solver() = default;
-
-  // Deep copy: clause database (including learnt clauses and their LBDs),
-  // assignment trail, heuristic state (activities, saved phases), the
-  // reduction schedule and config. A clone with the same config solves
-  // future queries identically to the original; diverging behaviour
-  // requires diverging configs. The abort flag is NOT inherited — clones
-  // start unabortable.
-  Solver Clone() const;
-
-  // Diversification knobs. Call between Solve()s (root level). Re-seeds
-  // the diversification stream from config.branch_seed.
-  void SetConfig(const SolverConfig& config) {
-    config_ = config;
-    div_seeded_ = false;
-  }
-  const SolverConfig& config() const { return config_; }
-
-  // Cooperative cancellation: when `flag` becomes true, an in-flight
-  // Solve() returns kUnknown at the next conflict/decision boundary.
-  // Pass nullptr to detach. The flag must outlive the solve.
-  void SetAbortFlag(const std::atomic<bool>* flag) { abort_flag_ = flag; }
 
   Var NewVar();
   int NumVars() const { return static_cast<int>(model_.size()); }
@@ -236,15 +188,12 @@ class Solver {
   std::vector<uint32_t> level_stamp_;
   uint32_t lbd_stamp_ = 0;
 
-  // Diversification stream: SplitMix64 over branch_seed, advanced only
-  // when a random knob consumes a draw, so kSaved/kFalse/kTrue configs are
-  // bit-compatible with the pre-diversification solver.
-  uint64_t NextDiversificationWord();
-
   double var_inc_ = 1.0;
   uint64_t conflicts_ = 0;
   uint64_t decisions_ = 0;
   uint64_t propagations_ = 0;
+  // Base interval of the Luby restart sequence, in conflicts.
+  static constexpr uint64_t kRestartUnit = 128;
   // Learnt-clause reduction schedule, in lifetime conflicts: the first
   // reduction after kFirstReduce, each interval kReduceGrowth longer than
   // the last. Clauses with LBD <= kKeepLbd are never deleted.
@@ -255,10 +204,6 @@ class Solver {
   uint64_t reduce_interval_ = kFirstReduce;
   uint64_t learnts_deleted_ = 0;
   bool unsat_at_root_ = false;
-  SolverConfig config_;
-  uint64_t div_state_ = 0;
-  bool div_seeded_ = false;
-  const std::atomic<bool>* abort_flag_ = nullptr;
 
   int DecisionLevel() const { return static_cast<int>(trail_limits_.size()); }
 };

@@ -10,9 +10,7 @@
 // values of one net occupy N contiguous words, so each gate's inner loop is
 // a straight-line pass over contiguous memory that vectorizes. The parallel
 // sweeps in sim/metrics and attack/ shard word-batches across the exec
-// thread pool, one Simulator per shard; attack::DipOracle answers each
-// flushed batch of oracle queries (one batch column per query) with one
-// RunBatch sweep.
+// thread pool, one Simulator per shard.
 //
 // Construction compiles the netlist once into a flat step list: one step
 // per logic gate in topological order, holding its op specialised by arity,

@@ -1,8 +1,7 @@
 // Attack-engine API contract tests: config parsing/hashing, the registry
-// and the config keys each engine accepts, the five adapter engines
-// against their legacy free functions, the campaign runner's attack
-// portfolios, and — the load-bearing guarantee — the portfolio SAT
-// attack's bit-identical results at 1, 2 and 8 threads.
+// and the config keys each engine accepts, the adapter engines against
+// their legacy free functions, the campaign runner's attack portfolios and
+// the report's JSON form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,17 +16,11 @@
 #include "circuits/random_circuit.hpp"
 #include "core/campaign.hpp"
 #include "core/flow.hpp"
-#include "exec/thread_pool.hpp"
 #include "lock/atpg_lock.hpp"
 #include "lock/epic.hpp"
 
 namespace splitlock::attack {
 namespace {
-
-// Restores the default pool width when a test body returns.
-struct PoolWidthGuard {
-  ~PoolWidthGuard() { exec::ThreadPool::SetDefaultThreadCount(0); }
-};
 
 Netlist TestCircuit(uint64_t seed, size_t gates = 400, size_t inputs = 16,
                     size_t outputs = 8) {
@@ -68,10 +61,10 @@ TEST(AttackConfig, ParseRoundtrip) {
   EXPECT_EQ(plain.ToString(), "proximity");
 
   const AttackConfig full =
-      AttackConfig::Parse("sat-portfolio:configs=8,max_dips=64");
-  EXPECT_EQ(full.engine, "sat-portfolio");
-  EXPECT_EQ(full.GetUint("configs", 0), 8u);
+      AttackConfig::Parse("sat:max_dips=64,conflicts=5000");
+  EXPECT_EQ(full.engine, "sat");
   EXPECT_EQ(full.GetUint("max_dips", 0), 64u);
+  EXPECT_EQ(full.GetUint("conflicts", 0), 5000u);
   // Canonical form sorts params (ordered map) and round-trips.
   EXPECT_EQ(AttackConfig::Parse(full.ToString()), full);
 }
@@ -106,19 +99,23 @@ TEST(AttackConfig, TypedGetters) {
 
 TEST(EngineRegistry, ListsAllBuiltinEngines) {
   const std::vector<std::string> names = EngineRegistry::Instance().Names();
-  for (const char* expected : {"proximity", "ml", "ideal", "sat",
-                               "oracle-less", "sat-portfolio"}) {
+  for (const char* expected :
+       {"proximity", "ml", "ideal", "sat", "oracle-less"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "missing engine " << expected;
   }
 }
 
 TEST(EngineRegistry, UnknownEngineYieldsErrorReport) {
-  EXPECT_EQ(EngineRegistry::Instance().Create("no-such-engine"), nullptr);
-  const AttackReport report =
-      RunAttack(AttackContext{}, AttackConfig{.engine = "no-such-engine"});
-  EXPECT_FALSE(report.ok);
-  EXPECT_NE(report.error.find("unknown attack engine"), std::string::npos);
+  // "sat-portfolio" is a retired engine.
+  for (const char* name : {"no-such-engine", "sat-portfolio"}) {
+    EXPECT_EQ(EngineRegistry::Instance().Create(name), nullptr) << name;
+    const AttackReport report =
+        RunAttack(AttackContext{}, AttackConfig{.engine = name});
+    EXPECT_FALSE(report.ok) << name;
+    EXPECT_NE(report.error.find("unknown attack engine"), std::string::npos)
+        << name;
+  }
 }
 
 TEST(EngineRegistry, MissingContextYieldsErrorReportNotThrow) {
@@ -166,11 +163,8 @@ TEST(EngineRegistry, RejectsKeysTheEngineDoesNotAccept) {
       {"ml",
        {"seed", "max_positives", "negatives", "epochs", "lr", "postprocess"}},
       {"ideal", {"seed", "guesses", "patterns_per_guess"}},
-      {"sat", {"seed", "max_dips", "conflicts", "verify_patterns", "wall_s"}},
+      {"sat", {"seed", "max_dips", "conflicts", "verify_patterns"}},
       {"oracle-less", {"seed", "samples", "patterns"}},
-      {"sat-portfolio",
-       {"seed", "configs", "max_dips", "conflicts_per_round", "conflicts",
-        "verify_patterns", "wall_s"}},
   };
   for (const auto& [engine, keys] : reads) {
     std::vector<std::string> accepted =
@@ -188,10 +182,10 @@ TEST(EngineRegistry, RejectsKeysTheEngineDoesNotAccept) {
         << engine << ": " << report.error;
   }
 
-  // The retired legacy-encoder switch, and typos of "conflicts" and
-  // "configs".
+  // The retired legacy-encoder switch and wall-clock budget, and a typo of
+  // "conflicts".
   for (const char* spec :
-       {"sat:incremental=0", "sat:conflcts=100", "sat-portfolio:config=8"}) {
+       {"sat:incremental=0", "sat:wall_s=5", "sat:conflcts=100"}) {
     const AttackConfig config = AttackConfig::Parse(spec);
     const std::string& key = config.params.begin()->first;
     const AttackReport report = RunAttack(AttackContext{}, config);
@@ -292,154 +286,6 @@ TEST(EngineAdapters, IdealEngineBothModes) {
   EXPECT_GE(sweep.counters.at("oer_percent"), 95.0);
 }
 
-// --- Portfolio attack -------------------------------------------------------
-
-TEST(PortfolioSat, RecoversFunctionallyCorrectKey) {
-  const Netlist original = TestCircuit(8);
-  lock::AtpgLockOptions opts;
-  opts.key_bits = 24;
-  opts.seed = 8;
-  opts.verify_lec = false;
-  const lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
-  PortfolioSatOptions popts;
-  popts.num_configs = 4;
-  const PortfolioSatResult r =
-      RunPortfolioSatAttack(locked.locked, original, popts);
-  EXPECT_TRUE(r.attack.finished);
-  ASSERT_TRUE(r.attack.key_found);
-  EXPECT_TRUE(r.attack.functionally_correct);
-  // Every decided round was won by someone.
-  size_t wins = 0;
-  for (const size_t w : r.wins_per_config) wins += w;
-  EXPECT_EQ(wins, r.attack.telemetry.rounds.size());
-}
-
-TEST(PortfolioSat, BitIdenticalAcrossThreadCounts) {
-  PoolWidthGuard guard;
-  const Netlist original = TestCircuit(9);
-  lock::AtpgLockOptions opts;
-  opts.key_bits = 24;
-  opts.seed = 9;
-  opts.verify_lec = false;
-  const lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
-  PortfolioSatOptions popts;
-  popts.num_configs = 4;
-  popts.seed = 9;
-
-  std::vector<PortfolioSatResult> results;
-  for (const size_t threads : {1u, 2u, 8u}) {
-    exec::ThreadPool::SetDefaultThreadCount(threads);
-    results.push_back(RunPortfolioSatAttack(locked.locked, original, popts));
-  }
-  const PortfolioSatResult& ref = results[0];
-  ASSERT_TRUE(ref.attack.key_found);
-  for (size_t i = 1; i < results.size(); ++i) {
-    const PortfolioSatResult& r = results[i];
-    EXPECT_EQ(r.attack.finished, ref.attack.finished) << "width " << i;
-    EXPECT_EQ(r.attack.key_found, ref.attack.key_found) << "width " << i;
-    EXPECT_EQ(r.attack.recovered_key, ref.attack.recovered_key)
-        << "width " << i;
-    EXPECT_EQ(r.attack.dips_used, ref.attack.dips_used) << "width " << i;
-    EXPECT_EQ(r.attack.functionally_correct, ref.attack.functionally_correct)
-        << "width " << i;
-    EXPECT_EQ(r.wins_per_config, ref.wins_per_config) << "width " << i;
-    // Winner sequence and per-round conflict counts are part of the
-    // determinism contract (wall-clock timings are not).
-    ASSERT_EQ(r.attack.telemetry.rounds.size(),
-              ref.attack.telemetry.rounds.size())
-        << "width " << i;
-    for (size_t round = 0; round < ref.attack.telemetry.rounds.size();
-         ++round) {
-      EXPECT_EQ(r.attack.telemetry.rounds[round].winner,
-                ref.attack.telemetry.rounds[round].winner)
-          << "width " << i << " round " << round;
-      EXPECT_EQ(r.attack.telemetry.rounds[round].conflicts,
-                ref.attack.telemetry.rounds[round].conflicts)
-          << "width " << i << " round " << round;
-    }
-  }
-}
-
-TEST(PortfolioSat, MultiDipRoundsBitIdenticalAcrossThreadCounts) {
-  // The per-round DIP batch is part of the determinism contract too: every
-  // round queries the adopted master's one DIP, at any pool width.
-  PoolWidthGuard guard;
-  const Netlist original = TestCircuit(12);
-  lock::AtpgLockOptions opts;
-  opts.key_bits = 24;
-  opts.seed = 12;
-  opts.verify_lec = false;
-  const lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
-  PortfolioSatOptions popts;
-  popts.num_configs = 4;
-  popts.seed = 12;
-
-  std::vector<PortfolioSatResult> results;
-  for (const size_t threads : {1u, 2u, 8u}) {
-    exec::ThreadPool::SetDefaultThreadCount(threads);
-    results.push_back(RunPortfolioSatAttack(locked.locked, original, popts));
-  }
-  const PortfolioSatResult& ref = results[0];
-  ASSERT_TRUE(ref.attack.key_found);
-  EXPECT_TRUE(ref.attack.functionally_correct);
-  for (const RoundStat& round : ref.attack.telemetry.rounds) {
-    EXPECT_LE(round.dip_batch, 1u);
-  }
-  for (size_t i = 1; i < results.size(); ++i) {
-    const PortfolioSatResult& r = results[i];
-    EXPECT_EQ(r.attack.recovered_key, ref.attack.recovered_key)
-        << "width " << i;
-    EXPECT_EQ(r.attack.dips_used, ref.attack.dips_used) << "width " << i;
-    EXPECT_EQ(r.wins_per_config, ref.wins_per_config) << "width " << i;
-    ASSERT_EQ(r.attack.telemetry.rounds.size(),
-              ref.attack.telemetry.rounds.size())
-        << "width " << i;
-    for (size_t round = 0; round < ref.attack.telemetry.rounds.size();
-         ++round) {
-      EXPECT_EQ(r.attack.telemetry.rounds[round].dip_batch,
-                ref.attack.telemetry.rounds[round].dip_batch)
-          << "width " << i << " round " << round;
-      EXPECT_EQ(r.attack.telemetry.rounds[round].winner,
-                ref.attack.telemetry.rounds[round].winner)
-          << "width " << i << " round " << round;
-    }
-  }
-}
-
-TEST(PortfolioSat, SingleConfigDegeneratesToSequentialShape) {
-  const Netlist original = circuits::MakeC17();
-  Rng rng(2);
-  const lock::EpicResult locked = lock::LockWithEpic(original, 6, rng);
-  PortfolioSatOptions popts;
-  popts.num_configs = 1;
-  const PortfolioSatResult r =
-      RunPortfolioSatAttack(locked.locked, original, popts);
-  EXPECT_TRUE(r.attack.finished);
-  EXPECT_TRUE(r.attack.key_found);
-  EXPECT_TRUE(r.attack.functionally_correct);
-  ASSERT_EQ(r.wins_per_config.size(), 1u);
-}
-
-TEST(PortfolioSat, EngineAdapterMatchesDirectCall) {
-  const Netlist original = circuits::MakeC17();
-  Rng rng(3);
-  const lock::EpicResult locked = lock::LockWithEpic(original, 6, rng);
-  AttackContext ctx;
-  ctx.locked = &locked.locked;
-  ctx.oracle = &original;
-  ctx.seed = 3;
-  const AttackReport report = RunAttack(ctx, "sat-portfolio:configs=4");
-  ASSERT_TRUE(report.ok) << report.error;
-  PortfolioSatOptions popts;
-  popts.num_configs = 4;
-  popts.seed = 3;
-  const PortfolioSatResult direct =
-      RunPortfolioSatAttack(locked.locked, original, popts);
-  EXPECT_EQ(report.recovered_key, direct.attack.recovered_key);
-  EXPECT_EQ(report.counters.at("dips_used"),
-            static_cast<double>(direct.attack.dips_used));
-}
-
 // --- Campaign portfolios ----------------------------------------------------
 
 TEST(CampaignPortfolio, RunsMultipleEnginesPerJob) {
@@ -502,14 +348,14 @@ TEST(AttackReport, JsonContainsCoreFields) {
   report.functionally_correct = true;
   report.counters["dips_used"] = 3;
   report.phases.push_back({"dip_solve", 1.5, 3});
-  report.rounds.push_back({42, 1.0, 0.25, 0.125, 2});
+  report.rounds.push_back({42, 1.0, 0.25, 0.125});
   const std::string json = report.ToJson();
   EXPECT_NE(json.find("\"engine\":\"sat\""), std::string::npos);
   EXPECT_NE(json.find("\"recovered_key\":\"101\""), std::string::npos);
   EXPECT_NE(json.find("\"dips_used\":3"), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"dip_solve\""), std::string::npos);
   EXPECT_NE(json.find("\"conflicts\":42"), std::string::npos);
-  EXPECT_NE(json.find("\"winner\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"oracle_ms\":0.125"), std::string::npos);
 }
 
 }  // namespace

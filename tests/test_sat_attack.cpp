@@ -1,8 +1,7 @@
 // The oracle-guided SAT attack and its building blocks: key recovery,
-// golden DIP/conflict/key digests and registry work counts for both DIP
-// loops on c432 and for the sequential loop on c880, the incremental DIP
-// encoder against full EncodeNetlist, the batched DipOracle frontend, and
-// the oracle-less key-space probe.
+// golden DIP/conflict/key digests and registry work counts on c432 and
+// c880, the incremental DIP encoder against full EncodeNetlist, and the
+// oracle-less key-space probe.
 #include <gtest/gtest.h>
 
 #include <ostream>
@@ -106,9 +105,8 @@ TEST(SatAttack, DipBudgetRespected) {
 }
 
 TEST(SatAttack, MultiDipRoundsRecoverEquivalentKey) {
-  // Every round queries the oracle at most once: the per-round batch
-  // stays in the telemetry and the attack records, so it must read 1 per
-  // DIP and sum to exactly the DIPs spent.
+  // Every round but the last finds one DIP and queries the oracle on it;
+  // the last round's miter solve proves no DIP is left.
   const Netlist original = TestCircuit(10);
   lock::AtpgLockOptions opts;
   opts.key_bits = 24;
@@ -121,12 +119,8 @@ TEST(SatAttack, MultiDipRoundsRecoverEquivalentKey) {
   EXPECT_TRUE(r.key_found);
   EXPECT_TRUE(r.functionally_correct);
   ASSERT_GT(r.dips_used, 1u);
-  size_t batched = 0;
-  for (const RoundStat& round : r.telemetry.rounds) {
-    EXPECT_LE(round.dip_batch, 1u);
-    batched += round.dip_batch;
-  }
-  EXPECT_EQ(batched, r.dips_used);
+  EXPECT_EQ(r.telemetry.rounds.size(), r.dips_used + 1);
+  EXPECT_EQ(r.telemetry.oracle_queries, r.dips_used);
 }
 
 TEST(SatAttack, WideRoundsRespectDipBudget) {
@@ -141,11 +135,6 @@ TEST(SatAttack, WideRoundsRespectDipBudget) {
   aopts.max_dips = 3;
   const SatAttackResult r = RunSatAttack(locked.locked, original, aopts);
   EXPECT_LE(r.dips_used, 3u);
-  PortfolioSatOptions popts;
-  popts.max_dips = 3;
-  const PortfolioSatResult p =
-      RunPortfolioSatAttack(locked.locked, original, popts);
-  EXPECT_LE(p.attack.dips_used, 3u);
 }
 
 std::string KeyBits(const std::vector<uint8_t>& key) {
@@ -192,14 +181,14 @@ struct SequentialGolden {
 };
 
 // Pins `golden`'s sequential attack: any change to the DIP sequence, the
-// clause stream or the solver trajectory shows here. Returns the lock.
-lock::AtpgLockResult ExpectSequentialGolden(const Netlist& original,
-                                            const SequentialGolden& golden) {
+// clause stream or the solver trajectory shows here.
+void ExpectSequentialGolden(const Netlist& original,
+                            const SequentialGolden& golden) {
   SCOPED_TRACE(golden.circuit);
   lock::AtpgLockOptions opts;
   opts.key_bits = 64;
   opts.seed = 1;
-  lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
+  const lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
   const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   const SatAttackResult seq = RunSatAttack(locked.locked, original);
   EXPECT_EQ(CountedSince(before), golden.counted);
@@ -208,36 +197,14 @@ lock::AtpgLockResult ExpectSequentialGolden(const Netlist& original,
   EXPECT_EQ(seq.dips_used, golden.dips);
   EXPECT_EQ(seq.telemetry.total_conflicts, golden.total_conflicts);
   EXPECT_EQ(KeyBits(seq.recovered_key), golden.key);
-  return locked;
 }
 
 TEST(SatAttack, GoldenDigests) {
-  // c432 under the 64-bit lock AtpgLock.GoldenLockDigests pins, attacked
-  // by both DIP loops.
-  const Netlist original = circuits::MakeIscas("c432");
-  const lock::AtpgLockResult locked = ExpectSequentialGolden(
-      original,
+  // c432 under the 64-bit lock AtpgLock.GoldenLockDigests pins.
+  ExpectSequentialGolden(
+      circuits::MakeIscas("c432"),
       {"c432", 40, 17750, {17714, 66052, 3517557},
        "0010000011111010011100011000100001010101001101011110011101010101"});
-
-  // A per-round budget small enough that one round stalls and races its
-  // diversified clones, yet large enough that a clone finishes it, so the
-  // digest also covers winner selection and adoption, and the registry
-  // counts the adopted clone's work. (Budgets from 7,000 to 10,000 all
-  // give a clone win and a finished attack.)
-  PortfolioSatOptions popts;
-  popts.conflicts_per_round = 8000;
-  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
-  const PortfolioSatResult port =
-      RunPortfolioSatAttack(locked.locked, original, popts);
-  EXPECT_EQ(CountedSince(before), (SolverWorkCounts{17080, 65763, 3467301}));
-  EXPECT_EQ(port.wins_per_config, (std::vector<size_t>{40, 1, 0, 0}));
-  ASSERT_TRUE(port.attack.finished);
-  EXPECT_TRUE(port.attack.functionally_correct);
-  EXPECT_EQ(port.attack.dips_used, 40u);
-  EXPECT_EQ(port.attack.telemetry.total_conflicts, 17097u);
-  EXPECT_EQ(KeyBits(port.attack.recovered_key),
-            "0010000011110010101100011000011111011001111011011110101110011101");
 }
 
 TEST(SatAttack, GoldenDigestsC880) {
@@ -355,39 +322,6 @@ TEST(IncrementalDip, HandlesKeylessNetlist) {
     const sat::Lit want =
         (sim.OutputWord(o) & 1) != 0 ? enc.TrueLit() : enc.FalseLit();
     EXPECT_EQ(outs[o], want);
-  }
-}
-
-// --- Batched oracle ---------------------------------------------------------
-
-TEST(DipOracle, BatchedResponsesMatchSequentialSimulation) {
-  const Netlist nl = RandomCircuit(7, 200, 12, 6);
-  DipOracle oracle(nl);
-  Simulator reference(nl);
-  Rng rng(7);
-  constexpr size_t kQueries = 9;
-  std::vector<std::vector<uint8_t>> queries;
-  for (size_t q = 0; q < kQueries; ++q) {
-    std::vector<uint8_t> bits(nl.inputs().size());
-    for (auto& b : bits) b = rng.NextBool() ? 1 : 0;
-    EXPECT_EQ(oracle.Enqueue(bits), q);
-    queries.push_back(std::move(bits));
-  }
-  EXPECT_EQ(oracle.pending(), kQueries);
-  oracle.Flush();  // one SoA sweep answers all queries
-  EXPECT_EQ(oracle.pending(), 0u);
-  EXPECT_EQ(oracle.answered(), kQueries);
-  EXPECT_EQ(oracle.flushes(), 1u);
-  EXPECT_EQ(oracle.max_batch(), kQueries);
-  for (size_t q = 0; q < kQueries; ++q) {
-    for (size_t i = 0; i < queries[q].size(); ++i) {
-      reference.SetSourceWord(nl.inputs()[i], queries[q][i] ? ~0ULL : 0ULL);
-    }
-    reference.Run();
-    for (size_t o = 0; o < nl.outputs().size(); ++o) {
-      EXPECT_EQ(oracle.OutputBit(q, o), (reference.OutputWord(o) & 1) != 0)
-          << "query " << q << " po " << o;
-    }
   }
 }
 

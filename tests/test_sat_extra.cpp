@@ -1,9 +1,6 @@
 // Additional SAT-solver and encoder coverage: incremental use across Solve
-// calls, assumption reuse, conflict accounting, encoder determinism, and
-// the Clone()/diversification contract the portfolio attack builds on.
+// calls, assumption reuse, conflict accounting and encoder determinism.
 #include <gtest/gtest.h>
-
-#include <atomic>
 
 #include "sat/solver.hpp"
 #include "sat/tseitin.hpp"
@@ -11,40 +8,6 @@
 
 namespace splitlock::sat {
 namespace {
-
-// Random 3-CNF over `vars` variables. Low clause/var ratio keeps the
-// instances satisfiable with overwhelming likelihood.
-Solver RandomCnf(uint64_t seed, int vars, int clauses,
-                 std::vector<std::vector<Lit>>* out_clauses = nullptr) {
-  Solver s;
-  std::vector<Var> v;
-  for (int i = 0; i < vars; ++i) v.push_back(s.NewVar());
-  Rng rng(seed);
-  for (int c = 0; c < clauses; ++c) {
-    std::vector<Lit> clause;
-    for (int k = 0; k < 3; ++k) {
-      clause.push_back(MakeLit(v[rng.NextUint(v.size())], rng.NextBool()));
-    }
-    if (out_clauses) out_clauses->push_back(clause);
-    s.AddClause(clause);
-  }
-  return s;
-}
-
-bool ModelSatisfies(const Solver& s,
-                    const std::vector<std::vector<Lit>>& clauses) {
-  for (const std::vector<Lit>& clause : clauses) {
-    bool sat = false;
-    for (const Lit l : clause) {
-      if (s.ModelValue(VarOf(l)) != IsNegated(l)) {
-        sat = true;
-        break;
-      }
-    }
-    if (!sat) return false;
-  }
-  return true;
-}
 
 TEST(SatIncremental, ClausesPersistAcrossSolves) {
   Solver s;
@@ -166,169 +129,6 @@ TEST(Encoder, WideAndFoldsDuplicateInputs) {
   const Lit contradiction = enc.EncodeOp(
       GateOp::kAnd, std::array<Lit, 3>{a, Negate(a), b});
   EXPECT_EQ(contradiction, enc.FalseLit());
-}
-
-// --- Clone() + diversification (the portfolio attack's substrate) ----------
-
-TEST(SolverClone, CloneSolvesIdenticallyOnRandomCnf) {
-  for (uint64_t seed : {11u, 12u, 13u, 14u}) {
-    std::vector<std::vector<Lit>> clauses;
-    Solver original = RandomCnf(seed, 40, 150, &clauses);
-    Solver clone = original.Clone();
-    const SolveResult a = original.Solve();
-    const SolveResult b = clone.Solve();
-    ASSERT_EQ(a, b) << "seed " << seed;
-    // Identical config => identical search tree => identical conflicts and
-    // (when SAT) identical models.
-    EXPECT_EQ(original.conflicts(), clone.conflicts()) << "seed " << seed;
-    if (a == SolveResult::kSat) {
-      for (Var v = 0; v < original.NumVars(); ++v) {
-        ASSERT_EQ(original.ModelValue(v), clone.ModelValue(v))
-            << "seed " << seed << " var " << v;
-      }
-      EXPECT_TRUE(ModelSatisfies(clone, clauses));
-    }
-  }
-}
-
-TEST(SolverClone, CloneCarriesLearntClausesAndRemainsIdentical) {
-  // Clone mid-way: after the original has already solved, learnt and
-  // deleted learnt clauses in a reduction, a clone must behave identically
-  // on the next queries too, through the next reduction. 150 variables at
-  // clause ratio 4.1 sit near the 3-SAT threshold, so two random
-  // assumptions per query make for real searches.
-  std::vector<std::vector<Lit>> clauses;
-  Solver original = RandomCnf(21, 150, 615, &clauses);
-  Rng rng(22);
-  const auto next_query = [&] {
-    std::vector<Lit> assumptions;
-    for (int k = 0; k < 2; ++k) {
-      assumptions.push_back(MakeLit(static_cast<Var>(rng.NextUint(150)),
-                                    rng.NextBool()));
-    }
-    return assumptions;
-  };
-  for (int q = 0; q < 100 && original.learnts_deleted() == 0; ++q) {
-    ASSERT_NE(original.Solve(next_query()), SolveResult::kUnknown);
-  }
-  ASSERT_GT(original.learnts_deleted(), 0u);
-
-  Solver clone = original.Clone();
-  const uint64_t deleted = original.learnts_deleted();
-  for (int q = 0; q < 100 && original.learnts_deleted() == deleted; ++q) {
-    const std::vector<Lit> assumptions = next_query();
-    const SolveResult a = original.Solve(assumptions);
-    const SolveResult b = clone.Solve(assumptions);
-    ASSERT_EQ(a, b) << "query " << q;
-    ASSERT_EQ(original.conflicts(), clone.conflicts()) << "query " << q;
-    if (a == SolveResult::kSat) {
-      EXPECT_TRUE(ModelSatisfies(clone, clauses));
-      for (Var v = 0; v < original.NumVars(); ++v) {
-        ASSERT_EQ(original.ModelValue(v), clone.ModelValue(v));
-      }
-    }
-  }
-  EXPECT_GT(original.learnts_deleted(), deleted);
-  EXPECT_EQ(original.learnts_deleted(), clone.learnts_deleted());
-}
-
-TEST(SolverClone, CloneIsIndependentOfTheOriginal) {
-  Solver original;
-  const Var a = original.NewVar();
-  const Var b = original.NewVar();
-  original.AddBinary(MakeLit(a), MakeLit(b));
-  Solver clone = original.Clone();
-  clone.AddUnit(Negate(MakeLit(a)));
-  clone.AddUnit(Negate(MakeLit(b)));
-  EXPECT_EQ(clone.Solve(), SolveResult::kUnsat);
-  EXPECT_EQ(original.Solve(), SolveResult::kSat);
-}
-
-TEST(SolverClone, DivergesOnlyUnderDiversificationKnobs) {
-  // An unconstrained variable pins down the polarity policy exactly: saved
-  // phase (and kFalse) assign it false, kTrue assigns it true.
-  Solver s;
-  const Var free_var = s.NewVar();
-  const Var x = s.NewVar();
-  const Var y = s.NewVar();
-  s.AddBinary(MakeLit(x), MakeLit(y));
-
-  Solver same = s.Clone();
-  ASSERT_EQ(same.Solve(), SolveResult::kSat);
-  Solver base = s.Clone();
-  ASSERT_EQ(base.Solve(), SolveResult::kSat);
-  EXPECT_EQ(base.ModelValue(free_var), same.ModelValue(free_var));
-
-  Solver flipped = s.Clone();
-  SolverConfig config;
-  config.polarity = PolarityMode::kTrue;
-  flipped.SetConfig(config);
-  ASSERT_EQ(flipped.Solve(), SolveResult::kSat);
-  EXPECT_TRUE(flipped.ModelValue(free_var));
-  EXPECT_FALSE(base.ModelValue(free_var));
-}
-
-TEST(SolverClone, DiversifiedClonesStillSolveCorrectly) {
-  std::vector<std::vector<Lit>> clauses;
-  Solver original = RandomCnf(31, 50, 180, &clauses);
-  const SolveResult ref = original.Clone().Solve();
-  for (size_t i = 1; i <= 4; ++i) {
-    Solver diversified = original.Clone();
-    SolverConfig config;
-    config.branch_seed = 1000 + i;
-    config.polarity = i % 2 ? PolarityMode::kRandom : PolarityMode::kTrue;
-    config.random_branch_freq = 0.05 * static_cast<double>(i);
-    config.restart_unit = 32ULL << i;
-    diversified.SetConfig(config);
-    const SolveResult r = diversified.Solve();
-    ASSERT_EQ(r, ref) << "config " << i;
-    if (r == SolveResult::kSat) {
-      EXPECT_TRUE(ModelSatisfies(diversified, clauses)) << "config " << i;
-    }
-  }
-}
-
-TEST(SolverClone, DiversifiedSolveIsReproducible) {
-  // Same clone + same config => identical conflicts and model, even with
-  // random branching: the diversification stream is deterministic.
-  std::vector<std::vector<Lit>> clauses;
-  Solver original = RandomCnf(41, 50, 180, &clauses);
-  SolverConfig config;
-  config.branch_seed = 77;
-  config.polarity = PolarityMode::kRandom;
-  config.random_branch_freq = 0.2;
-  Solver a = original.Clone();
-  Solver b = original.Clone();
-  a.SetConfig(config);
-  b.SetConfig(config);
-  const SolveResult ra = a.Solve();
-  const SolveResult rb = b.Solve();
-  ASSERT_EQ(ra, rb);
-  EXPECT_EQ(a.conflicts(), b.conflicts());
-  if (ra == SolveResult::kSat) {
-    for (Var v = 0; v < a.NumVars(); ++v) {
-      ASSERT_EQ(a.ModelValue(v), b.ModelValue(v));
-    }
-  }
-}
-
-TEST(SolverAbort, PreSetAbortFlagYieldsUnknown) {
-  Solver s = RandomCnf(51, 30, 100);
-  std::atomic<bool> abort{true};
-  s.SetAbortFlag(&abort);
-  EXPECT_EQ(s.Solve(), SolveResult::kUnknown);
-  // Detached again, the solve completes.
-  s.SetAbortFlag(nullptr);
-  EXPECT_NE(s.Solve(), SolveResult::kUnknown);
-}
-
-TEST(SolverAbort, CloneDoesNotInheritAbortFlag) {
-  Solver s = RandomCnf(52, 30, 100);
-  std::atomic<bool> abort{true};
-  s.SetAbortFlag(&abort);
-  Solver clone = s.Clone();
-  EXPECT_NE(clone.Solve(), SolveResult::kUnknown);
-  EXPECT_EQ(s.Solve(), SolveResult::kUnknown);
 }
 
 TEST(Encoder, MuxNormalizations) {

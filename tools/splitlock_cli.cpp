@@ -50,7 +50,7 @@
 //       eviction totals; exits 1 if any eviction failed.
 //
 // Engines are attack::AttackConfig specs: a registry name, optionally with
-// key=value params — e.g. --engine proximity --engine "sat-portfolio:configs=8".
+// key=value params — e.g. --engine proximity --engine "sat:max_dips=64".
 // --json makes `attack` and `report` emit one machine-readable JSON object
 // per run on stdout (for scripting and CI diffing) instead of the tables.
 // All JSON outputs carry "schema_version" (store::kResultSchemaVersion).
