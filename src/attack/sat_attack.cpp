@@ -47,7 +47,7 @@ SatMetrics& Metrics() {
   return m;
 }
 
-// The solver's work counters when a round begins.
+// The solver's work counters before a solve.
 struct SolverWork {
   uint64_t conflicts;
   uint64_t decisions;
@@ -153,7 +153,9 @@ class MiterAttack {
   void ExtractKey(uint64_t conflict_limit, SatAttackResult* result) {
     obs::Span span("attack.sat.extract_key");
     const Stopwatch final_sw;
+    const SolverWork work_before = WorkOf(solver_);
     const sat::SolveResult final_sr = solver_.Solve({}, conflict_limit);
+    CountRoundWork(solver_, work_before);
     result->telemetry.final_solve_ms = final_sw.Ms();
     if (final_sr != sat::SolveResult::kSat) return;
     result->key_found = true;
