@@ -1,10 +1,10 @@
 // Built-in attack engines: thin adapters mapping the uniform
 // AttackContext/AttackConfig/AttackReport API onto the five attacker
-// models this repo implements. The legacy
-// free functions (RunProximityAttack, RunMlAttack, ...) remain the
-// implementation; these adapters own the config-string -> options and
-// result -> report conversions so the campaign runner, the CLI and the
-// benches all see one shape.
+// models this repo implements. The legacy free functions
+// (RunProximityAttack, RunMlAttack, ...) remain the implementation; these
+// adapters own the config-string -> options and result -> report
+// conversions so the campaign runner, the CLI and the benches all see one
+// shape.
 #include <string>
 #include <vector>
 
