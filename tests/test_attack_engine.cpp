@@ -111,7 +111,7 @@ TEST(EngineRegistry, UnknownEngineYieldsErrorReport) {
   for (const char* name : {"no-such-engine", "sat-portfolio"}) {
     EXPECT_EQ(EngineRegistry::Instance().Create(name), nullptr) << name;
     const AttackReport report =
-        RunAttack(AttackContext{}, AttackConfig{.engine = name});
+        RunAttack(AttackContext{}, AttackConfig{.engine = name, .params = {}});
     EXPECT_FALSE(report.ok) << name;
     EXPECT_NE(report.error.find("unknown attack engine"), std::string::npos)
         << name;
