@@ -349,7 +349,7 @@ CampaignOutcome CampaignRunner::RunOne(const CampaignJob& job) const {
 std::vector<CampaignOutcome> CampaignRunner::Run(
     const std::vector<CampaignJob>& jobs) const {
   std::vector<CampaignOutcome> outcomes(jobs.size());
-  // Grain 1: each job is one pool task; whole-job parallelism dominates and
+  // Grain 1: each job is one chunk; whole-job parallelism dominates and
   // the nested sweeps inside a job soak up idle workers near the tail.
   exec::ParallelFor(jobs.size(), 1, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) outcomes[i] = RunOne(jobs[i]);

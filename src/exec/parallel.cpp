@@ -1,50 +1,50 @@
 #include "exec/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
 
 namespace splitlock::exec {
 
-void TaskGroup::Run(std::function<void()> fn) {
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  pool_.Submit([this, fn = std::move(fn)] {
+namespace {
+
+using ChunkBody = std::function<void(size_t chunk, size_t lo, size_t hi)>;
+
+// One region's state, shared by its caller and its helper tasks. A helper
+// may start after the region returned, so the state is reference-counted,
+// and `body` (in the caller's frame) is read only for a claimed chunk: the
+// caller cannot return while a claimed chunk runs.
+struct Region {
+  size_t n, grain, chunks;
+  const ChunkBody* body;
+  std::atomic<size_t> next{0};
+  std::mutex mutex;
+  std::condition_variable all_done;
+  size_t done = 0;                 // guarded by mutex
+  std::exception_ptr first_error;  // guarded by mutex
+};
+
+// Claims and runs chunks of `r` until none is left.
+void RunChunks(Region& r) {
+  for (size_t c = r.next++; c < r.chunks; c = r.next++) {
+    const size_t lo = c * r.grain;
+    std::exception_ptr error;
     try {
-      fn();
+      (*r.body)(c, lo, std::min(r.n, lo + r.grain));
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
+      error = std::current_exception();
     }
-    // Decrement and notify under the mutex: once pending_ reads zero, Wait
-    // may return and destroy the group, so this task must not touch
-    // mutex_ or done_cv_ after that point. Wait takes the mutex before it
-    // returns, which it cannot get until this block has released it.
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      done_cv_.notify_all();
-    }
-  });
+    std::lock_guard<std::mutex> lock(r.mutex);
+    if (error && !r.first_error) r.first_error = error;
+    if (++r.done == r.chunks) r.all_done.notify_all();
+  }
 }
 
-void TaskGroup::Wait() {
-  while (pending_.load(std::memory_order_acquire) != 0) {
-    // Help drain the pool; only sleep when there is nothing to run (our
-    // tasks are in flight on other threads).
-    if (pool_.TryRunOneTask()) continue;
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (pending_.load(std::memory_order_acquire) == 0) break;
-    // lint:allow(wall-clock) bounded sleep between drain attempts, not a measurement
-    done_cv_.wait_for(lock, std::chrono::milliseconds(1));
-  }
-  std::exception_ptr err;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::swap(err, first_error_);
-  }
-  if (err) std::rethrow_exception(err);
-}
+}  // namespace
 
-void ParallelForChunked(
-    size_t n, size_t grain,
-    const std::function<void(size_t chunk, size_t lo, size_t hi)>& body) {
+void ParallelForChunked(size_t n, size_t grain, const ChunkBody& body) {
   if (grain == 0) grain = 1;
   const size_t chunks = NumChunks(n, grain);
   if (chunks == 0) return;
@@ -52,13 +52,17 @@ void ParallelForChunked(
     body(0, 0, n);
     return;
   }
-  TaskGroup group;
+  const auto region = std::make_shared<Region>(n, grain, chunks, &body);
+  ThreadPool& pool = ThreadPool::Default();
   for (size_t c = 0; c < chunks; ++c) {
-    const size_t lo = c * grain;
-    const size_t hi = std::min(n, lo + grain);
-    group.Run([&body, c, lo, hi] { body(c, lo, hi); });
+    pool.Submit([region] { RunChunks(*region); });
   }
-  group.Wait();
+  RunChunks(*region);
+  // Every chunk is claimed now; wait for those still running elsewhere.
+  std::unique_lock<std::mutex> lock(region->mutex);
+  region->all_done.wait(lock, [&] { return region->done == chunks; });
+  // The first exception caught, which need not be the lowest chunk's.
+  if (region->first_error) std::rethrow_exception(region->first_error);
 }
 
 void ParallelFor(size_t n, size_t grain,

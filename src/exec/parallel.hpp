@@ -1,5 +1,14 @@
 // Deterministic data-parallel primitives over the default thread pool.
 //
+// A parallel region (ParallelFor, ParallelForChunked, ParallelReduce) of two
+// or more chunks submits one helper task per chunk. The caller and the
+// helpers claim chunks until none is left; the caller then waits only for
+// chunks that other threads are already running. So a region never
+// deadlocks, even when its caller is a pool worker and every other worker
+// is busy, and its caller never runs anything but its own chunks: a
+// campaign job cannot start inside another job's region. A helper that
+// starts after its region returned finds no chunk left and does nothing.
+//
 // Determinism contract (see docs/ARCHITECTURE.md):
 //   * The chunking of [0, n) into grains depends only on (n, grain) — never
 //     on the thread count or on runtime timing.
@@ -20,28 +29,6 @@
 #include "exec/thread_pool.hpp"
 
 namespace splitlock::exec {
-
-// Waits for a group of submitted tasks, helping to drain the pool instead of
-// blocking, so parallel regions compose (and work even when the caller IS a
-// pool worker).
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool = ThreadPool::Default()) : pool_(pool) {}
-
-  // Schedules fn on the pool.
-  void Run(std::function<void()> fn);
-
-  // Returns once every scheduled task has finished. Rethrows the first
-  // exception (by scheduling order is NOT guaranteed — first to be caught).
-  void Wait();
-
- private:
-  ThreadPool& pool_;
-  std::atomic<size_t> pending_{0};
-  std::mutex mutex_;
-  std::condition_variable done_cv_;
-  std::exception_ptr first_error_;  // guarded by mutex_
-};
 
 // Number of chunks ParallelFor/ParallelReduce will use for a range of `n`
 // elements at grain `grain` (>= 1). Pure function of (n, grain).

@@ -1,6 +1,5 @@
 #include "exec/thread_pool.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <memory>
 
@@ -14,14 +13,13 @@ namespace {
 
 // Pool observability. tasks_run is count-class: every submitted task runs
 // exactly once and task counts come from exec::NumChunks / explicit
-// Submit sites, which are pure of the worker count. Steals and the
-// queue-depth high-water are facts about the interleaving (sched-class);
-// busy/idle are wall clocks. Per-worker attribution deliberately comes
-// from trace spans (track per worker), not per-worker metric names —
-// SetDefaultThreadCount would re-register those on every pool rebuild.
+// Submit sites, which are pure of the worker count. The queue-depth
+// high-water is a fact about the interleaving (sched-class); busy/idle are
+// wall clocks. Per-worker attribution deliberately comes from trace spans
+// (track per worker), not per-worker metric names — SetDefaultThreadCount
+// would re-register those on every pool rebuild.
 struct PoolMetrics {
   obs::Counter* tasks_run;
-  obs::Counter* steals;
   obs::Gauge* queue_depth_hwm;
   obs::TimeMetric* busy_s;
   obs::TimeMetric* idle_s;
@@ -32,7 +30,6 @@ PoolMetrics& Metrics() {
     obs::Registry& r = obs::Registry::Instance();
     return PoolMetrics{
         r.RegisterCounter("exec.pool.tasks_run"),
-        r.RegisterCounter("exec.pool.steals", obs::MetricClass::kSched),
         r.RegisterGauge("exec.pool.queue_depth_hwm"),
         r.RegisterTime("exec.pool.busy_s"),
         r.RegisterTime("exec.pool.idle_s"),
@@ -41,30 +38,16 @@ PoolMetrics& Metrics() {
   return m;
 }
 
-// Tasks running on this thread: a task that waits on a TaskGroup runs
-// other tasks nested inside it through TryRunOneTask.
-thread_local size_t t_task_depth = 0;
-
-struct TaskDepthScope {
-  TaskDepthScope() { ++t_task_depth; }
-  ~TaskDepthScope() { --t_task_depth; }
-};
-
+// busy_s is the time workers spend in tasks. No task runs inside another,
+// so each second counts once and busy_s never exceeds workers x wall; the
+// chunks that a region's caller runs count only if the caller is a worker.
 void RunInstrumented(std::function<void()>& task) {
-  PoolMetrics& m = Metrics();
   const Stopwatch timer;
   {
-    const TaskDepthScope depth;
     obs::Span span("exec.task");
     task();
   }
-  // tasks_run is counted at Submit time, not here: TaskGroup's pending
-  // counter decrements inside the task body, so a waiter can observe the
-  // group as done — and snapshot the registry — microseconds before this
-  // epilogue runs. Submit-side counting is synchronous with the caller.
-  // Only the outermost task adds its time: a nested task's time is already
-  // inside it.
-  if (t_task_depth == 0) m.busy_s->AddSeconds(timer.Seconds());
+  Metrics().busy_s->AddSeconds(timer.Seconds());
 }
 
 }  // namespace
@@ -72,10 +55,6 @@ void RunInstrumented(std::function<void()>& task) {
 ThreadPool::ThreadPool(size_t threads) {
   if (threads == 0) threads = DefaultThreadCount();
   if (threads == 0) threads = 1;
-  queues_.reserve(threads);
-  for (size_t i = 0; i < threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(threads);
   for (size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -84,10 +63,10 @@ ThreadPool::ThreadPool(size_t threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    stop_.store(true, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
   }
-  sleep_cv_.notify_all();
+  wake_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
@@ -98,79 +77,34 @@ void ThreadPool::Submit(std::function<void()> task) {
   // synchronous with the submitting thread — a snapshot taken after a
   // parallel region returns always includes the region's full task count.
   Metrics().tasks_run->Add(1);
-  const size_t q =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
   size_t depth = 0;
   {
-    std::lock_guard<std::mutex> lock(queues_[q]->mutex);
-    queues_[q]->tasks.push_back(std::move(task));
-    depth = queues_[q]->tasks.size();
+    std::lock_guard<std::mutex> lock(mutex_);
+    tasks_.push_back(std::move(task));
+    depth = tasks_.size();
   }
   Metrics().queue_depth_hwm->Set(depth);
-  sleep_cv_.notify_one();
-}
-
-bool ThreadPool::PopOrSteal(size_t worker_index, std::function<void()>& task) {
-  // Own deque first, newest task (LIFO).
-  {
-    WorkerQueue& own = *queues_[worker_index];
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      return true;
-    }
-  }
-  // Steal the oldest task (FIFO) from the first non-empty sibling.
-  for (size_t k = 1; k < queues_.size(); ++k) {
-    WorkerQueue& victim = *queues_[(worker_index + k) % queues_.size()];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      Metrics().steals->Add(1);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ThreadPool::TryRunOneTask() {
-  // External threads have no own deque; steal round-robin from slot 0.
-  std::function<void()> task;
-  if (!PopOrSteal(0, task)) return false;
-  RunInstrumented(task);
-  return true;
+  wake_.notify_one();
 }
 
 void ThreadPool::WorkerLoop(size_t worker_index) {
   obs::Tracer::Instance().RegisterCurrentThread(
       "exec.worker." + std::to_string(worker_index));
-  std::function<void()> task;
   for (;;) {
-    if (PopOrSteal(worker_index, task)) {
-      RunInstrumented(task);
-      task = nullptr;
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    if (stop_.load(std::memory_order_relaxed)) return;
-    // Re-check under the sleep lock: a Submit between our scan and here
-    // would have notified before we started waiting.
-    bool any = false;
-    for (const auto& q : queues_) {
-      std::lock_guard<std::mutex> qlock(q->mutex);
-      if (!q->tasks.empty()) {
-        any = true;
-        break;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (tasks_.empty() && !stop_) {
+        const Stopwatch idle;
+        wake_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+        Metrics().idle_s->AddSeconds(idle.Seconds());
       }
+      // On stop, the queue is drained before the worker leaves.
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    if (any) continue;
-    const Stopwatch idle;
-    // lint:allow(wall-clock) bounded sleep between wakeups, not a measurement
-    sleep_cv_.wait_for(lock, std::chrono::milliseconds(50));
-    Metrics().idle_s->AddSeconds(idle.Seconds());
-    if (stop_.load(std::memory_order_relaxed)) return;
+    RunInstrumented(task);
   }
 }
 

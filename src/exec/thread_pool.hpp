@@ -1,10 +1,10 @@
-// Work-stealing thread pool for the parallel execution layer.
+// FIFO thread pool for the parallel execution layer.
 //
-// Each worker owns a deque of tasks: it pops from the back of its own deque
-// (LIFO, cache-friendly) and steals from the front of a sibling's deque when
-// empty (FIFO, oldest first). External threads submit round-robin. Blocking
-// waiters help drain the pool (TryRunOneTask), so nested parallel regions
-// cannot deadlock even on a single worker.
+// One queue of tasks under one mutex: Submit appends a task and wakes one
+// worker, and workers take tasks oldest first, one at a time. No thread
+// runs a task inside another. Parallel regions (parallel.hpp) stay
+// deadlock-free on this pool because a region's caller runs its own chunks
+// and waits only for chunks that other threads are already running.
 //
 // The pool carries NO determinism obligations itself — determinism is the
 // contract of the exec::ParallelFor / exec::ParallelReduce wrappers (fixed
@@ -13,7 +13,6 @@
 #pragma once
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -26,20 +25,14 @@ class ThreadPool {
  public:
   // `threads` worker threads; 0 picks DefaultThreadCount().
   explicit ThreadPool(size_t threads = 0);
+  // Runs every queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t ThreadCount() const { return workers_.size(); }
-
   // Enqueues one task. Safe from any thread, including pool workers.
   void Submit(std::function<void()> task);
-
-  // Runs one queued task on the calling thread if any is available.
-  // Used by waiters to help instead of blocking; returns false when every
-  // deque is empty.
-  bool TryRunOneTask();
 
   // The process-wide pool used by ParallelFor/ParallelReduce and every
   // parallel algorithm in the library. Created on first use.
@@ -56,20 +49,13 @@ class ThreadPool {
   static void SetDefaultThreadCount(size_t threads);
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
-
   void WorkerLoop(size_t worker_index);
-  bool PopOrSteal(size_t worker_index, std::function<void()>& task);
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  std::atomic<uint64_t> next_queue_{0};
-  std::atomic<bool> stop_{false};
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::deque<std::function<void()>> tasks_;  // guarded by mutex_
+  bool stop_ = false;                        // guarded by mutex_
 };
 
 }  // namespace splitlock::exec

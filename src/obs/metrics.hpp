@@ -22,7 +22,7 @@
 //           tests/test_obs.cpp asserts bit-identity of this class at
 //           SPLITLOCK_THREADS=1/2/8.
 //   kSched  Scheduling-dependent counts: honest integers, but functions
-//           of the actual interleaving (steals, queue-depth high-water).
+//           of the actual interleaving (the pool's queue-depth high-water).
 //           Never asserted for identity, never canonical.
 //   kTime   Wall-clock accumulators (seconds). Non-canonical by the
 //           same rule as every other timing in the repo.
@@ -55,7 +55,7 @@ namespace splitlock::obs {
 
 enum class MetricClass {
   kCount,  // deterministic: bit-identical at any thread count
-  kSched,  // scheduling-dependent count (steals, queue depths)
+  kSched,  // scheduling-dependent count (queue depths)
   kTime,   // wall-clock seconds (non-canonical)
 };
 

@@ -33,52 +33,93 @@ struct PoolWidthGuard {
 };
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
-  exec::ThreadPool pool(4);
   std::atomic<int> count{0};
-  exec::TaskGroup group(pool);
-  for (int i = 0; i < 100; ++i) {
-    group.Run([&count] { count.fetch_add(1); });
-  }
-  group.Wait();
+  {
+    exec::ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&count] { count.fetch_add(1); });
+    }
+  }  // the destructor runs every queued task before it joins
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, TaskGroupPropagatesExceptions) {
-  exec::ThreadPool pool(2);
-  exec::TaskGroup group(pool);
-  group.Run([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-}
-
-// A task that a waiting task runs through TryRunOneTask is nested in it:
-// exec.pool.busy_s counts its time once, inside the outer task's. On a
-// width-1 pool the worker runs both, so busy time cannot exceed the wall
-// time of the whole run.
-TEST(ThreadPool, BusyTimeCountsNestedTasksOnce) {
-  constexpr double kSpinSeconds = 0.05;
+// A region's caller opens the region inside a pool task: on a width-1 pool
+// the worker runs the task and, as the region's caller, both chunks.
+// exec.pool.busy_s counts that task's time once (the chunks run inside
+// it), so busy time cannot exceed the wall time of the whole run.
+TEST(ThreadPool, BusyTimeCountsARegionInsideATaskOnce) {
+  PoolWidthGuard guard;
+  exec::ThreadPool::SetDefaultThreadCount(1);
+  constexpr double kSpinSeconds = 0.025;
   const double before =
       obs::Registry::Instance().Snapshot().times["exec.pool.busy_s"];
   const Stopwatch wall;
-  {
-    exec::ThreadPool pool(1);
-    std::atomic<bool> done{false};
-    pool.Submit([&pool, &done] {
-      exec::TaskGroup nested(pool);
-      nested.Run([] {
-        const Stopwatch spin;
-        while (spin.Seconds() < kSpinSeconds) {
-        }
-      });
-      nested.Wait();  // runs the nested task on this worker
-      done.store(true);
+  std::atomic<bool> done{false};
+  exec::ThreadPool::Default().Submit([&done] {
+    exec::ParallelFor(2, 1, [](size_t, size_t) {
+      const Stopwatch spin;
+      while (spin.Seconds() < kSpinSeconds) {
+      }
     });
-    while (!done.load()) std::this_thread::yield();
-  }  // joins the worker, so its busy time is recorded
+    done.store(true);
+  });
+  while (!done.load()) std::this_thread::yield();
+  exec::ThreadPool::SetDefaultThreadCount(1);  // joins the worker
   const double wall_s = wall.Seconds();
   const double busy_s =
       obs::Registry::Instance().Snapshot().times["exec.pool.busy_s"] - before;
-  EXPECT_GE(busy_s, kSpinSeconds);
+  EXPECT_GE(busy_s, 2 * kSpinSeconds);
   EXPECT_LE(busy_s, wall_s);
+}
+
+TEST(ParallelFor, PropagatesExceptions) {
+  PoolWidthGuard guard;
+  exec::ThreadPool::SetDefaultThreadCount(2);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(exec::ParallelFor(8, 1,
+                                 [&ran](size_t lo, size_t) {
+                                   ran.fetch_add(1);
+                                   if (lo % 3 == 0) {
+                                     throw std::runtime_error("boom");
+                                   }
+                                 }),
+               std::runtime_error);
+  // The exception surfaces only after every chunk has run.
+  EXPECT_EQ(ran.load(), 8);
+}
+
+// The waiter of a region runs only its own chunks. On a width-1 pool the
+// two chunks rendezvous, so one runs on the caller and one on the worker.
+// The worker's chunk submits a foreign task and holds the region open
+// until that task ran or 200 ms passed: a waiter that helps with any
+// queued task would run the foreign task on the caller.
+TEST(ParallelFor, WaiterRunsOnlyItsOwnChunks) {
+  PoolWidthGuard guard;
+  exec::ThreadPool::SetDefaultThreadCount(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::atomic<bool> foreign_ran{false};
+  std::atomic<bool> foreign_ran_on_caller{false};
+  exec::ParallelFor(2, 1, [&](size_t, size_t) {
+    arrived.fetch_add(1);
+    const Stopwatch rendezvous;
+    while (arrived.load() < 2 && rendezvous.Seconds() < 5.0) {
+      std::this_thread::yield();
+    }
+    if (std::this_thread::get_id() == caller) return;
+    exec::ThreadPool::Default().Submit([&] {
+      foreign_ran_on_caller.store(std::this_thread::get_id() == caller);
+      foreign_ran.store(true);
+    });
+    const Stopwatch hold;
+    while (!foreign_ran.load() && hold.Seconds() < 0.2) {
+      std::this_thread::yield();
+    }
+  });
+  // Replacing the pool runs its queued tasks, the foreign one included.
+  exec::ThreadPool::SetDefaultThreadCount(1);
+  ASSERT_TRUE(foreign_ran.load());
+  EXPECT_FALSE(foreign_ran_on_caller.load());
 }
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {
@@ -110,17 +151,19 @@ TEST(ParallelFor, NestedRegionsDoNotDeadlock) {
   EXPECT_EQ(total.load(), 64);
 }
 
-// Overwrites the stack below the caller, where the TaskGroup of a region
-// that just returned lived.
+// Overwrites the stack below the caller, where the frame of a region that
+// just returned lived.
 [[gnu::noinline]] void ScribbleStack() {
   volatile unsigned char junk[2048];
   for (size_t i = 0; i < sizeof(junk); ++i) junk[i] = 0xA5;
 }
 
-// Regression for a TaskGroup use-after-scope: a group's last task dropped
-// the pending count to zero before taking the group's mutex to notify, so
-// Wait could return, and the group's stack frame be reused, while the task
-// still had the mutex and condition variable to touch. Many tiny nested
+// Regression for a use-after-scope in the region wait: the last chunk's
+// task once dropped the pending count to zero before taking the region's
+// mutex to notify, so the caller could return, and the region's stack
+// frame be reused, while the task still had the mutex and condition
+// variable to touch. Region state now lives as long as its last helper
+// task, which may start after the region returned. Many tiny nested
 // regions, entered from more threads than there are cores so that tasks
 // get preempted inside that window, with the stack scribbled after each
 // region; with the bug this aborted, crashed or hung.

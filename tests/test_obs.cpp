@@ -178,6 +178,10 @@ TEST(Trace, ExportIsWellFormedNestedAndThreadAttributed) {
   exec::ParallelFor(sink.size(), 1, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) sink[i] = i * i;
   });
+  // The caller may have run every chunk itself, leaving the helper tasks
+  // queued. Replacing the pool runs them and joins the workers, so every
+  // exec.task span is closed before the export.
+  exec::ThreadPool::SetDefaultThreadCount(0);
   ASSERT_TRUE(Tracer::Instance().ExportAndStop());
 
   const std::optional<util::JsonValue> doc =
