@@ -201,8 +201,7 @@ class SatEngine : public Engine {
     SatAttackOptions options;
     options.seed = config.GetUint("seed", ctx.seed);
     options.max_dips = config.GetUint("max_dips", options.max_dips);
-    options.conflict_limit_per_solve =
-        config.GetUint("conflicts", ctx.conflict_budget);
+    options.conflict_budget = config.GetUint("conflicts", ctx.conflict_budget);
     options.verify_patterns =
         config.GetUint("verify_patterns", options.verify_patterns);
 

@@ -203,7 +203,7 @@ SatAttackResult RunSatAttack(const Netlist& locked, const Netlist& oracle,
     sat::SolveResult sr;
     {
       obs::Span span("attack.sat.solve");
-      sr = solver.Solve(assumptions, options.conflict_limit_per_solve);
+      sr = solver.Solve(assumptions, options.conflict_budget);
     }
     tel.solve_ms = solve_sw.Ms();
     tel.conflicts = CountRoundWork(solver, work_before);
@@ -216,7 +216,7 @@ SatAttackResult RunSatAttack(const Netlist& locked, const Netlist& oracle,
     miter.LearnDip(&result);
   }
   if (result.finished) {
-    miter.ExtractKey(options.conflict_limit_per_solve, &result);
+    miter.ExtractKey(options.conflict_budget, &result);
     if (result.key_found) {
       const Stopwatch verify_sw;
       result.functionally_correct =
@@ -240,12 +240,9 @@ OracleLessProbe ProbeOracleLessKeySpace(const Netlist& locked, size_t samples,
   // Shared input stimulus across all sampled keys, so fingerprints are
   // comparable. Word w is a pure function of (seed, w): shard boundaries
   // cannot change what any key sees.
-  std::vector<std::vector<uint64_t>> stimulus(words);
-  for (uint64_t w = 0; w < words; ++w) {
-    exec::StreamRng rng(seed, exec::StreamDomain::kStimulus, w);
-    stimulus[w].resize(locked.inputs().size());
-    for (auto& v : stimulus[w]) v = rng.NextWord();
-  }
+  std::vector<std::vector<uint64_t>> stimulus(
+      words, std::vector<uint64_t>(locked.inputs().size()));
+  for (uint64_t w = 0; w < words; ++w) FillStimulusWord(seed, w, stimulus[w]);
   // Lanes of the final word beyond `patterns` carry garbage from unused
   // stimulus bits; LaneMaskForWord masks them out of the fingerprint so
   // they cannot split functionally identical keys into distinct

@@ -57,7 +57,9 @@ struct SatAttackResult {
 
 struct SatAttackOptions {
   size_t max_dips = 4096;
-  uint64_t conflict_limit_per_solve = 2000000;
+  // One cumulative ceiling on the solver's conflicts over every DIP round
+  // and ExtractKey, not a per-solve budget (see AttackContext).
+  uint64_t conflict_budget = 2000000;
   uint64_t verify_patterns = 4096;
   uint64_t seed = 1;
 };

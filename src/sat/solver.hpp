@@ -48,8 +48,10 @@ class Solver {
   bool AddBinary(Lit a, Lit b) { return AddClause({a, b}); }
   bool AddTernary(Lit a, Lit b, Lit c) { return AddClause({a, b, c}); }
 
-  // Solves under optional assumptions. `conflict_limit` bounds the search
-  // (0 = unlimited); exceeding it yields kUnknown.
+  // Solves under optional assumptions. `conflict_limit` caps the solver's
+  // lifetime conflicts() (0 = unlimited), not this call's: reaching it
+  // yields kUnknown. A caller that wants a per-call budget passes
+  // conflicts() + budget, as the LEC does.
   SolveResult Solve(std::span<const Lit> assumptions = {},
                     uint64_t conflict_limit = 0);
 
