@@ -61,31 +61,6 @@ struct GoldenNode {
   NetId net;
 };
 
-// Model value of `lit`, valid after kSat.
-bool LitValue(const sat::Solver& solver, sat::Lit lit) {
-  return solver.ModelValue(sat::VarOf(lit)) != sat::IsNegated(lit);
-}
-
-// Proves a == b under the current clause database, spending at most
-// `conflict_limit` conflicts (0 = unlimited) across both polarities.
-// kUnsat: proven (the equality clauses are added to help later proofs);
-// kSat: the model distinguishes a and b; kUnknown: the budget ran out.
-sat::SolveResult ProveEqual(sat::Solver& solver, sat::Lit a, sat::Lit b,
-                            uint64_t conflict_limit) {
-  const uint64_t limit =
-      conflict_limit == 0 ? 0 : solver.conflicts() + conflict_limit;
-  for (const std::array<sat::Lit, 2>& differ :
-       {std::array<sat::Lit, 2>{a, sat::Negate(b)},
-        std::array<sat::Lit, 2>{sat::Negate(a), b}}) {
-    const sat::SolveResult r = solver.Solve(differ, limit);
-    if (r != sat::SolveResult::kUnsat) return r;
-  }
-  // Lock in the equivalence for future propagation.
-  solver.AddBinary(sat::Negate(a), b);
-  solver.AddBinary(a, sat::Negate(b));
-  return sat::SolveResult::kUnsat;
-}
-
 }  // namespace
 
 LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
@@ -225,14 +200,14 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
       } else {
         metrics.proofs->Add(1);
         const sat::SolveResult r =
-            ProveEqual(solver, lit, target, per_proof_limit);
+            sat::ProveEqual(solver, lit, target, per_proof_limit);
         if (r == sat::SolveResult::kUnsat) {
           lit = target;  // substitute: downstream folds onto the golden side
         } else if (r == sat::SolveResult::kSat && cex_lanes != ~0ULL) {
           // Lanes fill from bit 0 up, so this is the lowest free one.
           const uint64_t lane = cex_lanes + 1;
           for (size_t i = 0; i < inputs.size(); ++i) {
-            if (LitValue(solver, inputs[i])) cex_words[i] |= lane;
+            if (sat::LitValue(solver, inputs[i])) cex_words[i] |= lane;
           }
           cex_lanes |= lane;
           golden_sim.SetInputWords(cex_words);
@@ -280,10 +255,10 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
   result.counterexample.resize(inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
     result.counterexample[i] =
-        static_cast<uint8_t>(LitValue(solver, inputs[i]));
+        static_cast<uint8_t>(sat::LitValue(solver, inputs[i]));
   }
   for (size_t d = 0; d < diffs.size(); ++d) {
-    if (LitValue(solver, diffs[d])) {
+    if (sat::LitValue(solver, diffs[d])) {
       result.differing_output = diff_output_index[d];
       break;
     }

@@ -1,6 +1,7 @@
 #include "sat/solver.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -573,6 +574,25 @@ Var Solver::HeapPop() {
     HeapSiftDown(0);
   }
   return top;
+}
+
+SolveResult ProveEqual(Solver& solver, Lit a, Lit b, uint64_t conflict_limit) {
+  const uint64_t limit =
+      conflict_limit == 0 ? 0 : solver.conflicts() + conflict_limit;
+  for (const std::array<Lit, 2>& differ :
+       {std::array<Lit, 2>{a, Negate(b)}, std::array<Lit, 2>{Negate(a), b}}) {
+    // A first polarity proven on its last allowed conflict leaves nothing
+    // for the second: Solve checks the limit only after a conflict.
+    if (limit != 0 && solver.conflicts() >= limit) {
+      return SolveResult::kUnknown;
+    }
+    const SolveResult r = solver.Solve(differ, limit);
+    if (r != SolveResult::kUnsat) return r;
+  }
+  // Lock in the equivalence for future propagation.
+  solver.AddBinary(Negate(a), b);
+  solver.AddBinary(a, Negate(b));
+  return SolveResult::kUnsat;
 }
 
 }  // namespace splitlock::sat

@@ -210,4 +210,16 @@ class Solver {
   int DecisionLevel() const { return static_cast<int>(trail_limits_.size()); }
 };
 
+// Model value of `lit`, valid after kSat.
+inline bool LitValue(const Solver& solver, Lit lit) {
+  return solver.ModelValue(VarOf(lit)) != IsNegated(lit);
+}
+
+// Proves a == b under `solver`'s clause database, spending at most
+// `conflict_limit` conflicts (0 = unlimited) across both polarities.
+// kUnsat: proven, and the equality clauses are added to help later
+// queries; kSat: the model distinguishes a and b; kUnknown: the budget ran
+// out. The SAT-sweeping LEC and the SAT attack's key-copy sweep use it.
+SolveResult ProveEqual(Solver& solver, Lit a, Lit b, uint64_t conflict_limit);
+
 }  // namespace splitlock::sat
