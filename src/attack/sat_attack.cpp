@@ -1,5 +1,6 @@
 #include "attack/sat_attack.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <set>
@@ -18,11 +19,12 @@
 namespace splitlock::attack {
 namespace {
 
-// SAT-attack observability. All six counters are count-class: rounds,
-// DIPs and oracle queries are pure functions of the instance + options,
-// and the solver's conflicts, decisions and propagations are deterministic
-// by the solver contract. They are registry-only: no record stores
-// decisions or propagations.
+// SAT-attack observability. All nine counters are count-class: rounds,
+// DIPs, oracle queries and the sweep's tallies are pure functions of the
+// instance + options, and the solver's conflicts, decisions and
+// propagations are deterministic by the solver contract. They are
+// registry-only: no record stores decisions, propagations or the sweep's
+// tallies.
 struct SatMetrics {
   obs::Counter* rounds;
   obs::Counter* dips;
@@ -30,6 +32,9 @@ struct SatMetrics {
   obs::Counter* conflicts;
   obs::Counter* decisions;
   obs::Counter* propagations;
+  obs::Counter* sweep_proofs;   // ProveEqual calls
+  obs::Counter* sweep_proven;   // pairs proven equal
+  obs::Counter* sweep_refuted;  // pairs an earlier failed proof told apart
 };
 
 SatMetrics& Metrics() {
@@ -42,6 +47,9 @@ SatMetrics& Metrics() {
         r.RegisterCounter("attack.sat.conflicts"),
         r.RegisterCounter("attack.sat.decisions"),
         r.RegisterCounter("attack.sat.propagations"),
+        r.RegisterCounter("attack.sat.sweep.proofs"),
+        r.RegisterCounter("attack.sat.sweep.proven"),
+        r.RegisterCounter("attack.sat.sweep.refuted"),
     };
   }();
   return m;
@@ -87,8 +95,20 @@ class MiterAttack {
     for (auto& l : k1_) l = enc_.FreshLit();
     for (auto& l : k2_) l = enc_.FreshLit();
 
-    const std::vector<sat::Lit> outs1 = enc_.EncodeNetlist(locked, x_, k1_);
-    const std::vector<sat::Lit> outs2 = enc_.EncodeNetlist(locked, x_, k2_);
+    std::vector<sat::Lit> lits1;
+    std::vector<sat::Lit> lits2;
+    const std::vector<sat::Lit> outs1 =
+        enc_.EncodeNetlist(locked, x_, k1_, &lits1);
+    const std::vector<sat::Lit> outs2 =
+        enc_.EncodeNetlist(locked, x_, k2_, &lits2);
+    // Sweep candidates: each key-dependent gate's two copies, unless
+    // structural hashing already made them equal or complementary.
+    for (GateId g : dip_enc_.ConeGates()) {
+      const NetId n = locked.gate(g).out;
+      if (sat::VarOf(lits1[n]) != sat::VarOf(lits2[n])) {
+        pairs_.push_back({lits1[n], lits2[n]});
+      }
+    }
 
     // Miter: exists an input where the two key hypotheses disagree.
     std::vector<sat::Lit> diffs;
@@ -105,7 +125,24 @@ class MiterAttack {
   }
 
   sat::Solver& solver() { return solver_; }
-  sat::Lit diff_any() const { return diff_any_; }
+
+  // One round's miter solve: is there a DIP left? A solve still open after
+  // kSweepConflicts pauses once for Sweep, then resumes. `conflict_budget`
+  // caps the solver's lifetime conflicts (0 = unlimited).
+  sat::SolveResult SolveRound(uint64_t conflict_budget) {
+    const std::array<sat::Lit, 1> assumptions{diff_any_};
+    const uint64_t pause = solver_.conflicts() + kSweepConflicts;
+    const sat::SolveResult sr = solver_.Solve(
+        assumptions,
+        conflict_budget == 0 ? pause : std::min(conflict_budget, pause));
+    if (sr != sat::SolveResult::kUnknown || Spent(conflict_budget)) return sr;
+    {
+      obs::Span span("attack.sat.sweep");
+      Sweep(conflict_budget);
+    }
+    if (Spent(conflict_budget)) return sat::SolveResult::kUnknown;
+    return solver_.Solve(assumptions, conflict_budget);
+  }
 
   // Takes the DIP from the model currently held in solver(), queries the
   // oracle on it and constrains both key hypotheses to agree with the
@@ -114,8 +151,7 @@ class MiterAttack {
   void LearnDip(SatAttackResult* result) {
     std::vector<uint8_t> dip(num_pis_);
     for (size_t i = 0; i < num_pis_; ++i) {
-      const bool v = solver_.ModelValue(sat::VarOf(x_[i]));
-      dip[i] = static_cast<uint8_t>(sat::IsNegated(x_[i]) ? !v : v);
+      dip[i] = static_cast<uint8_t>(sat::LitValue(solver_, x_[i]));
     }
     ++result->dips_used;
     ++result->telemetry.oracle_queries;
@@ -161,13 +197,64 @@ class MiterAttack {
     result->key_found = true;
     result->recovered_key.resize(num_keys_);
     for (size_t i = 0; i < num_keys_; ++i) {
-      const bool v = solver_.ModelValue(sat::VarOf(k1_[i]));
       result->recovered_key[i] =
-          static_cast<uint8_t>(sat::IsNegated(k1_[i]) ? !v : v);
+          static_cast<uint8_t>(sat::LitValue(solver_, k1_[i]));
     }
   }
 
  private:
+  // A key-dependent gate's literal in each key copy of the miter.
+  struct SweepPair {
+    sat::Lit lit1;
+    sat::Lit lit2;
+    bool proven = false;
+  };
+
+  bool Spent(uint64_t conflict_budget) const {
+    return conflict_budget != 0 && solver_.conflicts() >= conflict_budget;
+  }
+
+  // SAT sweeping across the two key copies (Mishchenko et al., ICCAD'06):
+  // tries to prove each unproven pair equal, in topological order, so the
+  // termination proof can propagate through the equalities instead of
+  // rediscovering them. No proof assumes diff_any, so a proven equality
+  // follows from the two copies and the DIP constraints alone, and keeping
+  // it leaves every later answer, the final UNSAT included, sound. A
+  // failed proof's model satisfies that same clause database, so any later
+  // pair it tells apart would fail too and is skipped for this sweep.
+  void Sweep(uint64_t conflict_budget) {
+    SatMetrics& metrics = Metrics();
+    std::vector<uint8_t> told_apart(pairs_.size(), 0);
+    for (size_t i = 0; i < pairs_.size(); ++i) {
+      SweepPair& pair = pairs_[i];
+      if (pair.proven) continue;
+      if (told_apart[i] != 0) {
+        metrics.sweep_refuted->Add(1);
+        continue;
+      }
+      if (Spent(conflict_budget)) return;
+      const uint64_t limit =
+          conflict_budget == 0
+              ? kSweepConflicts
+              : std::min(kSweepConflicts,
+                         conflict_budget - solver_.conflicts());
+      metrics.sweep_proofs->Add(1);
+      const sat::SolveResult r =
+          sat::ProveEqual(solver_, pair.lit1, pair.lit2, limit);
+      if (r == sat::SolveResult::kUnsat) {
+        pair.proven = true;
+        metrics.sweep_proven->Add(1);
+      } else if (r == sat::SolveResult::kSat) {
+        for (size_t j = i + 1; j < pairs_.size(); ++j) {
+          if (sat::LitValue(solver_, pairs_[j].lit1) !=
+              sat::LitValue(solver_, pairs_[j].lit2)) {
+            told_apart[j] = 1;
+          }
+        }
+      }
+    }
+  }
+
   sat::Solver solver_;  // declared before the encoders
   sat::StructuralEncoder enc_;
   Simulator oracle_sim_;
@@ -179,6 +266,7 @@ class MiterAttack {
   std::vector<sat::Lit> k1_;
   std::vector<sat::Lit> k2_;
   sat::Lit diff_any_ = 0;
+  std::vector<SweepPair> pairs_;  // topological order
 };
 
 }  // namespace
@@ -192,7 +280,6 @@ SatAttackResult RunSatAttack(const Netlist& locked, const Netlist& oracle,
 
   MiterAttack miter(locked, oracle);
   sat::Solver& solver = miter.solver();
-  const std::vector<sat::Lit> assumptions{miter.diff_any()};
 
   while (result.dips_used < options.max_dips) {
     RoundStat tel;
@@ -203,7 +290,7 @@ SatAttackResult RunSatAttack(const Netlist& locked, const Netlist& oracle,
     sat::SolveResult sr;
     {
       obs::Span span("attack.sat.solve");
-      sr = solver.Solve(assumptions, options.conflict_budget);
+      sr = miter.SolveRound(options.conflict_budget);
     }
     tel.solve_ms = solve_sw.Ms();
     tel.conflicts = CountRoundWork(solver, work_before);

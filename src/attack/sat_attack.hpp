@@ -55,6 +55,13 @@ struct SatAttackResult {
   SatAttackTelemetry telemetry;
 };
 
+// Conflicts a round's miter solve spends before it pauses to sweep the
+// miter's two key copies, and the most any one sweep proof may spend.
+// Every DIP round of the benchmark locks stays under it; their termination
+// proofs run far past it (see ARCHITECTURE.md, "Incremental DIP
+// encoding").
+inline constexpr uint64_t kSweepConflicts = 1000;
+
 struct SatAttackOptions {
   size_t max_dips = 4096;
   // One cumulative ceiling on the solver's conflicts over every DIP round

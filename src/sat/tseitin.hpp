@@ -108,7 +108,9 @@ class IncrementalDipEncoder {
   // repeatedly (e.g. once per key hypothesis) without re-simulating.
   std::vector<Lit> Encode(std::span<const Lit> key_lits);
 
-  // Key-dependent logic gates — the per-round symbolic workload.
+  // Key-dependent logic gates, in topological order — the per-round
+  // symbolic workload.
+  std::span<const GateId> ConeGates() const { return cone_gates_; }
   size_t ConeSize() const { return cone_gates_.size(); }
 
  private:

@@ -1,17 +1,20 @@
 // The oracle-guided SAT attack and its building blocks: key recovery,
-// golden DIP/conflict/key digests and registry work counts on c432 and
-// c880, the incremental DIP encoder against full EncodeNetlist, and the
-// oracle-less key-space probe.
+// golden DIP/conflict/key digests and registry work counts on c432, c880
+// and c1355, the key-copy sweep's budget and soundness, the incremental
+// DIP encoder against full EncodeNetlist, and the oracle-less key-space
+// probe.
 #include <gtest/gtest.h>
 
 #include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "attack/sat_attack.hpp"
 #include "circuits/c17.hpp"
 #include "circuits/random_circuit.hpp"
 #include "circuits/suites.hpp"
+#include "lec/lec.hpp"
 #include "lock/atpg_lock.hpp"
 #include "lock/epic.hpp"
 #include "obs/metrics.hpp"
@@ -157,15 +160,28 @@ void PrintTo(const SolverWorkCounts& w, std::ostream* os) {
       << ", propagations " << w.propagations << "}";
 }
 
-SolverWorkCounts CountedSince(const obs::MetricsSnapshot& before) {
-  const obs::MetricsSnapshot delta = obs::MetricsSnapshot::Delta(
-      before, obs::Registry::Instance().Snapshot());
-  const auto count = [&](const std::string& name) -> uint64_t {
-    const auto it = delta.counts.find(name);
-    return it == delta.counts.end() ? 0 : it->second;
-  };
-  return {count("attack.sat.conflicts"), count("attack.sat.decisions"),
-          count("attack.sat.propagations")};
+// What the registry counted since `before`.
+obs::MetricsSnapshot CountedSince(const obs::MetricsSnapshot& before) {
+  return obs::MetricsSnapshot::Delta(before,
+                                     obs::Registry::Instance().Snapshot());
+}
+
+uint64_t CountOf(const obs::MetricsSnapshot& delta, const std::string& name) {
+  const auto it = delta.counts.find(name);
+  return it == delta.counts.end() ? 0 : it->second;
+}
+
+SolverWorkCounts WorkCounts(const obs::MetricsSnapshot& delta) {
+  return {CountOf(delta, "attack.sat.conflicts"),
+          CountOf(delta, "attack.sat.decisions"),
+          CountOf(delta, "attack.sat.propagations")};
+}
+
+lock::AtpgLockResult IscasLock(const std::string& circuit, uint64_t seed) {
+  lock::AtpgLockOptions opts;
+  opts.key_bits = 64;
+  opts.seed = seed;
+  return lock::LockWithAtpg(circuits::MakeIscas(circuit), opts);
 }
 
 // A circuit's 64-bit lock at lock seed 1, attacked by the sequential DIP
@@ -180,17 +196,16 @@ struct SequentialGolden {
 };
 
 // Pins `golden`'s sequential attack: any change to the DIP sequence, the
-// clause stream or the solver trajectory shows here.
-void ExpectSequentialGolden(const Netlist& original,
-                            const SequentialGolden& golden) {
+// clause stream or the solver trajectory shows here. Returns the registry
+// counts the attack added.
+obs::MetricsSnapshot ExpectSequentialGolden(const SequentialGolden& golden) {
   SCOPED_TRACE(golden.circuit);
-  lock::AtpgLockOptions opts;
-  opts.key_bits = 64;
-  opts.seed = 1;
-  const lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
+  const Netlist original = circuits::MakeIscas(golden.circuit);
+  const lock::AtpgLockResult locked = IscasLock(golden.circuit, 1);
   const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
   const SatAttackResult seq = RunSatAttack(locked.locked, original);
-  const SolverWorkCounts counted = CountedSince(before);
+  const obs::MetricsSnapshot delta = CountedSince(before);
+  const SolverWorkCounts counted = WorkCounts(delta);
   EXPECT_EQ(counted, golden.counted);
   EXPECT_EQ(counted.conflicts, seq.telemetry.total_conflicts);
   EXPECT_TRUE(seq.finished);
@@ -198,24 +213,97 @@ void ExpectSequentialGolden(const Netlist& original,
   EXPECT_EQ(seq.dips_used, golden.dips);
   EXPECT_EQ(seq.telemetry.total_conflicts, golden.total_conflicts);
   EXPECT_EQ(KeyBits(seq.recovered_key), golden.key);
+  return delta;
 }
 
 TEST(SatAttack, GoldenDigests) {
   // c432 under the 64-bit lock AtpgLock.GoldenLockDigests pins.
   ExpectSequentialGolden(
-      circuits::MakeIscas("c432"),
-      {"c432", 40, 17750, {17750, 66426, 3535111},
-       "0010000011111010011100011000100001010101001101011110011101010101"});
+      {"c432", 40, 17059, {17059, 59821, 4174468},
+       "0010000000001010100101011101100000000101110111101101011101011101"});
 }
 
 TEST(SatAttack, GoldenDigestsC880) {
   // c880, the iscas-sat benchmark's second instance: a second miter shape
   // for the sequential loop's pins.
   ExpectSequentialGolden(
-      circuits::MakeIscas("c880"),
-      {"c880", 20, 22893, {22893, 50442, 1772708},
-       "0000111010001110000110010111000100101011011110001110000011010010"});
+      {"c880", 20, 8707, {8707, 30229, 823327},
+       "0000111010001110110111011000111100101100101110100110000000001100"});
 }
+
+TEST(SatAttack, GoldenDigestsC1355) {
+  // c1355, the benchmark's heaviest lock: its termination proof is where
+  // the key-copy sweep pays, so some sweep proof must succeed.
+  const obs::MetricsSnapshot delta = ExpectSequentialGolden(
+      {"c1355", 39, 13486, {13486, 40710, 3281666},
+       "1101001100110101011110101110010001001100010000111100000101110101"});
+  EXPECT_GT(CountOf(delta, "attack.sat.sweep.proven"), 0u);
+}
+
+TEST(SatAttack, SweepRespectsConflictBudget) {
+  // A budget that runs out a few conflicts into the first sweep: the
+  // attack stops there unfinished, and no sweep proof spends past it.
+  const Netlist original = circuits::MakeIscas("c880");
+  const lock::AtpgLockResult locked = IscasLock("c880", 1);
+  const SatAttackResult full = RunSatAttack(locked.locked, original);
+  ASSERT_TRUE(full.finished);
+
+  // A round that spent more than kSweepConflicts paused to sweep; the
+  // first one starts where the rounds before it end.
+  uint64_t sweep_start = 0;
+  size_t round = 0;
+  while (round < full.telemetry.rounds.size() &&
+         full.telemetry.rounds[round].conflicts <= kSweepConflicts) {
+    sweep_start += full.telemetry.rounds[round].conflicts;
+    ++round;
+  }
+  ASSERT_LT(round, full.telemetry.rounds.size());
+
+  SatAttackOptions options;
+  options.conflict_budget = sweep_start + kSweepConflicts + 50;
+  const obs::MetricsSnapshot before = obs::Registry::Instance().Snapshot();
+  const SatAttackResult cut = RunSatAttack(locked.locked, original, options);
+  const obs::MetricsSnapshot delta = CountedSince(before);
+  EXPECT_GT(CountOf(delta, "attack.sat.sweep.proofs"), 0u);
+  EXPECT_FALSE(cut.finished);
+  EXPECT_FALSE(cut.key_found);
+  EXPECT_EQ(cut.dips_used, round);
+  EXPECT_EQ(cut.telemetry.rounds.size(), round + 1);
+  EXPECT_LE(cut.telemetry.total_conflicts, options.conflict_budget);
+  EXPECT_EQ(CountOf(delta, "attack.sat.conflicts"),
+            cut.telemetry.total_conflicts);
+}
+
+// Locks the sweep was not tuned on: every attack must finish with a key
+// the LEC proves correct. A sweep that kept an equality it did not prove
+// would end the DIP loop early with a wrong key.
+class SweepCorpus
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
+
+TEST_P(SweepCorpus, AttackFinishesWithLecProvenKey) {
+  const auto [circuit, seed] = GetParam();
+  const Netlist original = circuits::MakeIscas(circuit);
+  const lock::AtpgLockResult locked = IscasLock(circuit, seed);
+  const SatAttackResult r = RunSatAttack(locked.locked, original);
+  ASSERT_TRUE(r.finished);
+  ASSERT_TRUE(r.key_found);
+  EXPECT_TRUE(r.functionally_correct);
+  const LecResult lec =
+      CheckEquivalence(original, locked.locked, {}, r.recovered_key);
+  EXPECT_TRUE(lec.proven);
+  EXPECT_TRUE(lec.equivalent);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    IscasLocks, SweepCorpus,
+    ::testing::Combine(::testing::Values(std::string("c432"),
+                                         std::string("c880"),
+                                         std::string("c1355")),
+                       ::testing::Values(uint64_t{2}, uint64_t{3})),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_seed" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(OracleLess, KeySpaceStaysRich) {
   // Without an oracle there is nothing to prune with: sampled keys keep
