@@ -30,8 +30,6 @@ void FillSatReport(const SatAttackResult& result, AttackReport* report) {
       static_cast<double>(result.telemetry.total_conflicts);
   report->counters["rounds"] =
       static_cast<double>(result.telemetry.rounds.size());
-  // Every DIP round queries one DIP; the counter stays for record shape.
-  report->counters["mean_dip_batch"] = result.dips_used > 0 ? 1.0 : 0.0;
   double solve_ms = 0.0;
   double encode_ms = 0.0;
   double oracle_ms = 0.0;

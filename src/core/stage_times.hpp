@@ -15,7 +15,7 @@ namespace splitlock::core {
 // place/route/lift are measured inside BuildPhysical around exactly the
 // PlaceDesign / RouteDesign / LiftKeyNets calls, so campaign records expose
 // where a job's physical-design time goes (see bench_runtime, bench_phys).
-// lint:result-schema(v5) persisted as the store records' "times" object —
+// lint:result-schema(v6) persisted as the store records' "times" object —
 // a layout change here needs a kResultSchemaVersion bump.
 struct StageTimes {
   double lock_s = 0.0;

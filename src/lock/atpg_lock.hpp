@@ -54,7 +54,7 @@ struct AtpgLockOptions {
   uint64_t seed = 1;
 };
 
-// lint:result-schema(v5) encoded by store/artifact_io (flow artifact) — a
+// lint:result-schema(v6) encoded by store/artifact_io (flow artifact) — a
 // result-affecting change here needs a kResultSchemaVersion bump.
 struct InjectedFault {
   std::string net_name;
@@ -65,7 +65,7 @@ struct InjectedFault {
   double cone_area_removed = 0.0;
 };
 
-// lint:result-schema(v5) encoded by store/artifact_io (flow artifact) — a
+// lint:result-schema(v6) encoded by store/artifact_io (flow artifact) — a
 // result-affecting change here needs a kResultSchemaVersion bump.
 struct AtpgLockResult {
   Netlist locked;

@@ -67,7 +67,7 @@ inline constexpr uint16_t kFlagKeyGate = 1u << 1;    // consumes a key bit
 inline constexpr uint16_t kFlagRestore = 1u << 2;    // part of restore logic
 inline constexpr uint16_t kFlagTie = 1u << 3;        // TIE cell instance
 
-// lint:result-schema(v5) encoded by store/artifact_io EncodeNetlist — a
+// lint:result-schema(v6) encoded by store/artifact_io EncodeNetlist — a
 // result-affecting change here needs a kResultSchemaVersion bump.
 struct Gate {
   GateOp op = GateOp::kDeleted;
@@ -81,7 +81,7 @@ struct Gate {
 };
 
 // A (gate, fanin-index) pair identifying one input pin connection.
-// lint:result-schema(v5) encoded by store/artifact_io (net sinks, route
+// lint:result-schema(v6) encoded by store/artifact_io (net sinks, route
 // sink pins) — a result-affecting change here needs a version bump.
 struct Pin {
   GateId gate = kNullId;
@@ -92,7 +92,7 @@ struct Pin {
   }
 };
 
-// lint:result-schema(v5) encoded by store/artifact_io EncodeNetlist — a
+// lint:result-schema(v6) encoded by store/artifact_io EncodeNetlist — a
 // result-affecting change here needs a kResultSchemaVersion bump.
 struct Net {
   std::string name;
@@ -103,7 +103,7 @@ struct Net {
 // Mutable gate-level netlist. Gates and nets are referenced by dense ids;
 // deleting a gate marks it kDeleted (ids stay stable) and Compacted() builds
 // a renumbered copy.
-// lint:result-schema(v5) encoded by store/artifact_io EncodeNetlist /
+// lint:result-schema(v6) encoded by store/artifact_io EncodeNetlist /
 // rebuilt by FromRawParts — a result-affecting change (ids, ordering,
 // serialized fields) needs a kResultSchemaVersion bump.
 class Netlist {

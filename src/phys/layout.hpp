@@ -24,7 +24,7 @@
 namespace splitlock::phys {
 
 // One axis-aligned wire piece on a metal layer.
-// lint:result-schema(v5) encoded by store/artifact_io EncodeLayout — a
+// lint:result-schema(v6) encoded by store/artifact_io EncodeLayout — a
 // result-affecting change here needs a kResultSchemaVersion bump.
 struct Segment {
   int layer = 1;  // 1-based metal index
@@ -35,7 +35,7 @@ struct Segment {
 };
 
 // A vertical stack of vias at one point, spanning [from_layer, to_layer].
-// lint:result-schema(v5) encoded by store/artifact_io EncodeLayout — a
+// lint:result-schema(v6) encoded by store/artifact_io EncodeLayout — a
 // result-affecting change here needs a kResultSchemaVersion bump.
 struct ViaStack {
   Point at;
@@ -47,7 +47,7 @@ struct ViaStack {
 
 // Route of a single driver-to-sink connection. Segments are ordered from
 // the driver pin toward the sink pin.
-// lint:result-schema(v5) encoded by store/artifact_io EncodeNetRoute — a
+// lint:result-schema(v6) encoded by store/artifact_io EncodeNetRoute — a
 // result-affecting change here needs a kResultSchemaVersion bump.
 struct ConnRoute {
   Pin sink;
@@ -64,7 +64,7 @@ struct ConnRoute {
   int MaxLayer() const;
 };
 
-// lint:result-schema(v5) encoded by store/artifact_io EncodeNetRoute — a
+// lint:result-schema(v6) encoded by store/artifact_io EncodeNetRoute — a
 // result-affecting change here needs a kResultSchemaVersion bump.
 struct NetRoute {
   std::vector<ConnRoute> conns;
@@ -74,7 +74,7 @@ struct NetRoute {
   double TotalLength() const;
 };
 
-// lint:result-schema(v5) encoded by store/artifact_io EncodeLayout (die,
+// lint:result-schema(v6) encoded by store/artifact_io EncodeLayout (die,
 // rows, positions, flags, routes; tech/netlist pointers are rebound on
 // decode) — a result-affecting change here needs a kResultSchemaVersion
 // bump.

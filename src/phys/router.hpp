@@ -47,7 +47,7 @@ std::vector<NetId> KeyNetsOf(const Netlist& nl);
 // route_key_nets_as_regular is set (they are lifted separately).
 void RouteDesign(Layout& layout, const RouterOptions& options);
 
-// lint:result-schema(v5) encoded by store/artifact_io (flow artifact) — a
+// lint:result-schema(v6) encoded by store/artifact_io (flow artifact) — a
 // result-affecting change here needs a kResultSchemaVersion bump.
 struct LiftStats {
   size_t key_nets_lifted = 0;

@@ -84,7 +84,11 @@ namespace splitlock::store {
 // v5: the SAT solver minimizes and deletes learnt clauses and keeps learnt
 // units at the root, which changes the DIP count, the conflict count and
 // the recovered key of every stored sat / sat-portfolio attack record.
-inline constexpr int kResultSchemaVersion = 5;
+// v6: the SAT attack sweeps its miter's two key copies when a round runs
+// long, which changes the conflict count and the recovered key of every
+// stored sat attack record, and sat records drop the mean_dip_batch
+// counter (always 1, or 0 when no round found a DIP).
+inline constexpr int kResultSchemaVersion = 6;
 
 // Canonical double formatting for record JSON: round-trip exact (%.17g),
 // so re-serializing a parsed record is bit-identical.
@@ -128,7 +132,7 @@ uint64_t PortfolioHash(const std::vector<std::string>& config_strings,
 // The headline numbers of one attack's recovered assignment
 // (attack::AttackScore fields): CCR, PNR and HD/OER over `score_patterns`
 // random patterns.
-// lint:result-schema(v5) persisted in the canonical record JSON — a
+// lint:result-schema(v6) persisted in the canonical record JSON — a
 // result-affecting change here needs a kResultSchemaVersion bump.
 struct Scorecard {
   double regular_ccr_percent = 0.0;
@@ -150,7 +154,7 @@ struct Scorecard {
 // carries the scorecard computed from it, so a later portfolio containing
 // this attack can reproduce the campaign-level score without re-running
 // anything.
-// lint:result-schema(v5) persisted in the canonical record JSON — a
+// lint:result-schema(v6) persisted in the canonical record JSON — a
 // result-affecting change here needs a kResultSchemaVersion bump.
 struct AttackRecord {
   std::string engine;
@@ -176,7 +180,7 @@ struct AttackRecord {
 
 // The deterministic per-flow summary every portfolio over the same FEOL
 // shares, plus (non-canonical) timings from the run that produced it.
-// lint:result-schema(v5) persisted in the canonical record JSON — a
+// lint:result-schema(v6) persisted in the canonical record JSON — a
 // result-affecting change here needs a kResultSchemaVersion bump.
 struct FlowRecord {
   std::string name;
@@ -209,7 +213,7 @@ struct FlowRecord {
 // campaign scorecard and every attack's record. No longer persisted as one
 // file: it is assembled (ComposeCampaignRecord) from a FlowRecord and the
 // job's AttackRecords, and what shard tables / the CLI serialize.
-// lint:result-schema(v5) the canonical record layout itself — any change
+// lint:result-schema(v6) the canonical record layout itself — any change
 // to serialized fields IS the schema; bump kResultSchemaVersion.
 struct CampaignRecord : FlowRecord {
   // Campaign-level attack scorecard: the first attack in portfolio order
