@@ -136,10 +136,7 @@ class MiterAttack {
         assumptions,
         conflict_budget == 0 ? pause : std::min(conflict_budget, pause));
     if (sr != sat::SolveResult::kUnknown || Spent(conflict_budget)) return sr;
-    {
-      obs::Span span("attack.sat.sweep");
-      Sweep(conflict_budget);
-    }
+    Sweep(conflict_budget);
     if (Spent(conflict_budget)) return sat::SolveResult::kUnknown;
     return solver_.Solve(assumptions, conflict_budget);
   }
@@ -223,6 +220,7 @@ class MiterAttack {
   // failed proof's model satisfies that same clause database, so any later
   // pair it tells apart would fail too and is skipped for this sweep.
   void Sweep(uint64_t conflict_budget) {
+    obs::Span span("attack.sat.sweep");
     SatMetrics& metrics = Metrics();
     std::vector<uint8_t> told_apart(pairs_.size(), 0);
     for (size_t i = 0; i < pairs_.size(); ++i) {
