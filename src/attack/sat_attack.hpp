@@ -34,8 +34,9 @@ struct SatAttackTelemetry {
   // Per-round instrumentation of the DIP loop. One entry is recorded for
   // every *miter solve* — including the terminating UNSAT round and a
   // budget-blown kUnknown attempt — so `rounds.size()` can exceed
-  // `SatAttackResult::dips_used` by one. solve_ms covers the miter solve,
-  // encode_ms the DIP-constraint CNF encoding, oracle_ms the oracle query.
+  // `SatAttackResult::dips_used` by one. solve_ms and conflicts cover the
+  // miter solve, a key-copy sweep inside it included; encode_ms the
+  // DIP-constraint CNF encoding, oracle_ms the oracle query.
   std::vector<RoundStat> rounds;
   uint64_t oracle_queries = 0;
   uint64_t total_conflicts = 0;  // solver conflicts at exit
