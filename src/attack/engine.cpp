@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/hash.hpp"
 #include "util/stopwatch.hpp"
 
 namespace splitlock::attack {
@@ -60,11 +59,6 @@ std::string AttackConfig::ToString() const {
   return out;
 }
 
-uint64_t AttackConfig::Hash() const {
-  // FNV-1a over the canonical string form: stable across processes.
-  return util::Fnv1a(ToString());
-}
-
 uint64_t AttackConfig::GetUint(const std::string& key, uint64_t def) const {
   const auto it = params.find(key);
   return it == params.end() ? def : std::stoull(it->second);
@@ -83,12 +77,6 @@ bool AttackConfig::GetBool(const std::string& key, bool def) const {
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
   throw std::invalid_argument("attack config: boolean expected for '" + key +
                               "', got '" + v + "'");
-}
-
-std::string AttackConfig::GetString(const std::string& key,
-                                    std::string def) const {
-  const auto it = params.find(key);
-  return it == params.end() ? std::move(def) : it->second;
 }
 
 // --- AttackReport -----------------------------------------------------------
@@ -258,12 +246,6 @@ std::unique_ptr<Engine> EngineRegistry::Create(const std::string& name) const {
     factory = it->second;
   }
   return factory();
-}
-
-bool EngineRegistry::Has(const std::string& name) const {
-  Impl& i = impl();
-  const std::lock_guard<std::mutex> lock(i.mutex);
-  return i.factories.count(name) > 0;
 }
 
 std::vector<std::string> EngineRegistry::Names() const {

@@ -65,8 +65,8 @@ struct AttackContext {
 };
 
 // A serializable attack description: engine name + string params. The
-// ordered map gives a canonical ToString()/Hash(), so configs can key
-// caches and be round-tripped through the CLI.
+// ordered map gives a canonical ToString(), so configs can key the store
+// (store::AttackKeyHash) and be round-tripped through the CLI.
 struct AttackConfig {
   std::string engine;
   std::map<std::string, std::string> params;
@@ -76,15 +76,10 @@ struct AttackConfig {
   static AttackConfig Parse(std::string_view spec);
   // Canonical form; Parse(ToString()) == *this.
   std::string ToString() const;
-  // FNV-1a over the canonical form: stable across processes (campaign
-  // cache keys survive restarts).
-  uint64_t Hash() const;
 
-  bool Has(const std::string& key) const { return params.count(key) > 0; }
   uint64_t GetUint(const std::string& key, uint64_t def) const;
   double GetDouble(const std::string& key, double def) const;
   bool GetBool(const std::string& key, bool def) const;
-  std::string GetString(const std::string& key, std::string def) const;
 
   bool operator==(const AttackConfig&) const = default;
 };
@@ -176,7 +171,6 @@ class EngineRegistry {
   void Register(std::string name, EngineFactory factory);
   // nullptr when unknown.
   std::unique_ptr<Engine> Create(const std::string& name) const;
-  bool Has(const std::string& name) const;
   std::vector<std::string> Names() const;  // sorted
 
  private:

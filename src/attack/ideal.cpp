@@ -17,14 +17,18 @@ IdealAttackResult RunIdealAttack(const Netlist& original,
                                  uint64_t seed) {
   IdealAttackResult result;
   Rng rng(seed);
+  // Width-1 batches: column 0 holds one pattern, broadcast across lanes.
   Simulator sim_orig(original);
   Simulator sim_lock(locked);
-  const std::vector<GateId> key_inputs = locked.KeyInputs();
+  sim_orig.BeginBatch(1);
+  sim_lock.BeginBatch(1);
+  const std::vector<GateId>& key_inputs = sim_lock.key_inputs();
   assert(correct_key.size() == key_inputs.size());
   const size_t num_pis = original.inputs().size();
   assert(num_pis == locked.inputs().size());
 
   std::vector<uint64_t> key_words(key_inputs.size());
+  std::vector<uint64_t> pi_words(num_pis);
   const uint64_t rounds = (guesses + 63) / 64;
   for (uint64_t round = 0; round < rounds; ++round) {
     const uint64_t lanes =
@@ -34,7 +38,7 @@ IdealAttackResult RunIdealAttack(const Netlist& original,
     // One key guess per lane.
     for (size_t k = 0; k < key_words.size(); ++k) {
       key_words[k] = rng.NextWord();
-      sim_lock.SetSourceWord(key_inputs[k], key_words[k]);
+      sim_lock.SetSourceBatch(key_inputs[k], {&key_words[k], 1});
     }
     // Count exact hits: lanes whose every key bit matches the correct key.
     uint64_t exact = lane_mask;
@@ -47,15 +51,14 @@ IdealAttackResult RunIdealAttack(const Netlist& original,
     // mismatch.
     uint64_t lane_error = 0;
     for (uint64_t p = 0; p < patterns_per_guess; ++p) {
-      for (size_t i = 0; i < num_pis; ++i) {
-        const uint64_t bit = rng.NextBool() ? ~0ULL : 0ULL;
-        sim_orig.SetSourceWord(original.inputs()[i], bit);
-        sim_lock.SetSourceWord(locked.inputs()[i], bit);
-      }
-      sim_orig.Run();
-      sim_lock.Run();
+      for (uint64_t& v : pi_words) v = rng.NextBool() ? ~0ULL : 0ULL;
+      sim_orig.SetInputColumn(0, pi_words);
+      sim_lock.SetInputColumn(0, pi_words);
+      sim_orig.RunBatch();
+      sim_lock.RunBatch();
       for (size_t o = 0; o < original.outputs().size(); ++o) {
-        lane_error |= sim_orig.OutputWord(o) ^ sim_lock.OutputWord(o);
+        lane_error |=
+            sim_orig.BatchOutputWord(o, 0) ^ sim_lock.BatchOutputWord(o, 0);
       }
       if ((lane_error & lane_mask) == lane_mask) break;  // all lanes failed
     }

@@ -88,6 +88,7 @@ class MiterAttack {
         num_pos_(locked.outputs().size()),
         num_keys_(locked.KeyInputs().size()),
         dip_enc_(enc_, locked) {
+    oracle_sim_.BeginBatch(1);
     x_.resize(num_pis_);
     for (auto& l : x_) l = enc_.FreshLit();
     k1_.resize(num_keys_);
@@ -161,8 +162,8 @@ class MiterAttack {
       obs::Span span("attack.sat.oracle");
       std::vector<uint64_t> words(num_pis_);
       for (size_t i = 0; i < num_pis_; ++i) words[i] = dip[i] ? ~0ULL : 0ULL;
-      oracle_sim_.SetInputWords(words);
-      oracle_sim_.Run();
+      oracle_sim_.SetInputColumn(0, words);
+      oracle_sim_.RunBatch();
     }
     round.oracle_ms = oracle_sw.Ms();
 
@@ -174,7 +175,7 @@ class MiterAttack {
     for (const auto& keys : {k1_, k2_}) {
       const std::vector<sat::Lit> outs = dip_enc_.Encode(keys);
       for (size_t o = 0; o < num_pos_; ++o) {
-        const bool want = (oracle_sim_.OutputWord(o) & 1) != 0;
+        const bool want = (oracle_sim_.BatchOutputWord(o, 0) & 1) != 0;
         solver_.AddUnit(want ? outs[o] : sat::Negate(outs[o]));
       }
     }
@@ -255,7 +256,7 @@ class MiterAttack {
 
   sat::Solver solver_;  // declared before the encoders
   sat::StructuralEncoder enc_;
-  Simulator oracle_sim_;
+  Simulator oracle_sim_;  // a width-1 batch: column 0 holds the DIP
   const size_t num_pis_;
   const size_t num_pos_;
   const size_t num_keys_;
@@ -318,49 +319,58 @@ SatAttackResult RunSatAttack(const Netlist& locked, const Netlist& oracle,
 OracleLessProbe ProbeOracleLessKeySpace(const Netlist& locked, size_t samples,
                                         uint64_t patterns, uint64_t seed) {
   OracleLessProbe probe;
-  const std::vector<GateId> keys = locked.KeyInputs();
+  const size_t num_keys = locked.KeyInputs().size();
   const uint64_t words = (patterns + 63) / 64;
   const size_t num_pos = locked.outputs().size();
+  // Words per batch: bounds each shard's batch buffer for large pattern
+  // counts (the engine's default 2048 patterns are one batch).
+  constexpr uint64_t kBatchWords = 32;
 
-  // Shared input stimulus across all sampled keys, so fingerprints are
-  // comparable. Word w is a pure function of (seed, w): shard boundaries
-  // cannot change what any key sees.
-  std::vector<std::vector<uint64_t>> stimulus(
-      words, std::vector<uint64_t>(locked.inputs().size()));
-  for (uint64_t w = 0; w < words; ++w) FillStimulusWord(seed, w, stimulus[w]);
+  // Every sampled key sees the same stimulus, so fingerprints are
+  // comparable. Word w is a pure function of (seed, w), and each sample's
+  // key bits come from the counter-based stream (seed, kKeySample, s), so
+  // shard boundaries and thread count cannot change what any key sees.
   // Lanes of the final word beyond `patterns` carry garbage from unused
   // stimulus bits; LaneMaskForWord masks them out of the fingerprint so
   // they cannot split functionally identical keys into distinct
-  // fingerprints.
-
-  // Key sampling is sharded across the pool; each sample's key bits come
-  // from the counter-based stream (seed, kKeySample, s), so the sampled key
-  // set is identical at any thread count. Fingerprints merge through a set,
-  // which is order-insensitive.
+  // fingerprints. Fingerprints merge through a set, which is
+  // order-insensitive.
   constexpr size_t kSamplesPerShard = 8;
   const std::set<std::vector<uint64_t>> fingerprints =
       exec::ParallelReduce<std::set<std::vector<uint64_t>>>(
       samples, kSamplesPerShard, {},
       [&](size_t lo, size_t hi) {
-        Simulator sim(locked);
-        std::set<std::vector<uint64_t>> local;
+        std::vector<std::vector<uint8_t>> keys(hi - lo,
+                                               std::vector<uint8_t>(num_keys));
         for (size_t s = lo; s < hi; ++s) {
           exec::StreamRng krng(seed, exec::StreamDomain::kKeySample, s);
-          std::vector<uint8_t> key(keys.size());
-          for (auto& b : key) b = krng.NextBool() ? 1 : 0;
-          sim.SetKeyBits(key);
-          std::vector<uint64_t> fp;
-          fp.reserve(words * num_pos);
-          for (uint64_t w = 0; w < words; ++w) {
-            sim.SetInputWords(stimulus[w]);
-            sim.Run();
-            const uint64_t mask = LaneMaskForWord(w, words, patterns);
-            for (size_t o = 0; o < num_pos; ++o) {
-              fp.push_back(sim.OutputWord(o) & mask);
+          for (auto& b : keys[s - lo]) b = krng.NextBool() ? 1 : 0;
+        }
+        // One batch per sampled key over each stimulus batch, which is
+        // bound once for the shard's keys.
+        std::vector<std::vector<uint64_t>> fps(hi - lo);
+        Simulator sim(locked);
+        std::vector<uint64_t> pi_words(locked.inputs().size());
+        for (uint64_t wlo = 0; wlo < words; wlo += kBatchWords) {
+          const uint64_t whi = std::min(words, wlo + kBatchWords);
+          sim.BeginBatch(whi - wlo);
+          for (uint64_t w = wlo; w < whi; ++w) {
+            FillStimulusWord(seed, w, pi_words);
+            sim.SetInputColumn(w - wlo, pi_words);
+          }
+          for (size_t k = 0; k < keys.size(); ++k) {
+            sim.SetKeyBitsBatch(keys[k]);
+            sim.RunBatch();
+            for (uint64_t w = wlo; w < whi; ++w) {
+              const uint64_t mask = LaneMaskForWord(w, words, patterns);
+              for (size_t o = 0; o < num_pos; ++o) {
+                fps[k].push_back(sim.BatchOutputWord(o, w - wlo) & mask);
+              }
             }
           }
-          local.insert(std::move(fp));
         }
+        std::set<std::vector<uint64_t>> local;
+        for (std::vector<uint64_t>& fp : fps) local.insert(std::move(fp));
         return local;
       },
       [](std::set<std::vector<uint64_t>> x, std::set<std::vector<uint64_t>> y) {

@@ -89,33 +89,25 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
   const std::vector<sat::Lit> gk = key_to_lits(golden_key);
   const std::vector<sat::Lit> rk = key_to_lits(revised_key);
 
-  // Shared random stimulus for equivalence candidates: one kSigWords-wide
-  // batch per netlist, whose batch buffer holds every net's signature.
-  // Drawn word by word, one word per primary input.
+  // Shared random stimulus for equivalence candidates: one batch per
+  // netlist whose columns 0 to kSigWords - 1 hold every net's signature,
+  // drawn word by word, one word per primary input. Column kSigWords holds
+  // the counterexample lanes of the sweep below.
   Rng rng(0x1ec1ec1ecULL);
-  std::vector<std::vector<uint64_t>> pi_rows(golden.inputs().size(),
-                                             std::vector<uint64_t>(kSigWords));
-  for (size_t w = 0; w < kSigWords; ++w) {
-    for (std::vector<uint64_t>& row : pi_rows) row[w] = rng.NextWord();
-  }
-  // The simulators outlive the signatures: after a failed proof they
-  // re-simulate its counterexample with Run() (see the sweep below), which
-  // leaves the batch buffers alone.
   Simulator golden_sim(golden);
   Simulator revised_sim(revised);
-  for (auto [sim, key] : {std::pair{&golden_sim, golden_key},
-                          std::pair{&revised_sim, revised_key}}) {
-    const Netlist& nl = sim->netlist();
-    sim->BeginBatch(kSigWords);
-    if (!key.empty()) {
-      sim->SetKeyBits(key);
-      sim->SetKeyBitsBatch(key);
-    }
-    for (size_t i = 0; i < pi_rows.size(); ++i) {
-      sim->SetSourceBatch(nl.inputs()[i], pi_rows[i]);
-    }
-    sim->RunBatch();
+  golden_sim.BeginBatch(kSigWords + 1);
+  revised_sim.BeginBatch(kSigWords + 1);
+  if (!golden_key.empty()) golden_sim.SetKeyBitsBatch(golden_key);
+  if (!revised_key.empty()) revised_sim.SetKeyBitsBatch(revised_key);
+  std::vector<uint64_t> pi_words(inputs.size());
+  for (size_t w = 0; w < kSigWords; ++w) {
+    for (uint64_t& v : pi_words) v = rng.NextWord();
+    golden_sim.SetInputColumn(w, pi_words);
+    revised_sim.SetInputColumn(w, pi_words);
   }
+  golden_sim.RunBatch();
+  revised_sim.RunBatch();
 
   // Encode the golden netlist outright and index its literals by signature,
   // first net in topological order first.
@@ -144,13 +136,13 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
   // miter below still decides the exact answer.
   //
   // A failed proof's model is an input pattern that tells the pair apart.
-  // Its input values go into a free lane of `cex_words`, and both netlists
-  // are re-simulated on that word. A later candidate whose two nets differ
-  // on a filled lane is refuted without a proof: the CNF is a full Tseitin
-  // encoding, so that input pattern satisfies the proof's "differ" query
-  // and ProveEqual would fail too. Unless a proof runs out of budget, the
-  // substitutions, and so the miter, stay the same (Mishchenko et al.,
-  // ICCAD'06).
+  // Its input values go into a free lane of `cex_words`, the inputs of
+  // batch column kSigWords, and both netlists are re-simulated. A later
+  // candidate whose two nets differ on a filled lane is refuted without a
+  // proof: the CNF is a full Tseitin encoding, so that input pattern
+  // satisfies the proof's "differ" query and ProveEqual would fail too.
+  // Unless a proof runs out of budget, the substitutions, and so the miter,
+  // stay the same (Mishchenko et al., ICCAD'06).
   LecMetrics& metrics = Metrics();
   const uint64_t per_proof_limit =
       conflict_limit == 0 ? 200000 : conflict_limit;
@@ -188,7 +180,8 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
       const sat::Lit target =
           negated_candidate ? sat::Negate(node.lit) : node.lit;
       const uint64_t differ_on_cex =
-          (revised_sim.NetWord(gate.out) ^ golden_sim.NetWord(node.net) ^
+          (revised_sim.BatchNetWord(gate.out, kSigWords) ^
+           golden_sim.BatchNetWord(node.net, kSigWords) ^
            (negated_candidate ? ~0ULL : 0ULL)) &
           cex_lanes;
       if (lit == target) {
@@ -210,10 +203,10 @@ LecResult CheckEquivalence(const Netlist& golden, const Netlist& revised,
             if (sat::LitValue(solver, inputs[i])) cex_words[i] |= lane;
           }
           cex_lanes |= lane;
-          golden_sim.SetInputWords(cex_words);
-          golden_sim.Run();
-          revised_sim.SetInputWords(cex_words);
-          revised_sim.Run();
+          golden_sim.SetInputColumn(kSigWords, cex_words);
+          golden_sim.RunBatch();
+          revised_sim.SetInputColumn(kSigWords, cex_words);
+          revised_sim.RunBatch();
         }
       }
     }

@@ -234,17 +234,10 @@ AtpgLockResult LockWithAtpg(const Netlist& original,
       if (!result.key.empty()) sim.SetKeyBitsBatch(result.key);
       // Drawn word by word, one word per primary input in inputs() order.
       Rng sample_rng(options.seed ^ 0x5a5a5a5a);
-      const std::vector<GateId>& pis = nl.inputs();
-      std::vector<uint64_t> rows(pis.size() * kSampleWords);
+      std::vector<uint64_t> pi_words(nl.inputs().size());
       for (size_t w = 0; w < kSampleWords; ++w) {
-        for (size_t i = 0; i < pis.size(); ++i) {
-          rows[i * kSampleWords + w] = sample_rng.NextWord();
-        }
-      }
-      for (size_t i = 0; i < pis.size(); ++i) {
-        sim.SetSourceBatch(
-            pis[i], std::span<const uint64_t>(rows.data() + i * kSampleWords,
-                                              kSampleWords));
+        for (uint64_t& v : pi_words) v = sample_rng.NextWord();
+        sim.SetInputColumn(w, pi_words);
       }
       sim.RunBatch();
       samples = sim.ReleaseBatch();

@@ -141,10 +141,11 @@ IncrementalDipEncoder::IncrementalDipEncoder(StructuralEncoder& enc,
                                              const Netlist& nl)
     : enc_(&enc),
       nl_(&nl),
+      sim_(nl),
       key_gates_(nl.KeyInputs()),
       key_dep_(nl.NumNets(), 0),
-      value_(nl.NumNets(), 0),
       net_lit_(nl.NumNets(), -1) {
+  sim_.BeginBatch(1);
   for (GateId g : key_gates_) key_dep_[nl.gate(g).out] = 1;
   for (GateId g : nl.TopoOrder()) {
     const Gate& gate = nl.gate(g);
@@ -157,25 +158,16 @@ IncrementalDipEncoder::IncrementalDipEncoder(StructuralEncoder& enc,
     if (dep) {
       key_dep_[gate.out] = 1;
       cone_gates_.push_back(g);
-    } else {
-      free_gates_.push_back(g);
     }
   }
 }
 
 void IncrementalDipEncoder::SetDip(std::span<const uint8_t> dip) {
   assert(dip.size() == nl_->inputs().size());
-  for (size_t i = 0; i < dip.size(); ++i) {
-    value_[nl_->gate(nl_->inputs()[i]).out] = dip[i] ? ~0ULL : 0ULL;
-  }
-  uint64_t fanin_words[kMaxFanin];
-  for (GateId g : free_gates_) {
-    const Gate& gate = nl_->gate(g);
-    const size_t n = gate.fanins.size();
-    for (size_t i = 0; i < n; ++i) fanin_words[i] = value_[gate.fanins[i]];
-    value_[gate.out] =
-        EvalGateWord(gate.op, std::span<const uint64_t>(fanin_words, n));
-  }
+  std::vector<uint64_t> words(dip.size());
+  for (size_t i = 0; i < dip.size(); ++i) words[i] = dip[i] ? ~0ULL : 0ULL;
+  sim_.SetInputColumn(0, words);
+  sim_.RunBatch();
   dip_loaded_ = true;
 }
 
@@ -188,9 +180,9 @@ std::vector<Lit> IncrementalDipEncoder::Encode(std::span<const Lit> key_lits) {
   // Constant nets map to True/False exactly as EncodeNetlist's folding
   // would produce; key-dependent nets carry the cone's literals.
   const auto lit_of = [&](NetId n) {
-    return key_dep_[n] != 0
-               ? net_lit_[n]
-               : ((value_[n] & 1) != 0 ? enc_->TrueLit() : enc_->FalseLit());
+    return key_dep_[n] != 0 ? net_lit_[n]
+           : (sim_.BatchNetWord(n, 0) & 1) != 0 ? enc_->TrueLit()
+                                                : enc_->FalseLit();
   };
   std::vector<Lit> fanin_lits;
   for (GateId g : cone_gates_) {

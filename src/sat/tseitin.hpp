@@ -16,6 +16,7 @@
 
 #include "netlist/netlist.hpp"
 #include "sat/solver.hpp"
+#include "sim/simulator.hpp"
 
 namespace splitlock::sat {
 
@@ -85,8 +86,8 @@ class StructuralEncoder {
 // walks (and re-topo-sorts) the whole netlist every round. This encoder
 // hoists all the per-round O(circuit) symbolic work out of the DIP loop:
 // construction computes, once, the topological order and the key-dependent
-// cone; SetDip() constant-folds every non-key-dependent gate with one plain
-// 64-lane simulation sweep (no hashing, no CNF); Encode() walks only the
+// cone; SetDip() finds every non-key-dependent net's constant with one
+// width-1 Simulator batch (no hashing, no CNF); Encode() walks only the
 // cached cone. The emitted CNF is bit-identical to
 // EncodeNetlist(nl, constants, key_lits) — same literals, same clause
 // order, same variable numbering — because constant gates never create
@@ -100,7 +101,8 @@ class IncrementalDipEncoder {
   IncrementalDipEncoder(StructuralEncoder& enc, const Netlist& nl);
 
   // Loads a DIP (one bit per primary input, inputs() order) and simulates
-  // all non-key-dependent logic under it.
+  // the netlist under it. Key inputs read 0 there; no non-key-dependent
+  // net depends on them.
   void SetDip(std::span<const uint8_t> dip);
 
   // Encodes the primary outputs under the loaded DIP with `key_lits` bound
@@ -111,16 +113,14 @@ class IncrementalDipEncoder {
   // Key-dependent logic gates, in topological order — the per-round
   // symbolic workload.
   std::span<const GateId> ConeGates() const { return cone_gates_; }
-  size_t ConeSize() const { return cone_gates_.size(); }
 
  private:
   StructuralEncoder* enc_;
   const Netlist* nl_;
-  std::vector<GateId> free_gates_;  // non-key logic gates, topo order
+  Simulator sim_;  // a width-1 batch: column 0 holds the DIP's net values
   std::vector<GateId> cone_gates_;  // key-dependent logic gates, topo order
   std::vector<GateId> key_gates_;   // kKeyIn gates, key-bit order
   std::vector<uint8_t> key_dep_;    // per net: value depends on the key
-  std::vector<uint64_t> value_;     // per net: constant value under the DIP
   std::vector<Lit> net_lit_;        // per net: scratch for cone encoding
   bool dip_loaded_ = false;
 };

@@ -29,15 +29,16 @@ constexpr size_t kWordsPerShard = 16;
 // large pattern counts (2048 patterns, the lock's check size, is one batch).
 constexpr uint64_t kCheckBatchWords = 32;
 
-// Stimulus for global word `w` is a pure function of (seed, w): shard
+// Binds stimulus words [lo, hi) under `seed` to batch columns 0, 1, ... of
+// `a` and, if given, of `b`. Word w is a pure function of (seed, w): shard
 // boundaries and thread count cannot change what any pattern looks like.
-void FillStimulusRows(uint64_t seed, size_t lo, size_t hi, size_t num_pis,
-                      std::vector<std::vector<uint64_t>>& rows) {
-  rows.assign(num_pis, std::vector<uint64_t>(hi - lo));
-  std::vector<uint64_t> word(num_pis);
-  for (size_t w = lo; w < hi; ++w) {
-    FillStimulusWord(seed, w, word);
-    for (size_t i = 0; i < num_pis; ++i) rows[i][w - lo] = word[i];
+void BindStimulus(uint64_t seed, uint64_t lo, uint64_t hi, Simulator& a,
+                  Simulator* b = nullptr) {
+  std::vector<uint64_t> pi_words(a.netlist().inputs().size());
+  for (uint64_t w = lo; w < hi; ++w) {
+    FillStimulusWord(seed, w, pi_words);
+    a.SetInputColumn(w - lo, pi_words);
+    if (b != nullptr) b->SetInputColumn(w - lo, pi_words);
   }
 }
 
@@ -57,7 +58,6 @@ SweepPartial SweepShard(const Netlist& a, const Netlist& b, uint64_t patterns,
                         const std::atomic<bool>* stop) {
   SweepPartial p;
   if (stop != nullptr && stop->load(std::memory_order_relaxed)) return p;
-  const size_t num_pis = a.inputs().size();
   const size_t num_pos = a.outputs().size();
   const uint64_t num_words = (patterns + 63) / 64;
   Simulator sim_a(a);
@@ -67,12 +67,7 @@ SweepPartial SweepShard(const Netlist& a, const Netlist& b, uint64_t patterns,
   sim_b.BeginBatch(width);
   if (!a_key.empty()) sim_a.SetKeyBitsBatch(a_key);
   if (!b_key.empty()) sim_b.SetKeyBitsBatch(b_key);
-  std::vector<std::vector<uint64_t>> rows;
-  FillStimulusRows(seed, lo, hi, num_pis, rows);
-  for (size_t i = 0; i < num_pis; ++i) {
-    sim_a.SetSourceBatch(a.inputs()[i], rows[i]);
-    sim_b.SetSourceBatch(b.inputs()[i], rows[i]);
-  }
+  BindStimulus(seed, lo, hi, sim_a, &sim_b);
   sim_a.RunBatch();
   sim_b.RunBatch();
   for (size_t w = 0; w < width; ++w) {
@@ -162,15 +157,11 @@ std::vector<uint64_t> PatternResponses(Simulator& sim, uint64_t patterns,
   const size_t num_pos = nl.outputs().size();
   const uint64_t num_words = (patterns + 63) / 64;
   std::vector<uint64_t> responses(num_words * num_pos);
-  std::vector<std::vector<uint64_t>> rows;
   for (uint64_t lo = 0; lo < num_words; lo += kCheckBatchWords) {
     const uint64_t hi = std::min(num_words, lo + kCheckBatchWords);
     sim.BeginBatch(hi - lo);
     if (!key.empty()) sim.SetKeyBitsBatch(key);
-    FillStimulusRows(seed, lo, hi, nl.inputs().size(), rows);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      sim.SetSourceBatch(nl.inputs()[i], rows[i]);
-    }
+    BindStimulus(seed, lo, hi, sim);
     sim.RunBatch();
     for (uint64_t w = lo; w < hi; ++w) {
       const uint64_t lane_mask = LaneMaskForWord(w, num_words, patterns);
@@ -201,13 +192,9 @@ std::vector<KeyBitCheck> CheckKeyBitFlips(Simulator& reference,
   if (first == key.size()) return checks;
   if (num_words == 0) return {KeyBitCheck{false, 0}};
 
-  // Binds both netlists' inputs to `rows` (one row per primary input) and
-  // runs them; the caller has bound the candidate's key words.
-  const auto run_both = [&](const std::vector<std::vector<uint64_t>>& rows) {
-    for (size_t i = 0; i < num_pis; ++i) {
-      reference.SetSourceBatch(ref_nl.inputs()[i], rows[i]);
-      candidate.SetSourceBatch(cand_nl.inputs()[i], rows[i]);
-    }
+  // Runs both netlists; the caller has bound their inputs and the
+  // candidate's key words.
+  const auto run_both = [&] {
     reference.RunBatch();
     candidate.RunBatch();
   };
@@ -220,7 +207,6 @@ std::vector<KeyBitCheck> CheckKeyBitFlips(Simulator& reference,
     return diff;
   };
 
-  std::vector<std::vector<uint64_t>> rows;
   std::vector<uint64_t> stimulus(num_pis);
   std::vector<uint64_t> key_row;
   std::vector<uint64_t> word0_diff;
@@ -233,16 +219,16 @@ std::vector<KeyBitCheck> CheckKeyBitFlips(Simulator& reference,
     reference.BeginBatch(width);
     candidate.BeginBatch(width);
     candidate.SetKeyBitsBatch(key);
-    rows.assign(num_pis, std::vector<uint64_t>(width));
     for (size_t j = 0; j < width; ++j) {
       const size_t b = lo + j;
       key_row.assign(width, key[b] ? ~0ULL : 0ULL);
       key_row[j] = ~key_row[j];
       candidate.SetSourceBatch(candidate.key_inputs()[b], key_row);
       FillStimulusWord(seeds[b - first], 0, stimulus);
-      for (size_t i = 0; i < num_pis; ++i) rows[i][j] = stimulus[i];
+      reference.SetInputColumn(j, stimulus);
+      candidate.SetInputColumn(j, stimulus);
     }
-    run_both(rows);
+    run_both();
     const uint64_t word0_mask = LaneMaskForWord(0, num_words, patterns);
     word0_diff.resize(width);
     for (size_t j = 0; j < width; ++j) {
@@ -260,8 +246,8 @@ std::vector<KeyBitCheck> CheckKeyBitFlips(Simulator& reference,
         reference.BeginBatch(whi - wlo);
         candidate.BeginBatch(whi - wlo);
         candidate.SetKeyBitsBatch(flipped);
-        FillStimulusRows(seeds[b - first], wlo, whi, num_pis, rows);
-        run_both(rows);
+        BindStimulus(seeds[b - first], wlo, whi, reference, &candidate);
+        run_both();
         for (uint64_t w = wlo; w < whi && !check.active; ++w) {
           check.words = w + 1;
           check.active = (differing_lanes(w - wlo) &

@@ -7,6 +7,8 @@
 #include <string>
 #include <type_traits>
 
+#include "util/rng.hpp"
+
 namespace splitlock {
 namespace {
 
@@ -84,8 +86,8 @@ StepOp CompileOp(GateOp op, size_t n) {
 }
 
 // The one simulation kernel: evaluates `steps` in order over net-major
-// buffers of `width` words per net. `Width` is std::integral_constant for
-// Run()'s single word, so that instance has no inner loops.
+// buffers of `width` words per net. `Width` is std::integral_constant for a
+// width-1 batch, so that instance has no inner loops.
 template <typename Width>
 void RunSteps(std::span<const Simulator::Step> steps, uint64_t* values,
               Width width) {
@@ -165,7 +167,7 @@ void RunSteps(std::span<const Simulator::Step> steps, uint64_t* values,
 }  // namespace
 
 Simulator::Simulator(const Netlist& nl)
-    : nl_(&nl), key_inputs_(nl.KeyInputs()), values_(nl.NumNets(), 0) {
+    : nl_(&nl), key_inputs_(nl.KeyInputs()) {
   steps_.reserve(nl.NumLogicGates() - key_inputs_.size());
   for (GateId g : nl.TopoOrder()) {
     const Gate& gate = nl.gate(g);
@@ -178,42 +180,24 @@ Simulator::Simulator(const Netlist& nl)
     std::copy(gate.fanins.begin(), gate.fanins.end(), step.in.begin());
     steps_.push_back(step);
   }
+  pi_nets_.reserve(nl.inputs().size());
+  for (GateId pi : nl.inputs()) pi_nets_.push_back(nl.gate(pi).out);
   po_nets_.reserve(nl.outputs().size());
   for (GateId po : nl.outputs()) po_nets_.push_back(nl.gate(po).fanins[0]);
-}
-
-void Simulator::SetSourceWord(GateId source, uint64_t word) {
-  const Gate& g = nl_->gate(source);
-  assert(IsSourceOp(g.op));
-  values_[g.out] = word;
-}
-
-void Simulator::SetInputWords(std::span<const uint64_t> words) {
-  assert(words.size() == nl_->inputs().size());
-  for (size_t i = 0; i < words.size(); ++i) {
-    SetSourceWord(nl_->inputs()[i], words[i]);
-  }
-}
-
-void Simulator::SetRandomInputs(Rng& rng) {
-  for (GateId g : nl_->inputs()) SetSourceWord(g, rng.NextWord());
-}
-
-void Simulator::SetKeyBits(std::span<const uint8_t> bits) {
-  assert(bits.size() == key_inputs_.size());
-  for (size_t i = 0; i < bits.size(); ++i) {
-    SetSourceWord(key_inputs_[i], bits[i] ? ~0ULL : 0ULL);
-  }
-}
-
-void Simulator::Run() {
-  RunSteps(steps_, values_.data(), std::integral_constant<size_t, 1>{});
 }
 
 void Simulator::BeginBatch(size_t width) {
   assert(width > 0);
   batch_width_ = width;
   batch_.assign(nl_->NumNets() * width, 0);
+}
+
+void Simulator::SetInputColumn(size_t w, std::span<const uint64_t> pi_words) {
+  assert(w < batch_width_);
+  assert(pi_words.size() == pi_nets_.size());
+  for (size_t i = 0; i < pi_words.size(); ++i) {
+    batch_[pi_nets_[i] * batch_width_ + w] = pi_words[i];
+  }
 }
 
 void Simulator::SetSourceBatch(GateId source, std::span<const uint64_t> words) {
@@ -235,16 +219,19 @@ void Simulator::SetKeyBitsBatch(std::span<const uint8_t> bits) {
 
 void Simulator::RunBatch() {
   assert(batch_width_ > 0);
-  RunSteps(steps_, batch_.data(), batch_width_);
+  if (batch_width_ == 1) {
+    RunSteps(steps_, batch_.data(), std::integral_constant<size_t, 1>{});
+  } else {
+    RunSteps(steps_, batch_.data(), batch_width_);
+  }
 }
 
 namespace {
 
 // Shared driver for the two estimators: runs `words` simulation words in
-// SoA batches and folds per-net statistics via `fold(net, word)`. Draw
-// order matches the historical word-at-a-time sweep exactly (per word, one
-// draw per primary input), so estimates are bit-identical to the
-// pre-batched implementation for a given seed.
+// SoA batches and folds per-net statistics via `fold(net, word)`. Each word
+// draws one word per primary input, in inputs() order, so estimates are a
+// pure function of the seed and independent of the batch width.
 template <typename Fold>
 void SweepRandomPatterns(const Netlist& nl, uint64_t patterns, uint64_t seed,
                          std::span<const uint8_t> key_bits, Fold&& fold) {
@@ -252,24 +239,15 @@ void SweepRandomPatterns(const Netlist& nl, uint64_t patterns, uint64_t seed,
   Simulator sim(nl);
   Rng rng(seed);
   const uint64_t words = (patterns + 63) / 64;
-  const std::vector<GateId>& pis = nl.inputs();
-  // One flat SoA stimulus buffer reused across batches (only the final
-  // batch can be narrower).
-  std::vector<uint64_t> rows(pis.size() * kBatchWords);
+  std::vector<uint64_t> pi_words(nl.inputs().size());
   for (uint64_t base = 0; base < words; base += kBatchWords) {
     const size_t width =
         static_cast<size_t>(std::min<uint64_t>(kBatchWords, words - base));
     sim.BeginBatch(width);
     if (!key_bits.empty()) sim.SetKeyBitsBatch(key_bits);
-    // Drawn in (word, input) order to match the historical sweep.
     for (size_t w = 0; w < width; ++w) {
-      for (size_t i = 0; i < pis.size(); ++i) {
-        rows[i * width + w] = rng.NextWord();
-      }
-    }
-    for (size_t i = 0; i < pis.size(); ++i) {
-      sim.SetSourceBatch(
-          pis[i], std::span<const uint64_t>(rows.data() + i * width, width));
+      for (uint64_t& v : pi_words) v = rng.NextWord();
+      sim.SetInputColumn(w, pi_words);
     }
     sim.RunBatch();
     for (NetId n = 0; n < nl.NumNets(); ++n) {

@@ -1,22 +1,25 @@
-// 64-bit parallel-pattern logic simulation.
+// 64-bit parallel-pattern logic simulation, in batches.
 //
-// One Run() evaluates 64 input patterns at once (one bit-lane each). This is
-// the workhorse behind HD/OER estimation, switching-activity extraction for
-// the power model, bias profiling for fault selection, and the lock stage's
-// per-fault checks.
+// A batch of width N evaluates N x 64 input patterns (one bit-lane each, N
+// batch columns) in one topological sweep over the simulator's one
+// net-value buffer. The N words of a net are contiguous, so each gate's
+// inner loop is a straight-line pass over contiguous memory that
+// vectorizes. This is the workhorse behind HD/OER estimation,
+// switching-activity extraction for the power model, bias profiling for
+// fault selection, the lock stage's per-fault checks, the LEC's signatures
+// and the SAT attack's oracle. The parallel sweeps in sim/metrics and
+// attack/ shard word-batches across the exec thread pool, one Simulator per
+// shard.
 //
-// The batched API (BeginBatch/RunBatch) evaluates N x 64 patterns in a
-// single topological sweep over structure-of-arrays net-value buffers:
-// values of one net occupy N contiguous words, so each gate's inner loop is
-// a straight-line pass over contiguous memory that vectorizes. The parallel
-// sweeps in sim/metrics and attack/ shard word-batches across the exec
-// thread pool, one Simulator per shard.
+// Primary inputs are bound one batch column at a time: one word per input,
+// in inputs() order, the order in which every stimulus producer draws its
+// words. Key inputs are bound as whole rows.
 //
 // Construction compiles the netlist once into a flat step list: one step
 // per logic gate in topological order, holding its op specialised by arity,
-// its output net and its fanin nets inline. Run() is that kernel at width 1
-// over its own net-value buffer, RunBatch() the same kernel at the batch
-// width, so neither reads the netlist's gates while it runs.
+// its output net and its fanin nets inline. RunBatch() runs that one kernel
+// at the batch width, so it never reads the netlist's gates; a width-1
+// batch runs the kernel's single-word instance, which has no inner loops.
 #pragma once
 
 #include <array>
@@ -26,7 +29,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "util/rng.hpp"
 
 namespace splitlock {
 
@@ -36,39 +38,16 @@ class Simulator {
   // simulator and must not change structurally while in use.
   explicit Simulator(const Netlist& nl);
 
-  // Assigns a 64-pattern word to the net driven by a source gate (primary
-  // input or key input).
-  void SetSourceWord(GateId source, uint64_t word);
-
-  // Assigns words to all primary inputs, in inputs() order.
-  void SetInputWords(std::span<const uint64_t> words);
-
-  // Draws uniform random words for all primary inputs.
-  void SetRandomInputs(Rng& rng);
-
-  // Binds key-input gates to constant 0/1 lanes, in KeyInputs() order.
-  void SetKeyBits(std::span<const uint8_t> bits);
-
-  // Evaluates all gates in topological order. Source nets keep their
-  // assigned words; TIE/const gates produce their constants; nets of
-  // deleted gates read 0.
-  void Run();
-
-  uint64_t NetWord(NetId net) const { return values_[net]; }
-
-  // Word observed by primary output `po_index` (outputs() order).
-  uint64_t OutputWord(size_t po_index) const {
-    return values_[po_nets_[po_index]];
-  }
-
-  // --- Batched multi-word simulation ---
-
-  // Switches the batch buffers to `width` words per net (width * 64
+  // Switches the batch buffer to `width` words per net (width * 64
   // patterns per RunBatch) and clears every word to 0, so key inputs left
   // unbound read 0.
   void BeginBatch(size_t width);
 
   size_t batch_width() const { return batch_width_; }
+
+  // Assigns batch column `w` of every primary input: `pi_words` holds one
+  // word per input, in inputs() order.
+  void SetInputColumn(size_t w, std::span<const uint64_t> pi_words);
 
   // Assigns the `width` words of a source gate's net (one word per batch
   // column).
@@ -118,8 +97,8 @@ class Simulator {
   const Netlist* nl_;
   std::vector<Step> steps_;
   std::vector<GateId> key_inputs_;
-  std::vector<NetId> po_nets_;    // net observed by each primary output
-  std::vector<uint64_t> values_;  // indexed by NetId
+  std::vector<NetId> pi_nets_;  // net driven by each primary input
+  std::vector<NetId> po_nets_;  // net observed by each primary output
   size_t batch_width_ = 0;
   std::vector<uint64_t> batch_;  // SoA: [net * batch_width_ + word]
 };

@@ -1,6 +1,6 @@
 // The one FNV-1a implementation.
 //
-// Every stable identity in the system — AttackConfig::Hash, the
+// Every stable identity in the system — store::AttackKeyHash, the
 // flow-options hash, store::PortfolioHash, synthetic-benchmark seeds —
 // is FNV-1a over a canonical string, and those values partition the
 // persistent result store and gate shard merges. Keeping a single

@@ -192,6 +192,10 @@ TEST(IdealAttack, OerStaysAt100Percent) {
   // Sampling-based OER can miss rare difference sets (the locked cones are
   // deliberately biased), hence the tolerance.
   EXPECT_GE(r.OerPercent(), 95.0);
+  // Pinned: every guess and pattern bit comes from one stream, and a round
+  // stops drawing patterns once all its lanes have failed.
+  EXPECT_EQ(r.erroneous_guesses, 4096u);
+  EXPECT_EQ(r.exact_guesses, 0u);
 }
 
 TEST(IdealAttack, CorrectKeyGuessProducesNoError) {
@@ -208,6 +212,10 @@ TEST(IdealAttack, CorrectKeyGuessProducesNoError) {
   const IdealAttackResult r = RunIdealAttack(original, locked, key, 2048, 16, 3);
   EXPECT_NEAR(r.OerPercent(), 50.0, 5.0);
   EXPECT_NEAR(static_cast<double>(r.exact_guesses), 1024.0, 100.0);
+  // Pinned: the same seed draws the same guesses and patterns.
+  EXPECT_EQ(r.guesses, 2048u);
+  EXPECT_EQ(r.erroneous_guesses, 1008u);
+  EXPECT_EQ(r.exact_guesses, 1040u);
 }
 
 TEST(IdealAttack, AssignmentGrantsRegularNets) {

@@ -18,6 +18,7 @@
 #include "core/flow.hpp"
 #include "lock/atpg_lock.hpp"
 #include "lock/epic.hpp"
+#include "store/result_store.hpp"
 
 namespace splitlock::attack {
 namespace {
@@ -75,15 +76,18 @@ TEST(AttackConfig, MalformedSpecsThrow) {
   EXPECT_THROW(AttackConfig::Parse("sat:=value"), std::invalid_argument);
 }
 
+// The store keys an attack by store::AttackKeyHash over the config's
+// canonical form.
 TEST(AttackConfig, HashIsStableAndDiscriminates) {
-  const AttackConfig a = AttackConfig::Parse("sat:max_dips=64");
-  const AttackConfig b = AttackConfig::Parse("sat:max_dips=64");
-  const AttackConfig c = AttackConfig::Parse("sat:max_dips=65");
-  EXPECT_EQ(a.Hash(), b.Hash());
-  EXPECT_NE(a.Hash(), c.Hash());
+  const auto hash = [](std::string_view spec) {
+    return store::AttackKeyHash(AttackConfig::Parse(spec).ToString(), 4096);
+  };
+  EXPECT_EQ(hash("sat:max_dips=64"), hash("sat:max_dips=64"));
+  EXPECT_NE(hash("sat:max_dips=64"), hash("sat:max_dips=65"));
   // Param order in the spec does not matter (canonicalized by the map).
-  EXPECT_EQ(AttackConfig::Parse("sat:a=1,b=2").Hash(),
-            AttackConfig::Parse("sat:b=2,a=1").Hash());
+  EXPECT_EQ(AttackConfig::Parse("sat:a=1,b=2").ToString(),
+            AttackConfig::Parse("sat:b=2,a=1").ToString());
+  EXPECT_EQ(hash("sat:a=1,b=2"), hash("sat:b=2,a=1"));
 }
 
 TEST(AttackConfig, TypedGetters) {

@@ -36,8 +36,9 @@ TEST(C17, FullTruthTable) {
       if ((m >> b) & 1) words[b] |= 1ULL << m;
     }
   }
-  sim.SetInputWords(words);
-  sim.Run();
+  sim.BeginBatch(1);
+  sim.SetInputColumn(0, words);
+  sim.RunBatch();
   for (int m = 0; m < 32; ++m) {
     const bool g1 = m & 1;
     const bool g2 = (m >> 1) & 1;
@@ -50,8 +51,10 @@ TEST(C17, FullTruthTable) {
     const bool g19 = !(g11 && g7);
     const bool g22 = !(g10 && g16);
     const bool g23 = !(g16 && g19);
-    EXPECT_EQ((sim.OutputWord(0) >> m) & 1, g22 ? 1u : 0u) << "m=" << m;
-    EXPECT_EQ((sim.OutputWord(1) >> m) & 1, g23 ? 1u : 0u) << "m=" << m;
+    EXPECT_EQ((sim.BatchOutputWord(0, 0) >> m) & 1, g22 ? 1u : 0u)
+        << "m=" << m;
+    EXPECT_EQ((sim.BatchOutputWord(1, 0) >> m) & 1, g23 ? 1u : 0u)
+        << "m=" << m;
   }
 }
 

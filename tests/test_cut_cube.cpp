@@ -7,6 +7,7 @@
 #include "circuits/random_circuit.hpp"
 #include "opt/mffc.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace splitlock::atpg {
 namespace {
@@ -199,19 +200,22 @@ TEST_P(ConeCubeProperty, CubesExactlyMatchConeFunction) {
 
     // Cross-check a few assignments against full-netlist simulation.
     Simulator sim(nl);
+    sim.BeginBatch(1);
     Rng rng(GetParam() ^ n);
+    std::vector<uint64_t> pi_words(nl.inputs().size());
     for (int trial = 0; trial < 4; ++trial) {
-      sim.SetRandomInputs(rng);
-      sim.Run();
+      for (uint64_t& v : pi_words) v = rng.NextWord();
+      sim.SetInputColumn(0, pi_words);
+      sim.RunBatch();
       uint64_t leaf_pattern = 0;
       for (size_t i = 0; i < cut.leaves.size(); ++i) {
-        leaf_pattern |= (sim.NetWord(cut.leaves[i]) & 1) << i;
+        leaf_pattern |= (sim.BatchNetWord(cut.leaves[i], 0) & 1) << i;
       }
       bool covered = false;
       for (const Cube& c : cubes) {
         if (c.Covers(leaf_pattern)) covered = true;
       }
-      EXPECT_EQ(covered, (sim.NetWord(cut.root) & 1) != 0);
+      EXPECT_EQ(covered, (sim.BatchNetWord(cut.root, 0) & 1) != 0);
     }
     ++checked;
   }

@@ -229,6 +229,8 @@ TEST(StreamRng, ReproducibleAndStreamIndependent) {
   EXPECT_TRUE(diff_domain);
 }
 
+// Width-1 batches, which run the kernel's single-word instance, match the
+// columns of one wide batch.
 TEST(Simulator, RunBatchMatchesRepeatedSingleWordRuns) {
   circuits::CircuitSpec spec;
   spec.num_inputs = 12;
@@ -239,31 +241,28 @@ TEST(Simulator, RunBatchMatchesRepeatedSingleWordRuns) {
 
   constexpr size_t kWidth = 5;
   Rng rng(123);
-  std::vector<std::vector<uint64_t>> rows(
-      nl.inputs().size(), std::vector<uint64_t>(kWidth));
-  for (auto& row : rows) {
-    for (uint64_t& w : row) w = rng.NextWord();
+  std::vector<std::vector<uint64_t>> columns(
+      kWidth, std::vector<uint64_t>(nl.inputs().size()));
+  for (auto& column : columns) {
+    for (uint64_t& w : column) w = rng.NextWord();
   }
 
   Simulator batch(nl);
   batch.BeginBatch(kWidth);
-  for (size_t i = 0; i < nl.inputs().size(); ++i) {
-    batch.SetSourceBatch(nl.inputs()[i], rows[i]);
-  }
+  for (size_t w = 0; w < kWidth; ++w) batch.SetInputColumn(w, columns[w]);
   batch.RunBatch();
 
   Simulator single(nl);
+  single.BeginBatch(1);
   for (size_t w = 0; w < kWidth; ++w) {
-    for (size_t i = 0; i < nl.inputs().size(); ++i) {
-      single.SetSourceWord(nl.inputs()[i], rows[i][w]);
-    }
-    single.Run();
+    single.SetInputColumn(0, columns[w]);
+    single.RunBatch();
     for (NetId n = 0; n < nl.NumNets(); ++n) {
-      ASSERT_EQ(single.NetWord(n), batch.BatchNetWord(n, w))
+      ASSERT_EQ(single.BatchNetWord(n, 0), batch.BatchNetWord(n, w))
           << "net " << n << " word " << w;
     }
     for (size_t o = 0; o < nl.outputs().size(); ++o) {
-      ASSERT_EQ(single.OutputWord(o), batch.BatchOutputWord(o, w));
+      ASSERT_EQ(single.BatchOutputWord(o, 0), batch.BatchOutputWord(o, w));
     }
   }
 }

@@ -324,6 +324,26 @@ TEST(OracleLess, KeySpaceStaysRich) {
   EXPECT_GT(probe.distinct_functions, 16u);  // > 4 bits of visible entropy
 }
 
+// Pins the probe's count on an 8-bit lock, where it falls below the sample
+// count: keys that alias must stay merged and keys that differ apart. At
+// the default 32 pattern words, at 40 words (two batches) whose last holds
+// 4 patterns, and at 40 patterns, too few to tell every class apart.
+TEST(OracleLess, DistinctFunctionsArePinned) {
+  const Netlist original = TestCircuit(5, 600);
+  lock::AtpgLockOptions opts;
+  opts.key_bits = 8;
+  opts.seed = 5;
+  opts.verify_lec = false;
+  const lock::AtpgLockResult locked = lock::LockWithAtpg(original, opts);
+  const auto distinct = [&](uint64_t patterns, uint64_t seed) {
+    return ProbeOracleLessKeySpace(locked.locked, 256, patterns, seed)
+        .distinct_functions;
+  };
+  EXPECT_EQ(distinct(2048, 5), 64u);
+  EXPECT_EQ(distinct(2500, 8), 64u);
+  EXPECT_EQ(distinct(40, 8), 50u);
+}
+
 TEST(OracleLess, EpicKeysAreAllVisiblyDistinctish) {
   // EPIC key-gates invert live nets outright, so nearly every sampled key
   // shows a distinct behaviour even on few patterns.
@@ -369,7 +389,7 @@ TEST_P(IncrementalDip, BitIdenticalToFullEncodeNetlist) {
   ASSERT_EQ(full_keys, inc_keys);
 
   sat::IncrementalDipEncoder dip_enc(inc_enc, nl);
-  EXPECT_LT(dip_enc.ConeSize(), nl.NumLogicGates());
+  EXPECT_LT(dip_enc.ConeGates().size(), nl.NumLogicGates());
 
   Rng rng(GetParam() ^ 0xD1F);
   for (int round = 0; round < 6; ++round) {
@@ -397,19 +417,20 @@ TEST(IncrementalDip, HandlesKeylessNetlist) {
   sat::Solver solver;
   sat::StructuralEncoder enc(solver);
   sat::IncrementalDipEncoder dip_enc(enc, nl);
-  EXPECT_EQ(dip_enc.ConeSize(), 0u);
+  EXPECT_TRUE(dip_enc.ConeGates().empty());
   std::vector<uint8_t> dip(nl.inputs().size(), 1);
   dip_enc.SetDip(dip);
   const std::vector<sat::Lit> outs = dip_enc.Encode({});
   // Everything folds: outputs are constants matching plain simulation.
   Simulator sim(nl);
-  std::vector<uint64_t> words(nl.inputs().size(), ~0ULL);
-  sim.SetInputWords(words);
-  sim.Run();
+  sim.BeginBatch(1);
+  sim.SetInputColumn(0, std::vector<uint64_t>(nl.inputs().size(), ~0ULL));
+  sim.RunBatch();
   ASSERT_EQ(outs.size(), nl.outputs().size());
   for (size_t o = 0; o < outs.size(); ++o) {
-    const sat::Lit want =
-        (sim.OutputWord(o) & 1) != 0 ? enc.TrueLit() : enc.FalseLit();
+    const sat::Lit want = (sim.BatchOutputWord(o, 0) & 1) != 0
+                              ? enc.TrueLit()
+                              : enc.FalseLit();
     EXPECT_EQ(outs[o], want);
   }
 }

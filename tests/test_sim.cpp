@@ -9,6 +9,7 @@
 #include "circuits/c17.hpp"
 #include "circuits/random_circuit.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace splitlock {
 namespace {
@@ -16,27 +17,28 @@ namespace {
 TEST(Simulator, C17TruthSamples) {
   const Netlist nl = circuits::MakeC17();
   Simulator sim(nl);
-  // Pattern lanes: all-zeros and all-ones checks.
+  // Column 0 sets every input to 0, column 1 every input to 1.
+  sim.BeginBatch(2);
+  sim.SetInputColumn(0, std::vector<uint64_t>(nl.inputs().size(), 0));
+  sim.SetInputColumn(1, std::vector<uint64_t>(nl.inputs().size(), ~0ULL));
+  sim.RunBatch();
   // G22 = NAND(G10, G16); with all inputs 0: G10=1, G11=1, G16=1 -> G22=0.
-  for (GateId g : nl.inputs()) sim.SetSourceWord(g, 0);
-  sim.Run();
-  EXPECT_EQ(sim.OutputWord(0) & 1, 0u);  // G22
-  EXPECT_EQ(sim.OutputWord(1) & 1, 0u);  // G23
+  EXPECT_EQ(sim.BatchOutputWord(0, 0) & 1, 0u);  // G22
+  EXPECT_EQ(sim.BatchOutputWord(1, 0) & 1, 0u);  // G23
   // All inputs 1: G10 = NAND(1,1) = 0 -> G22 = 1. G11 = 0, G16 = 1,
   // G19 = 1, G23 = NAND(1,1) = 0.
-  for (GateId g : nl.inputs()) sim.SetSourceWord(g, ~0ULL);
-  sim.Run();
-  EXPECT_EQ(sim.OutputWord(0) & 1, 1u);
-  EXPECT_EQ(sim.OutputWord(1) & 1, 0u);
+  EXPECT_EQ(sim.BatchOutputWord(0, 1) & 1, 1u);
+  EXPECT_EQ(sim.BatchOutputWord(1, 1) & 1, 0u);
 }
 
 TEST(Simulator, LanesAreIndependent) {
   const Netlist nl = circuits::MakeC17();
   Simulator sim(nl);
   // Lane 0: all zeros; lane 1: all ones.
-  for (GateId g : nl.inputs()) sim.SetSourceWord(g, 0b10);
-  sim.Run();
-  EXPECT_EQ(sim.OutputWord(0) & 0b11, 0b10u);
+  sim.BeginBatch(1);
+  sim.SetInputColumn(0, std::vector<uint64_t>(nl.inputs().size(), 0b10));
+  sim.RunBatch();
+  EXPECT_EQ(sim.BatchOutputWord(0, 0) & 0b11, 0b10u);
 }
 
 TEST(Simulator, KeyBitsBindKeyInputs) {
@@ -49,13 +51,15 @@ TEST(Simulator, KeyBitsBindKeyInputs) {
   Simulator sim(nl);
   const std::vector<uint8_t> key0 = {0};
   const std::vector<uint8_t> key1 = {1};
-  sim.SetSourceWord(nl.inputs()[0], 0b01);
-  sim.SetKeyBits(key0);
-  sim.Run();
-  EXPECT_EQ(sim.OutputWord(0) & 0b11, 0b01u);  // transparent
-  sim.SetKeyBits(key1);
-  sim.Run();
-  EXPECT_EQ(sim.OutputWord(0) & 0b11, 0b10u);  // inverting
+  const std::vector<uint64_t> pi_words = {0b01};
+  sim.BeginBatch(1);
+  sim.SetInputColumn(0, pi_words);
+  sim.SetKeyBitsBatch(key0);
+  sim.RunBatch();
+  EXPECT_EQ(sim.BatchOutputWord(0, 0) & 0b11, 0b01u);  // transparent
+  sim.SetKeyBitsBatch(key1);
+  sim.RunBatch();
+  EXPECT_EQ(sim.BatchOutputWord(0, 0) & 0b11, 0b10u);  // inverting
 }
 
 TEST(Simulator, TieCellsProduceConstants) {
@@ -66,10 +70,12 @@ TEST(Simulator, TieCellsProduceConstants) {
   nl.AddOutput(nl.AddGate(GateOp::kAnd, {a, hi}), "y1");
   nl.AddOutput(nl.AddGate(GateOp::kOr, {a, lo}), "y2");
   Simulator sim(nl);
-  sim.SetSourceWord(nl.inputs()[0], 0b10);
-  sim.Run();
-  EXPECT_EQ(sim.OutputWord(0) & 0b11, 0b10u);
-  EXPECT_EQ(sim.OutputWord(1) & 0b11, 0b10u);
+  const std::vector<uint64_t> pi_words = {0b10};
+  sim.BeginBatch(1);
+  sim.SetInputColumn(0, pi_words);
+  sim.RunBatch();
+  EXPECT_EQ(sim.BatchOutputWord(0, 0) & 0b11, 0b10u);
+  EXPECT_EQ(sim.BatchOutputWord(1, 0) & 0b11, 0b10u);
 }
 
 TEST(SignalProbabilities, UniformInputsNearHalf) {
@@ -144,57 +150,45 @@ std::vector<uint64_t> ReferenceWords(const Netlist& nl,
   return values;
 }
 
-// Every net word and output word of Run(), and of RunBatch() at widths 1,
-// 5, 32 and 33 on the same simulator, against ReferenceWords. Primary and
-// key inputs get random words.
+// Every net word and output word of RunBatch() at widths 1, 5, 32 and 33
+// on the same simulator, against ReferenceWords. Primary inputs get random
+// words column by column, key inputs random rows.
 void ExpectKernelMatchesReference(const Netlist& nl) {
-  std::vector<GateId> sources = nl.inputs();
-  for (GateId k : nl.KeyInputs()) sources.push_back(k);
-  const auto expect_nets = [&nl](const std::vector<uint64_t>& want,
-                                 const auto& net_word,
-                                 const auto& output_word) {
-    for (NetId n = 0; n < nl.NumNets(); ++n) {
-      ASSERT_EQ(net_word(n), want[n]) << "net " << n;
-    }
-    for (size_t o = 0; o < nl.outputs().size(); ++o) {
-      ASSERT_EQ(output_word(o), want[nl.gate(nl.outputs()[o]).fanins[0]])
-          << "output " << o;
-    }
-  };
   Rng rng(17);
   Simulator sim(nl);
-  for (int word = 0; word < 3; ++word) {
-    std::vector<uint64_t> values(nl.NumNets(), 0);
-    for (GateId s : sources) {
-      values[nl.gate(s).out] = rng.NextWord();
-      sim.SetSourceWord(s, values[nl.gate(s).out]);
-    }
-    sim.Run();
-    SCOPED_TRACE("Run() word " + std::to_string(word));
-    expect_nets(
-        ReferenceWords(nl, values), [&](NetId n) { return sim.NetWord(n); },
-        [&](size_t o) { return sim.OutputWord(o); });
-  }
   for (size_t width : {1, 5, 32, 33}) {
     sim.BeginBatch(width);
     std::vector<std::vector<uint64_t>> columns(
         width, std::vector<uint64_t>(nl.NumNets(), 0));
+    std::vector<uint64_t> pi_words(nl.inputs().size());
+    for (size_t w = 0; w < width; ++w) {
+      for (size_t i = 0; i < pi_words.size(); ++i) {
+        pi_words[i] = rng.NextWord();
+        columns[w][nl.gate(nl.inputs()[i]).out] = pi_words[i];
+      }
+      sim.SetInputColumn(w, pi_words);
+    }
     std::vector<uint64_t> row(width);
-    for (GateId s : sources) {
+    for (GateId k : nl.KeyInputs()) {
       for (size_t w = 0; w < width; ++w) {
         row[w] = rng.NextWord();
-        columns[w][nl.gate(s).out] = row[w];
+        columns[w][nl.gate(k).out] = row[w];
       }
-      sim.SetSourceBatch(s, row);
+      sim.SetSourceBatch(k, row);
     }
     sim.RunBatch();
     for (size_t w = 0; w < width; ++w) {
-      SCOPED_TRACE("RunBatch() width " + std::to_string(width) + " column " +
+      SCOPED_TRACE("width " + std::to_string(width) + " column " +
                    std::to_string(w));
-      expect_nets(
-          ReferenceWords(nl, columns[w]),
-          [&](NetId n) { return sim.BatchNetWord(n, w); },
-          [&](size_t o) { return sim.BatchOutputWord(o, w); });
+      const std::vector<uint64_t> want = ReferenceWords(nl, columns[w]);
+      for (NetId n = 0; n < nl.NumNets(); ++n) {
+        ASSERT_EQ(sim.BatchNetWord(n, w), want[n]) << "net " << n;
+      }
+      for (size_t o = 0; o < nl.outputs().size(); ++o) {
+        ASSERT_EQ(sim.BatchOutputWord(o, w),
+                  want[nl.gate(nl.outputs()[o]).fanins[0]])
+            << "output " << o;
+      }
     }
   }
 }
@@ -298,16 +292,18 @@ TEST(Simulator, GeneratedCircuitRunsDeterministically) {
   spec.num_gates = 300;
   spec.seed = 99;
   const Netlist nl = circuits::GenerateCircuit(spec);
+  Rng rng(5);
+  std::vector<uint64_t> pi_words(nl.inputs().size());
+  for (uint64_t& v : pi_words) v = rng.NextWord();
   Simulator s1(nl);
   Simulator s2(nl);
-  Rng r1(5);
-  Rng r2(5);
-  s1.SetRandomInputs(r1);
-  s2.SetRandomInputs(r2);
-  s1.Run();
-  s2.Run();
+  for (Simulator* sim : {&s1, &s2}) {
+    sim->BeginBatch(1);
+    sim->SetInputColumn(0, pi_words);
+    sim->RunBatch();
+  }
   for (size_t o = 0; o < nl.outputs().size(); ++o) {
-    EXPECT_EQ(s1.OutputWord(o), s2.OutputWord(o));
+    EXPECT_EQ(s1.BatchOutputWord(o, 0), s2.BatchOutputWord(o, 0));
   }
 }
 

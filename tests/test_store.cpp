@@ -527,15 +527,17 @@ TEST(Compose, RoundTripThroughStoreIsByteIdentical) {
 // constants ONLY for a deliberate, schema-version-bumping change.
 
 TEST(GoldenHashes, AttackConfigHashIsPinned) {
-  EXPECT_EQ(attack::AttackConfig::Parse("proximity").Hash(),
-            14686014519266357090ULL);
-  EXPECT_EQ(attack::AttackConfig::Parse("sat-portfolio:configs=8").Hash(),
-            9371812277043906062ULL);
-  // Params are canonically ordered: spec order must not matter.
-  EXPECT_EQ(attack::AttackConfig::Parse("sat:b=1,a=2").Hash(),
-            attack::AttackConfig::Parse("sat:a=2,b=1").Hash());
-  EXPECT_EQ(attack::AttackConfig::Parse("sat:b=1,a=2").Hash(),
-            15138703352570698769ULL);
+  // An attack's store key is AttackKeyHash over the config's canonical
+  // form, whose params are ordered: spec order must not matter.
+  const std::string canonical =
+      attack::AttackConfig::Parse("sat:b=1,a=2").ToString();
+  EXPECT_EQ(canonical, "sat:a=2,b=1");
+  EXPECT_EQ(canonical, attack::AttackConfig::Parse("sat:a=2,b=1").ToString());
+  EXPECT_EQ(AttackKeyHash(canonical, 4096), 16488802507442681531ULL);
+  EXPECT_EQ(
+      AttackKeyHash(
+          attack::AttackConfig::Parse("sat:conflicts=1000").ToString(), 4096),
+      5960187842426934978ULL);
 }
 
 TEST(GoldenHashes, FlowOptionsHashIsPinned) {

@@ -113,18 +113,22 @@ TEST(Lec, DetectsInvertedOutput) {
   ASSERT_EQ(r.counterexample.size(), nl.inputs().size());
 
   // The counterexample must actually distinguish the two designs.
+  std::vector<uint64_t> pi_words(nl.inputs().size());
+  for (size_t i = 0; i < pi_words.size(); ++i) {
+    pi_words[i] = r.counterexample[i] ? ~0ULL : 0;
+  }
   Simulator sim_a(nl);
   Simulator sim_b(broken);
-  for (size_t i = 0; i < nl.inputs().size(); ++i) {
-    const uint64_t w = r.counterexample[i] ? ~0ULL : 0;
-    sim_a.SetSourceWord(nl.inputs()[i], w);
-    sim_b.SetSourceWord(broken.inputs()[i], w);
+  for (Simulator* sim : {&sim_a, &sim_b}) {
+    sim->BeginBatch(1);
+    sim->SetInputColumn(0, pi_words);
+    sim->RunBatch();
   }
-  sim_a.Run();
-  sim_b.Run();
   bool differs = false;
   for (size_t o = 0; o < nl.outputs().size(); ++o) {
-    if ((sim_a.OutputWord(o) ^ sim_b.OutputWord(o)) & 1) differs = true;
+    if ((sim_a.BatchOutputWord(o, 0) ^ sim_b.BatchOutputWord(o, 0)) & 1) {
+      differs = true;
+    }
   }
   EXPECT_TRUE(differs);
 }
